@@ -15,11 +15,11 @@ SIGMA, RATE, TAU, STRIKE = 0.2, 0.01, 1.0, 100.0
 
 for alpha, gamma in PAIRS:
     params = ModelParams.double_fractional(alpha, gamma, SIGMA)
-    mu = risk_neutral(params)
-    print(f"alpha={alpha} gamma={gamma}  mu={mu.mu:.12g}")
+    mu = risk_neutral(params).mu
+    print(f"alpha={alpha} gamma={gamma}  mu={mu:.12g}")
     for x in (-0.3, -0.15, 0.0, 0.15, 0.3):
         inputs = PricingInputs(STRIKE * math.exp(x), STRIKE, RATE, TAU)
-        A = -inputs.log_fwd - mu.mu * TAU
+        A = -inputs.log_fwd - mu * TAU
         if gamma != 1.0 and A < 0.0:
             print(f"  log-moneyness {x:+.2f}: skipped (A={A:.4f} < 0)")
             continue

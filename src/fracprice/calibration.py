@@ -7,12 +7,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import ModelKind, ModelParams, ValidationError, validate
 from .numerics import NumericsError
-from .pricing import (OptionKind, PricingInputs, SeriesDivergenceError,
-                      ParityError, price)
+from .pricing import (PricingInputs, SeriesDivergenceError, ParityError,
+                      price)
 
 
 class CalibrationError(ValueError):
@@ -62,8 +61,7 @@ def _quote_errors(params, chain, policy):
     penalty = 10.0 * sum(p for _, _, p in chain.quotes)
     errs = []
     for kind, strike, market in chain.quotes:
-        inputs = PricingInputs(chain.spot, strike, chain.rate, chain.tau,
-                               OptionKind(kind))
+        inputs = PricingInputs(chain.spot, strike, chain.rate, chain.tau, kind)
         try:
             model_price = price(params, inputs, policy)
             err = abs(model_price - market)
@@ -139,6 +137,7 @@ def _vector_to_params(x, kind):
 def calibrate(chain, kind, seeds=None, policy=None):
     """Nelder-Mead from each seed over the kind's free parameters; returns
     the best CalibrationResult across seeds.  Deterministic given seeds."""
+    from scipy.optimize import minimize  # deferred: slow to import
     if len(chain.quotes) < 3:
         raise CalibrationError(
             f"calibration needs at least 3 quotes, got {len(chain.quotes)}")

@@ -15,11 +15,10 @@ import numpy as np
 
 from .calibration import CalibrationError, QuoteChain, calibrate
 from .model import (ModelKind, ModelParams, ValidationError, mu_gamma_approx,
-                    mu_gamma_mb, mu_gamma_series, risk_neutral)
+                    mu_gamma_mb, mu_gamma_series)
 from .numerics import NumericsError
-from .pricing import (OptionKind, PricingInputs, SeriesDivergenceError,
-                      TruncationMode, TruncationPolicy, partial_sum_table,
-                      price)
+from .pricing import (DEFAULT_POLICY, PricingInputs, SeriesDivergenceError,
+                      TruncationPolicy, partial_sum_table, price)
 from .volatility import atm_fbs_implied, build_smile
 from . import sampledata
 
@@ -91,12 +90,12 @@ def _chain_from_args(args):
 def cmd_price(args):
     params = _params_from_args(args)
     inputs = PricingInputs(args.spot, args.strike, args.rate, args.tau,
-                           OptionKind(args.kind))
+                           args.kind)
     policy = None
     if args.n_max is not None or args.m_max is not None:
-        policy = TruncationPolicy(n_max=args.n_max or 60,
-                                  m_max=args.m_max or 60,
-                                  mode=TruncationMode.ADAPTIVE)
+        policy = TruncationPolicy(
+            n_max=DEFAULT_POLICY.n_max if args.n_max is None else args.n_max,
+            m_max=DEFAULT_POLICY.m_max if args.m_max is None else args.m_max)
     value = price(params, inputs, policy, fallback=args.fallback)
     if args.json:
         print(json.dumps({"price": value}))
@@ -124,18 +123,24 @@ def _gamma_label(g):
     return format(g, "g")
 
 
-def cmd_smile(args):
-    gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
-    chain = _chain_from_args(args)
-    points = build_smile(chain, gammas)
+def _csv_line(cells):
+    return ",".join(c if isinstance(c, str) else _fmt(c) for c in cells)
+
+
+def _smile_table(chain, gammas):
+    """Header and rows of a smile: strike, price, BS vol, f-BS vol per gamma."""
     header = ["strike", "price", "bs_vol"] + [
         f"fbs_vol_g{_gamma_label(g)}" for g in gammas]
-    out = [",".join(header)]
-    for pt in points:
-        cells = [_fmt(pt.strike), _fmt(pt.market_price), _fmt(pt.sigma_bs)]
-        cells += [_fmt(pt.sigma_fbs.get(g)) for g in gammas]
-        out.append(",".join(cells))
-    print("\n".join(out))
+    rows = [[pt.strike, pt.market_price, pt.sigma_bs]
+            + [pt.sigma_fbs.get(g) for g in gammas]
+            for pt in build_smile(chain, gammas)]
+    return header, rows
+
+
+def cmd_smile(args):
+    gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
+    header, rows = _smile_table(_chain_from_args(args), gammas)
+    print("\n".join(_csv_line(r) for r in [header] + rows))
     return 0
 
 
@@ -170,28 +175,31 @@ FIG3_MODEL = dict(alpha=1.7, gamma=0.9, sigma=0.2)
 
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(c) if not isinstance(c, str) else c
-                             for c in row) + "\n")
+        for row in [header] + rows:
+            f.write(_csv_line(row) + "\n")
     return path
 
 
+def _grid_csv(path, axis, values, label, columns, cell):
+    """CSV with one row per grid value v (rounded to 10 decimals): v, then
+    cell(v, c) per column c."""
+    header = [axis] + [f"{label}{_gamma_label(c)}" for c in columns]
+    rows = [[float(v)] + [cell(float(v), c) for c in columns]
+            for v in np.round(values, 10)]
+    return _write_csv(path, header, rows)
+
+
 def _fig1(out_dir):
-    alphas = (1.6, 1.7, 1.8, 1.9, 2.0)
-    gammas = np.round(np.arange(0.40, 1.2001, 0.02), 10)
-    header = ["gamma"] + [f"mu_alpha{_gamma_label(a)}" for a in alphas]
-    rows = []
-    for g in gammas:
-        row = [float(g)]
-        for a in alphas:
-            try:
-                params = ModelParams.double_fractional(a, float(g), 0.2)
-                row.append(mu_gamma_series(params).mu)
-            except ValidationError:
-                row.append(None)
-        rows.append(row)
-    return [_write_csv(os.path.join(out_dir, "fig1.csv"), header, rows)]
+    def mu_at(gamma, alpha):
+        try:
+            params = ModelParams.double_fractional(alpha, gamma, 0.2)
+            return mu_gamma_series(params).mu
+        except ValidationError:
+            return None
+
+    return [_grid_csv(os.path.join(out_dir, "fig1.csv"), "gamma",
+                      np.arange(0.40, 1.2001, 0.02), "mu_alpha",
+                      (1.6, 1.7, 1.8, 1.9, 2.0), mu_at)]
 
 
 def _fig3(out_dir):
@@ -210,7 +218,7 @@ def _fig3(out_dir):
 
 def _fig4(out_dir):
     market = FIG3_MARKET
-    written = []
+    spot = market["spot"]
 
     def price_at(alpha, gamma, sigma, spot):
         params = ModelParams.double_fractional(alpha, gamma, sigma)
@@ -221,63 +229,36 @@ def _fig4(out_dir):
         except (ValidationError, SeriesDivergenceError, NumericsError):
             return None
 
-    alphas = (1.5, 1.6, 1.7, 1.8, 1.9, 2.0)
-    gammas = np.round(np.arange(0.40, 1.0001, 0.02), 10)
-    rows = [[float(g)] + [price_at(a, float(g), 0.2, market["spot"])
-                          for a in alphas] for g in gammas]
-    written.append(_write_csv(
-        os.path.join(out_dir, "fig4_gamma.csv"),
-        ["gamma"] + [f"price_alpha{_gamma_label(a)}" for a in alphas], rows))
+    def grid(name, values, label, columns, cell):
+        return _grid_csv(os.path.join(out_dir, f"fig4_{name}.csv"), name,
+                         values, label, columns, cell)
 
     g_curves = (0.8, 0.9, 1.0, 1.1)
-    a_grid = np.round(np.arange(1.10, 2.0001, 0.05), 10)
-    rows = [[float(a)] + [price_at(float(a), g, 0.2, market["spot"])
-                          if g <= a else None for g in g_curves]
-            for a in a_grid]
-    written.append(_write_csv(
-        os.path.join(out_dir, "fig4_alpha.csv"),
-        ["alpha"] + [f"price_gamma{_gamma_label(g)}" for g in g_curves], rows))
-
-    spots = np.round(np.arange(2800.0, 4000.01, 100.0), 10)
-    rows = [[float(s)] + [price_at(1.7, g, 0.2, float(s)) for g in g_curves]
-            for s in spots]
-    written.append(_write_csv(
-        os.path.join(out_dir, "fig4_spot.csv"),
-        ["spot"] + [f"price_gamma{_gamma_label(g)}" for g in g_curves], rows))
-
-    sigmas = np.round(np.arange(0.05, 0.6001, 0.05), 10)
-    rows = [[float(s)] + [price_at(1.7, g, float(s), market["spot"])
-                          for g in g_curves] for s in sigmas]
-    written.append(_write_csv(
-        os.path.join(out_dir, "fig4_sigma.csv"),
-        ["sigma"] + [f"price_gamma{_gamma_label(g)}" for g in g_curves], rows))
-    return written
+    return [
+        grid("gamma", np.arange(0.40, 1.0001, 0.02), "price_alpha",
+             (1.5, 1.6, 1.7, 1.8, 1.9, 2.0),
+             lambda g, a: price_at(a, g, 0.2, spot)),
+        grid("alpha", np.arange(1.10, 2.0001, 0.05), "price_gamma", g_curves,
+             lambda a, g: price_at(a, g, 0.2, spot) if g <= a else None),
+        grid("spot", np.arange(2800.0, 4000.01, 100.0), "price_gamma",
+             g_curves, lambda s, g: price_at(1.7, g, 0.2, s)),
+        grid("sigma", np.arange(0.05, 0.6001, 0.05), "price_gamma", g_curves,
+             lambda s, g: price_at(1.7, g, s, spot)),
+    ]
 
 
 def _fig5(out_dir):
-    tau = 1.027
-    gammas = np.round(np.arange(0.55, 1.5001, 0.05), 10)
-    header = ["gamma"] + [
-        f"fbs_atm_vol_k{_gamma_label(k)}" for k in sampledata.STRIKES]
-    rows = []
-    for g in gammas:
-        row = [float(g)]
-        for c in sampledata.CALL_PRICES:
-            row.append(atm_fbs_implied(c, sampledata.SPOT, tau, float(g)))
-        rows.append(row)
-    return [_write_csv(os.path.join(out_dir, "fig5.csv"), header, rows)]
+    quotes = dict(zip(sampledata.STRIKES, sampledata.CALL_PRICES))
+    return [_grid_csv(
+        os.path.join(out_dir, "fig5.csv"), "gamma",
+        np.arange(0.55, 1.5001, 0.05), "fbs_atm_vol_k",
+        sampledata.STRIKES,
+        lambda g, k: atm_fbs_implied(quotes[k], sampledata.SPOT, 1.027, g))]
 
 
 def _fig6(out_dir):
-    gammas = (0.8, 0.9, 1.0, 1.1)
-    chain = sampledata.fixture_chain()
-    points = build_smile(chain, gammas)
-    header = ["strike", "price", "bs_vol"] + [
-        f"fbs_vol_g{_gamma_label(g)}" for g in gammas]
-    rows = []
-    for pt in points:
-        rows.append([pt.strike, pt.market_price, pt.sigma_bs]
-                    + [pt.sigma_fbs.get(g) for g in gammas])
+    header, rows = _smile_table(sampledata.fixture_chain(),
+                                (0.8, 0.9, 1.0, 1.1))
     return [_write_csv(os.path.join(out_dir, "fig6.csv"), header, rows)]
 
 

@@ -11,10 +11,11 @@ from enum import Enum
 import numpy as np
 from scipy.special import gammaln, loggamma
 
-from .numerics import ContourSpec, NonConvergenceError, mb_line_integral
+from .numerics import (ContourSpec, NonConvergenceError, log_gamma_series,
+                       mb_line_integral)
 
-DEFAULT_MU_TOLERANCE = 1e-12
-DEFAULT_MU_MAX_TERMS = 64
+MU_TOLERANCE = 1e-12
+MU_MAX_TERMS = 64
 
 
 class ModelKind(Enum):
@@ -106,49 +107,22 @@ def mu_levy(alpha, sigma):
     return (sigma / math.sqrt(2.0)) ** alpha / math.cos(math.pi * alpha / 2.0)
 
 
-def mu_gamma_series(params, policy=None):
+def mu_gamma_series(params):
     """mu as -log of the exponential-moment series.
 
     The series sum_n Gamma(1+alpha n) q^n / (n! Gamma(1+gamma alpha n)) with
-    q = -mu_levy has all-positive terms; they are accumulated in log space.
-    Stops once three consecutive terms each contribute less than
-    tolerance * partial sum; raises NonConvergenceError if that never happens
-    within the term budget.
+    q = -mu_levy has all-positive terms; numerics.log_gamma_series sums them
+    in log space.  At gamma = 1 the sum is e^q, so mu = mu_levy (-sigma^2/2
+    for Black-Scholes).  The accuracy is this module's, independent of any
+    pricing truncation: the sum stops once three consecutive terms each
+    contribute less than MU_TOLERANCE * partial sum, and NonConvergenceError
+    is raised if that does not happen within MU_MAX_TERMS terms.
     """
     validate(params)
-    if params.kind is ModelKind.BLACK_SCHOLES:
-        return RiskNeutralParam(-0.5 * params.sigma ** 2, 0, True)
-    if params.kind is ModelKind.FMLS:
-        return RiskNeutralParam(mu_levy(params.alpha, params.sigma), 1, True)
-    tol = getattr(policy, "tolerance", DEFAULT_MU_TOLERANCE)
-    max_terms = getattr(policy, "n_max", DEFAULT_MU_MAX_TERMS) or DEFAULT_MU_MAX_TERMS
-    a, g = params.alpha, params.gamma
-    if g == 1.0:
-        # Gamma(1+alpha n) cancels Gamma(1+gamma alpha n): the sum is e^q
-        return RiskNeutralParam(mu_levy(a, params.sigma), 1, True)
-    q = -mu_levy(a, params.sigma)
-    log_q = math.log(q)
-    total = 1.0                     # n = 0 term
-    small = 0
-    n = 0
-    for n in range(1, max_terms + 1):
-        lt = (gammaln(1.0 + a * n) + n * log_q
-              - gammaln(n + 1.0) - gammaln(1.0 + g * a * n))
-        t = math.exp(lt)
-        total += t
-        if t < tol * total:
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    else:
-        raise NonConvergenceError(
-            f"moment series terms failed to decay within {max_terms} terms "
-            f"(q={q:.4g})")
-    if not total > 0.0:
-        raise NonConvergenceError("moment series partial sum not positive")
-    return RiskNeutralParam(-math.log(total), n, True)
+    a = params.alpha
+    log_sum, n = log_gamma_series(-mu_levy(a, params.sigma), a,
+                                  params.gamma * a, MU_TOLERANCE, MU_MAX_TERMS)
+    return RiskNeutralParam(-log_sum, n, True)
 
 
 def mu_gamma_mb(params, contour=None):
@@ -189,6 +163,6 @@ def mu_gamma_approx(params):
     return math.exp(gammaln(1.0 + a) - gammaln(1.0 + g * a)) * m1
 
 
-def risk_neutral(params, policy=None):
-    """Kind-aware dispatcher for the drift correction."""
-    return mu_gamma_series(params, policy)
+def risk_neutral(params):
+    """The model's drift correction, as used by the pricers."""
+    return mu_gamma_series(params)

@@ -1,5 +1,7 @@
-"""Special functions, Mellin-Barnes line integration, and the Green-function
-quadrature pricer used as the independent cross-check for the series engine.
+"""Special functions, the positive-term Gamma-ratio series behind mu and the
+Mittag-Leffler mean factor, Mellin-Barnes line integration, and the
+Green-function quadrature pricer used as the independent cross-check for the
+series engine.
 
 Everything here is a pure function of its arguments; no shared mutable state.
 """
@@ -48,6 +50,67 @@ def reciprocal_gamma(x):
 def normal_cdf(x):
     """Standard normal distribution function."""
     return 0.5 * erfc(-np.asarray(x, float) / math.sqrt(2.0))
+
+
+# ----------------------------------------------------------------------
+# positive-term Gamma-ratio series
+# ----------------------------------------------------------------------
+
+def log_gamma_series(z, a, b, tol, max_terms):
+    """(log S, n) for S = sum_{n>=0} Gamma(1 + a n) z^n / (n! Gamma(1 + b n)).
+
+    Every term is positive for z >= 0.  At a == b the Gamma ratio cancels and
+    S = e^z exactly (n = 1).  Otherwise the terms are summed in log space,
+    shifted by their maximum; the sum stops at the first n where three
+    consecutive terms each fall below tol times the partial sum, and that n
+    is returned.  The term range doubles until this happens and raises
+    NonConvergenceError if it has not within max_terms terms.
+    """
+    if a == b:
+        return z, 1
+    if z == 0.0:
+        return 0.0, 0
+    log_z = math.log(z)
+    size = min(16, max_terms)
+    while True:
+        n = np.arange(size + 1.0)
+        lt = (gammaln(1.0 + a * n) + n * log_z
+              - gammaln(n + 1.0) - gammaln(1.0 + b * n))
+        shift = lt.max()
+        w = np.exp(lt - shift)
+        partial = np.cumsum(w)
+        small = w[1:] < tol * partial[1:]
+        run = small[:-2] & small[1:-1] & small[2:]
+        j = int(run.argmax())
+        if run[j]:
+            return float(shift + math.log(partial[j + 3])), j + 3
+        if size >= max_terms:
+            raise NonConvergenceError(
+                f"Gamma-ratio series terms failed to decay within "
+                f"{max_terms} terms (z={z:.4g})")
+        size = min(2 * size, max_terms)
+
+
+# Terms the Mittag-Leffler series may use before the leading asymptotic takes
+# over.  The terms peak near n = z^(1/gamma) / gamma, so a series still
+# growing at this cap has z^(1/gamma) >~ 300 gamma, and the asymptotic's
+# relative error, of order gamma exp(-z^(1/gamma)), is below 1e-14 for every
+# gamma above 0.1.
+ML_MAX_TERMS = 512
+_EPS = float(np.finfo(float).eps)
+
+
+def log_mittag_leffler(z, gamma):
+    """log E_gamma(z) = log sum_n z^n / Gamma(1 + gamma n) for z >= 0.
+
+    Exact (e^z) at gamma = 1; summed to rounding by log_gamma_series where
+    that converges within ML_MAX_TERMS terms, and the leading asymptotic
+    E_gamma(z) ~ exp(z^(1/gamma)) / gamma beyond.
+    """
+    try:
+        return log_gamma_series(z, 1.0, gamma, _EPS, ML_MAX_TERMS)[0]
+    except NonConvergenceError:
+        return z ** (1.0 / gamma) - math.log(gamma)
 
 
 # ----------------------------------------------------------------------
@@ -280,17 +343,14 @@ def _density_batch(xs, alpha, gamma, ell, cstep=0.25):
     return out
 
 
-def green_density(query, contour=None):
+def green_density(query):
     """Density of the log-price Green function at query.x (x != 0).
 
     Negative x is handled by the reflection rule: the value at -x equals the
     density with mirrored asymmetry evaluated at +x, which is what the heavy
-    branch of the Mellin ratio computes.  The line abscissa is re-centered on
-    the integrand's saddle internally; a supplied contour is validated against
-    the representation's strip (0, 1).
+    branch of the Mellin ratio computes.  The integration line is placed on
+    the integrand's saddle for each point (see _density_batch).
     """
-    if contour is not None and not 0.0 < contour.abscissa < 1.0:
-        raise NumericsError("contour abscissa must lie in (0, 1)")
     if query.x == 0.0:
         raise NumericsError("density evaluation requires x != 0")
     ell = (-query.mu * query.tau ** query.gamma) ** (1.0 / query.alpha)
@@ -398,12 +458,7 @@ def _tilted_tail_call(ystar, alpha, gamma, ell, per=16):
     return total * math.exp(top)
 
 
-def _risk_neutral_mu(params):
-    from .model import risk_neutral  # deferred: model depends on this module
-    return risk_neutral(params).mu
-
-
-def reference_price(params, inputs, contour=None, mu=None):
+def reference_price(params, inputs, mu=None):
     """Discounted expected payoff under the Green density, by quadrature.
 
     e^{-r tau} * E[(S e^{(r+mu) tau + y} - K)^+] for calls and the mirrored
@@ -411,21 +466,18 @@ def reference_price(params, inputs, contour=None, mu=None):
     from params when not supplied).  This is the oracle the series engine is
     checked against; it makes no use of the residue series.
     """
-    if contour is not None and not 0.0 < contour.abscissa < 1.0:
-        raise NumericsError("contour abscissa must lie in (0, 1)")
     if mu is None:
-        mu = _risk_neutral_mu(params)
-    mu = float(getattr(mu, "mu", mu))
+        from .model import risk_neutral  # deferred: model imports this module
+        mu = risk_neutral(params).mu
     if not mu < 0.0:
         raise NumericsError("mu must be < 0")
     alpha, gamma = params.alpha, params.gamma
     S, K, r, tau = inputs.spot, inputs.strike, inputs.rate, inputs.tau
-    kind = str(getattr(inputs.kind, "value", inputs.kind)).lower()
     ell = (-mu * tau ** gamma) ** (1.0 / alpha)
     fwd = S * math.exp((r + mu) * tau)
     disc = math.exp(-r * tau)
 
-    if kind == "call":
+    if inputs.kind.value == "call":
         if K <= 0.0:
             ystar = -60.0
         else:
@@ -446,15 +498,12 @@ def reference_price(params, inputs, contour=None, mu=None):
                 return disc * fwd * tail
         return body
 
-    if kind == "put":
-        if K <= 0.0:
-            return 0.0
-        ystar = -(math.log(S / K) + r * tau) - mu * tau
-        ylo = 60.0 + abs(ystar)
-        ys, ws = _geometric_panels(-ylo, ystar, ell)
-        g = _density_batch(ys, alpha, gamma, ell)
-        pay = K - fwd * np.exp(ys)
-        body = float((pay * g) @ ws)
-        return disc * (body + K * _tail_mass(ylo, alpha, gamma, ell, True))
-
-    raise NumericsError(f"unknown option kind {inputs.kind!r}")
+    if K <= 0.0:
+        return 0.0
+    ystar = -(math.log(S / K) + r * tau) - mu * tau
+    ylo = 60.0 + abs(ystar)
+    ys, ws = _geometric_panels(-ylo, ystar, ell)
+    g = _density_batch(ys, alpha, gamma, ell)
+    pay = K - fwd * np.exp(ys)
+    body = float((pay * g) @ ws)
+    return disc * (body + K * _tail_mass(ylo, alpha, gamma, ell, True))

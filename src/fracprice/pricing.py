@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import numerics
 from .model import ModelKind, ValidationError, risk_neutral, validate
@@ -36,7 +36,8 @@ class TruncationMode(Enum):
 
 @dataclass(frozen=True)
 class PricingInputs:
-    """Contract terms; log_fwd = log(S/K) + r*tau is derived on construction."""
+    """Contract terms; kind is coerced to OptionKind and log_fwd =
+    log(S/K) + r*tau is derived on construction."""
     spot: float
     strike: float
     rate: float
@@ -45,6 +46,11 @@ class PricingInputs:
     log_fwd: float = field(init=False)
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", OptionKind(self.kind))
+        except ValueError:
+            raise ValidationError("kind_value",
+                                  f"unknown option kind {self.kind!r}") from None
         if not self.spot > 0.0:
             raise ValidationError("spot_positive", f"spot={self.spot} must be > 0")
         if self.strike < 0.0:
@@ -103,40 +109,25 @@ def bs_call(inputs, sigma):
                  - K * math.exp(-r * tau) * normal_cdf(d_plus - st))
 
 
-def _mu_value(params, mu, policy=None):
-    if mu is None:
-        mu = risk_neutral(params, policy)
-    return float(getattr(mu, "mu", mu))
-
-
-def _log_mittag_leffler(z, gamma, n_terms=256):
-    """log E_gamma(z) = log sum z^n / Gamma(1 + gamma n) for z >= 0.
-
-    All terms are positive, so logsumexp is exact to rounding.  Returns None
-    when the term cap is too small for the argument (the caller then skips
-    whatever bound it wanted this for).
-    """
-    if z == 0.0:
-        return 0.0
-    n = np.arange(n_terms)
-    terms = n * math.log(z) - gammaln(1.0 + gamma * n)
-    if int(np.argmax(terms)) > n_terms - 16:
-        return None
-    return float(logsumexp(terms))
-
-
-def _band_bounds(params, inputs, mu_v):
+def _band_bounds(params, inputs, mu):
     """Hard bounds on the true call value: the discounted expectation of
     (S_T - K)+ lies in [max(S X - K e^{-r tau}, 0), S X] where
     X = e^{mu tau} E_gamma(-mu tau^gamma) is the (non-martingale) mean factor
     of the exponentiated log-price; X = 1 exactly at gamma = 1.  The
     Mittag-Leffler argument is -mu tau^gamma -- the same combination that
-    scales the density -- which reproduces the quadrature mean to rounding."""
-    log_el = _log_mittag_leffler(-mu_v * inputs.tau ** params.gamma,
-                                 params.gamma)
-    if log_el is None:
-        return None
-    upper = inputs.spot * math.exp(mu_v * inputs.tau + log_el)
+    scales the density -- which reproduces the quadrature mean to rounding.
+    A mean factor beyond the float range bounds nothing the series could be
+    trusted with, so it is reported as a divergence."""
+    log_x = mu * inputs.tau + numerics.log_mittag_leffler(
+        -mu * inputs.tau ** params.gamma, params.gamma)
+    try:
+        upper = inputs.spot * math.exp(log_x)
+    except OverflowError:
+        upper = math.inf
+    if not math.isfinite(upper):
+        raise SeriesDivergenceError(
+            f"mean factor e^{log_x:.6g} of the log-price overflows; the "
+            "series is outside its validity domain")
     lower = max(upper - inputs.strike * math.exp(-inputs.rate * inputs.tau),
                 0.0)
     return lower, upper
@@ -147,7 +138,8 @@ def dfrac_call_series(params, inputs, mu=None, policy=None):
 
     V = (K e^{-r tau}/alpha) * sum_{n>=0, m>=1}
         (-1)^n / (n! Gamma(1 - gamma (n-m)/alpha)) * A^n * B^{(m-n)/alpha}
-    with A = -log_fwd - mu*tau and B = -mu*tau^gamma > 0.  Terms whose Gamma
+    with A = -log_fwd - mu*tau and B = -mu*tau^gamma > 0, where the float mu
+    defaults to the model's risk_neutral(params).mu.  Terms whose Gamma
     argument sits on a pole contribute exactly 0; 0^0 is taken as 1 so the
     n=0 terms survive at ATM-forward (A=0).
 
@@ -161,11 +153,12 @@ def dfrac_call_series(params, inputs, mu=None, policy=None):
         raise ValidationError("strike_positive",
                               "series price requires strike > 0")
     policy = policy or DEFAULT_POLICY
-    mu_v = _mu_value(params, mu)
+    if mu is None:
+        mu = risk_neutral(params).mu
     a, g = params.alpha, params.gamma
     tau = inputs.tau
-    A = -inputs.log_fwd - mu_v * tau
-    B = -mu_v * tau ** g
+    A = -inputs.log_fwd - mu * tau
+    B = -mu * tau ** g
     log_B = math.log(B)
     pref = inputs.strike * math.exp(-inputs.rate * tau) / a
 
@@ -237,14 +230,13 @@ def dfrac_call_series(params, inputs, mu=None, policy=None):
         # region (e.g. when the effective log-moneyness A turns negative at
         # gamma != 1).  A converged value outside the hard arbitrage band is
         # therefore rejected rather than returned.
-        band = _band_bounds(params, inputs, mu_v)
-        if band is not None:
-            pad = 1e-6 * (inputs.spot + inputs.strike)
-            if not band[0] - pad <= total <= band[1] + pad:
-                raise SeriesDivergenceError(
-                    f"converged series value {total:.6g} lies outside the "
-                    f"arbitrage band [{band[0]:.6g}, {band[1]:.6g}]; the "
-                    "series is outside its validity domain")
+        lower, upper = _band_bounds(params, inputs, mu)
+        pad = 1e-6 * (inputs.spot + inputs.strike)
+        if not lower - pad <= total <= upper + pad:
+            raise SeriesDivergenceError(
+                f"converged series value {total:.6g} lies outside the "
+                f"arbitrage band [{lower:.6g}, {upper:.6g}]; the "
+                "series is outside its validity domain")
     diag = SeriesDiagnostics(
         partial_sums_m=tuple(sums_m),
         partial_sums_n=tuple(np.cumsum(per_n)),
@@ -274,7 +266,7 @@ def price(params, inputs, policy=None, fallback=False):
     if params.kind is ModelKind.BLACK_SCHOLES:
         call = bs_call(inputs, params.sigma)
     else:
-        mu = risk_neutral(params, policy)
+        mu = risk_neutral(params).mu
         call_inputs = PricingInputs(inputs.spot, inputs.strike, inputs.rate,
                                     inputs.tau, OptionKind.CALL)
         if inputs.strike == 0.0:

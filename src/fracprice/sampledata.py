@@ -11,7 +11,6 @@ result recorded here.  The residual (rms ~0.051, worst row 0.146 at strike
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .calibration import QuoteChain
 from .pricing import PricingInputs, bs_call
@@ -65,6 +64,7 @@ def fit_rate_tau(strikes=STRIKES, prices=CALL_PRICES, vols=BS_VOLS,
     Returns (rate, tau, rms, max_abs) where the last two describe the
     residual between the recomputed and published vols at the optimum.
     """
+    from scipy.optimize import minimize  # deferred: slow to import
     vols = np.asarray(vols, float)
 
     def recompute(r, t):

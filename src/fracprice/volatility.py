@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from scipy.special import gammaln
 
-from .model import ModelParams, RiskNeutralParam, mu_gamma_approx
+from .model import ModelParams, mu_gamma_approx
 from .pricing import (OptionKind, PricingInputs, SMILE_POLICY, bs_call,
                       dfrac_call_series, put_from_parity)
 
@@ -138,8 +138,8 @@ def _fbs_pricer(inputs, gamma, policy):
     with the first-order drift approximation (recomputed at each sigma)."""
     def pricer(sigma):
         params = ModelParams.double_fractional(2.0, gamma, sigma)
-        mu = RiskNeutralParam(mu_gamma_approx(params), 0, True)
-        call, _ = dfrac_call_series(params, inputs, mu, policy)
+        call, _ = dfrac_call_series(params, inputs, mu_gamma_approx(params),
+                                    policy)
         if inputs.kind is OptionKind.PUT:
             return put_from_parity(call, inputs)
         return call
@@ -154,20 +154,19 @@ def build_smile(chain, gammas, policy=SMILE_POLICY, bracket=(1e-4, 5.0)):
     """
     points = []
     for kind, strike, market in chain.quotes:
-        kind = OptionKind(kind) if not isinstance(kind, OptionKind) else kind
         inputs = PricingInputs(chain.spot, strike, chain.rate, chain.tau, kind)
         guess = None
         try:
-            anchor = market if kind is OptionKind.CALL else (
+            anchor = market if inputs.kind is OptionKind.CALL else (
                 market + chain.spot - strike * math.exp(-chain.rate * chain.tau))
             if 0.0 < anchor < chain.spot:
                 guess = atm_bs_implied(anchor, chain.spot, chain.tau)
         except InversionError:
             guess = None
 
-        def bs_pricer(sigma, inputs=inputs, kind=kind):
+        def bs_pricer(sigma, inputs=inputs):
             call = bs_call(inputs, sigma)
-            if kind is OptionKind.PUT:
+            if inputs.kind is OptionKind.PUT:
                 return put_from_parity(call, inputs)
             return call
 

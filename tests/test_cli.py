@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +191,34 @@ def test_figures_fig5_grid(tmp_path, capsys):
     for ln in lines[1:]:
         cells = ln.split(",")
         assert all(float(c) > 0.0 for c in cells[1:])
+
+
+FIG3_ARGV = ("price", "--model", "dfrac", "--spot", "3800", "--strike", "4000",
+             "--rate", "0.01", "--sigma", "0.2", "--alpha", "1.7",
+             "--gamma", "0.9", "--tau", "1")
+
+
+def test_price_truncation_flags_taken_literally(capsys):
+    # --m-max 0 is an invalid policy, not the default
+    rc, _, err = run(capsys, *FIG3_ARGV, "--m-max", "0")
+    assert rc == 2
+    assert "m_max" in err
+    # --n-max 0 keeps only the n = 0 column, which cannot be certified
+    rc, _, err = run(capsys, *FIG3_ARGV, "--n-max", "0")
+    assert rc == 2
+    assert "n-tail" in err
+    # a flag left out takes the default policy's value
+    assert run(capsys, *FIG3_ARGV, "--n-max", "60") == run(capsys, *FIG3_ARGV)
+
+
+def test_cli_import_leaves_out_optimizer():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fracprice.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,3 +120,37 @@ def test_mu_gamma_negative_on_domain(a, g, s):
     if g <= 1.0 - 1.0 / a or g > a:
         return
     assert mu_gamma_series(dfrac(a, g, s)).mu < 0.0
+
+
+def _mu_loop(a, g, s, tol=1e-12, max_terms=64):
+    """Reference: the moment series summed term by term in plain floats."""
+    q = -mu_levy(a, s)
+    total, small = 1.0, 0
+    for n in range(1, max_terms + 1):
+        t = math.exp(math.lgamma(1.0 + a * n) + n * math.log(q)
+                     - math.lgamma(n + 1.0) - math.lgamma(1.0 + g * a * n))
+        total += t
+        small = small + 1 if t < tol * total else 0
+        if small == 3:
+            return -math.log(total), n
+    return None
+
+
+def test_mu_gamma_series_matches_scalar_loop():
+    """Same term count, the same parameters out of budget, and the same
+    value up to the rounding of a sum of at most 64 terms in log S."""
+    for a in np.round(np.arange(1.15, 2.0001, 0.05), 10):
+        for g in np.round(np.arange(0.05, a + 1e-9, 0.05), 10):
+            if g <= 1.0 - 1.0 / a:
+                continue
+            for s in (0.05, 0.2, 0.5):
+                ref = _mu_loop(a, g, s)
+                if ref is None:
+                    with pytest.raises(NonConvergenceError):
+                        mu_gamma_series(dfrac(a, g, s))
+                    continue
+                r = mu_gamma_series(dfrac(a, g, s))
+                tol = 64 * np.finfo(float).eps * max(1.0, -ref[0])
+                assert abs(r.mu - ref[0]) <= tol
+                assert r.n_terms_used == (1 if g == 1.0 else ref[1])
+

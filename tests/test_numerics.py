@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import loggamma
+from scipy.special import erfc, loggamma
 
 from fracprice.numerics import (ContourSpec, GreenDensityQuery,
                                 NonConvergenceError, NumericsError, PoleError,
                                 _density_batch, green_density, log_gamma,
+                                log_gamma_series, log_mittag_leffler,
                                 mb_line_integral, normal_cdf,
                                 reciprocal_gamma, reference_price)
 from fracprice.model import ModelParams, risk_neutral
@@ -166,3 +167,24 @@ def test_green_density_positive_in_bulk(tau, x):
     mu = risk_neutral(params).mu
     g = green_density(GreenDensityQuery(1.8, 0.9, mu, x, tau))
     assert g >= 0.0
+
+
+@pytest.mark.parametrize("gamma, closed_form", [
+    (1.0, lambda z: z),
+    (2.0, lambda z: math.log(math.cosh(math.sqrt(z)))),
+    (0.5, lambda z: z * z + math.log(erfc(-z))),
+])
+def test_log_mittag_leffler_closed_forms(gamma, closed_form):
+    """E_1 = e^z, E_2 = cosh sqrt z, E_1/2 = e^{z^2} erfc(-z), across the
+    summed range and into the asymptotic one (E_1/2 needs ~2000 terms at 30)."""
+    for z in np.linspace(0.0, 30.0, 121):
+        assert log_mittag_leffler(float(z), gamma) == pytest.approx(
+            closed_form(float(z)), rel=1e-13, abs=1e-300)
+
+
+def test_log_gamma_series_budget():
+    # e^z at a == b; terms that never turn over within the budget raise
+    assert log_gamma_series(3.5, 1.7, 1.7, 1e-12, 64) == (3.5, 1)
+    assert log_gamma_series(0.0, 1.7, 1.2, 1e-12, 64) == (0.0, 0)
+    with pytest.raises(NonConvergenceError):
+        log_gamma_series(50.0, 1.0, 0.5, 1e-12, 64)

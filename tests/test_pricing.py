@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracprice import pricing
 from fracprice.model import ModelParams, ValidationError, risk_neutral
 from fracprice.pricing import (DEFAULT_POLICY, SMILE_POLICY, OptionKind,
                                ParityError, PricingInputs,
                                SeriesDivergenceError, TruncationMode,
-                               TruncationPolicy, bs_call, dfrac_call_series,
-                               partial_sum_table, price, put_from_parity)
+                               TruncationPolicy, _band_bounds, bs_call,
+                               dfrac_call_series, partial_sum_table, price,
+                               put_from_parity)
 
 FIG3_INPUTS = PricingInputs(3800.0, 4000.0, 0.01, 1.0)
 FIG3_PARAMS = ModelParams.double_fractional(1.7, 0.9, 0.2)
@@ -186,3 +188,54 @@ def test_series_price_within_band_gamma09(x, sigma):
     val, _ = dfrac_call_series(params, inp)
     assert val >= -1e-9
     assert val <= inp.spot * 1.01
+
+
+def test_option_kind_coerced():
+    params = ModelParams.black_scholes(0.2)
+    as_text = PricingInputs(100.0, 110.0, 0.0, 1.0, "put")
+    assert as_text.kind is OptionKind.PUT
+    assert price(params, as_text) == price(
+        params, PricingInputs(100.0, 110.0, 0.0, 1.0, OptionKind.PUT))
+    assert price(params, as_text) == pytest.approx(14.292, abs=1e-3)
+    with pytest.raises(ValidationError) as err:
+        PricingInputs(100.0, 110.0, 0.0, 1.0, "straddle")
+    assert err.value.code == "kind_value"
+
+
+def test_band_bounds_deep_mittag_leffler_argument():
+    """-mu tau^gamma = 31 at gamma = 0.6 is past the summed range of the
+    Mittag-Leffler series; the bounds then use its leading asymptotic."""
+    params = ModelParams.double_fractional(1.7, 0.6, 1.0)
+    mu = risk_neutral(params).mu
+    inp = PricingInputs(100.0, 100.0, 0.01, 100.0)
+    z = -mu * inp.tau ** 0.6
+    assert z >= 25.0
+    lower, upper = _band_bounds(params, inp, mu)
+    assert 0.0 <= lower <= upper < math.inf
+    assert math.log(upper / inp.spot) == pytest.approx(
+        mu * inp.tau + z ** (1.0 / 0.6) - math.log(0.6), rel=1e-12)
+    # a mean factor beyond the float range is a divergence, not an overflow
+    with pytest.raises(SeriesDivergenceError):
+        _band_bounds(params, PricingInputs(100.0, 100.0, 0.01, 1000.0), mu)
+
+
+def test_price_short_n_truncation_fails_n_tail_check():
+    """n_max bounds the series only: mu keeps its own term budget, and the
+    short n range is rejected by the dropped-n-tail certification."""
+    with pytest.raises(SeriesDivergenceError, match="dropped n-tail"):
+        price(FIG3_PARAMS, FIG3_INPUTS, TruncationPolicy(n_max=5))
+
+
+def test_mu_does_not_depend_on_pricing_truncation(monkeypatch):
+    """price() uses the model's mu whatever TruncationPolicy it is given."""
+    used = []
+    real = pricing.dfrac_call_series
+
+    def spy(params, inputs, mu=None, policy=None):
+        used.append(mu)
+        return real(params, inputs, mu, policy)
+
+    monkeypatch.setattr(pricing, "dfrac_call_series", spy)
+    price(FIG3_PARAMS, FIG3_INPUTS, TruncationPolicy(tolerance=1e-4))
+    assert used == [risk_neutral(FIG3_PARAMS).mu]
+
