@@ -57,13 +57,13 @@ class CalibrationResult:
     per_quote_errors: tuple
 
 
-def _quote_errors(params, chain, policy):
+def _quote_errors(params, chain):
     penalty = 10.0 * sum(p for _, _, p in chain.quotes)
     errs = []
     for kind, strike, market in chain.quotes:
         inputs = PricingInputs(chain.spot, strike, chain.rate, chain.tau, kind)
         try:
-            model_price = price(params, inputs, policy)
+            model_price = price(params, inputs)
             err = abs(model_price - market)
             if not math.isfinite(err):
                 err = penalty
@@ -74,13 +74,13 @@ def _quote_errors(params, chain, policy):
     return errs
 
 
-def aggregated_error(params, chain, policy=None):
+def aggregated_error(params, chain):
     """Sum of |model - market| over the chain; failed evaluations contribute
     a large finite penalty (10x the summed market prices) instead of raising."""
     if not chain.quotes:
         raise CalibrationError("empty quote chain")
     validate(params)
-    return float(sum(_quote_errors(params, chain, policy)))
+    return float(sum(_quote_errors(params, chain)))
 
 
 def _free_params(kind):
@@ -127,33 +127,29 @@ def _vector_to_params(x, kind):
     viol += v
     sigma, v = _fold(d.get("sigma", 0.2), SIGMA_LO, SIGMA_HI)
     viol += v
-    if kind is ModelKind.BLACK_SCHOLES:
-        return ModelParams.black_scholes(sigma), viol
-    if kind is ModelKind.FMLS:
-        return ModelParams.fmls(alpha, sigma), viol
-    return ModelParams.double_fractional(alpha, gamma, sigma), viol
+    # the kind's fixed coordinates keep their defaults through the folding
+    return ModelParams(kind, alpha, gamma, sigma), viol
 
 
-def calibrate(chain, kind, seeds=None, policy=None):
+def calibrate(chain, kind, seeds=None):
     """Nelder-Mead from each seed over the kind's free parameters; returns
-    the best CalibrationResult across seeds.  Deterministic given seeds."""
+    the best CalibrationResult across seeds.  Deterministic given seeds,
+    which must be admissible.  Folding keeps every trial point admissible,
+    so the objective prices each one and adds a penalty for how far the
+    descent stepped outside the box."""
     from scipy.optimize import minimize  # deferred: slow to import
     if len(chain.quotes) < 3:
         raise CalibrationError(
             f"calibration needs at least 3 quotes, got {len(chain.quotes)}")
     kind = ModelKind(kind) if not isinstance(kind, ModelKind) else kind
-    seeds = tuple(seeds) if seeds is not None else _default_seeds(kind)
+    seeds = (tuple(validate(s) for s in seeds) if seeds is not None
+             else _default_seeds(kind))
     free = _free_params(kind)
     penalty = 10.0 * sum(p for _, _, p in chain.quotes)
 
     def objective(x):
         params, viol = _vector_to_params(x, kind)
-        try:
-            validate(params)
-        except ValidationError:
-            return penalty * (1.0 + viol)
-        return (float(sum(_quote_errors(params, chain, policy)))
-                + penalty * viol)
+        return float(sum(_quote_errors(params, chain))) + penalty * viol
 
     best = None
     best_x = None
@@ -167,12 +163,11 @@ def calibrate(chain, kind, seeds=None, policy=None):
         if best is None or res.fun < best.fun:
             best, best_x = res, res.x
     params, viol = _vector_to_params(best_x, kind)
-    errs = _quote_errors(params, chain, policy)
+    errs = _quote_errors(params, chain)
     ae = float(sum(errs))
     if viol > 0.0 or ae >= penalty:
         raise CalibrationError(
             "every descent ended penalized; no admissible fit found")
-    validate(params)
     return CalibrationResult(
         params=params,
         aggregated_error=ae,

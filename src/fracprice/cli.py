@@ -36,15 +36,6 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _params_from_args(args):
-    kind = ModelKind(args.model)
-    if kind is ModelKind.BLACK_SCHOLES:
-        return ModelParams.black_scholes(args.sigma)
-    if kind is ModelKind.FMLS:
-        return ModelParams.fmls(args.alpha, args.sigma)
-    return ModelParams.double_fractional(args.alpha, args.gamma, args.sigma)
-
-
 def _read_chain_rows(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -88,7 +79,9 @@ def _chain_from_args(args):
 
 
 def cmd_price(args):
-    params = _params_from_args(args)
+    # validation rejects an --alpha or --gamma that the kind does not allow
+    params = ModelParams(ModelKind(args.model), args.alpha, args.gamma,
+                         args.sigma)
     inputs = PricingInputs(args.spot, args.strike, args.rate, args.tau,
                            args.kind)
     policy = None

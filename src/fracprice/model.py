@@ -16,6 +16,8 @@ from .numerics import (ContourSpec, NonConvergenceError, log_gamma_series,
 
 MU_TOLERANCE = 1e-12
 MU_MAX_TERMS = 64
+MU_CONTOUR = ContourSpec(abscissa=0.5, half_length=48.0, nodes=3200,
+                         tilt_deg=60.0)
 
 
 class ModelKind(Enum):
@@ -65,8 +67,8 @@ class ModelParams:
 def validate(params):
     """Return params unchanged if admissible, else raise ValidationError.
 
-    Distinct codes: alpha_range, gamma_range, gamma_condition, sigma_positive,
-    kind_constraint.
+    Distinct codes: alpha_range, gamma_range, gamma_condition, sigma_finite,
+    sigma_positive, kind_constraint.
     """
     a, g, s = params.alpha, params.gamma, params.sigma
     if not 1.0 < a <= 2.0:
@@ -78,6 +80,8 @@ def validate(params):
             "gamma_condition",
             f"gamma={g} <= 1 - 1/alpha = {1.0 - 1.0 / a:.6g}; "
             "drift correction is not negative there")
+    if not math.isfinite(s):
+        raise ValidationError("sigma_finite", f"sigma={s} must be finite")
     if not s > 0.0:
         raise ValidationError("sigma_positive", f"sigma={s} must be > 0")
     if params.kind is ModelKind.BLACK_SCHOLES and (a != 2.0 or g != 1.0):
@@ -97,14 +101,24 @@ class RiskNeutralParam:
 
 
 def mu_levy(alpha, sigma):
-    """(sigma/sqrt 2)^alpha / cos(pi alpha / 2); reduces to -sigma^2/2 at alpha=2."""
+    """(sigma/sqrt 2)^alpha / cos(pi alpha / 2); reduces to -sigma^2/2 at
+    alpha=2.  A sigma whose power over- or underflows the float range has no
+    usable drift and is rejected."""
     if not 1.0 < alpha <= 2.0:
         raise ValidationError("alpha_range", f"alpha={alpha} outside (1, 2]")
     if not sigma > 0.0:
         raise ValidationError("sigma_positive", f"sigma={sigma} must be > 0")
-    if alpha == 2.0:
-        return -0.5 * sigma * sigma   # cos(pi) = -1 exactly
-    return (sigma / math.sqrt(2.0)) ** alpha / math.cos(math.pi * alpha / 2.0)
+    try:
+        mu = (-0.5 * sigma * sigma if alpha == 2.0   # cos(pi) = -1 exactly
+              else (sigma / math.sqrt(2.0)) ** alpha
+              / math.cos(math.pi * alpha / 2.0))
+    except OverflowError:
+        mu = -math.inf
+    if not -math.inf < mu < 0.0:
+        raise ValidationError(
+            "sigma_float_range",
+            f"(sigma/sqrt 2)^alpha leaves the float range at sigma={sigma}")
+    return mu
 
 
 def mu_gamma_series(params):
@@ -125,20 +139,15 @@ def mu_gamma_series(params):
     return RiskNeutralParam(-log_sum, n, True)
 
 
-def mu_gamma_mb(params, contour=None):
+def mu_gamma_mb(params):
     """mu via the contour-integral representation of the moment sum.
 
     The integrand Gamma(s) Gamma((1-s)/alpha) / Gamma(gamma s + 1 - gamma)
     decays too slowly (for gamma < 1, not at all) on a vertical line, so the
-    default contour tilts both half-lines 60 degrees into the right
+    contour MU_CONTOUR tilts both half-lines 60 degrees into the right
     half-plane, which restores superexponential decay without crossing poles.
     """
     validate(params)
-    if contour is None:
-        contour = ContourSpec(abscissa=0.5, half_length=48.0, nodes=3200,
-                              tilt_deg=60.0)
-    if not 0.0 < contour.abscissa < 1.0:
-        raise ValidationError("contour_strip", "abscissa must be in (0, 1)")
     a, g = params.alpha, params.gamma
     q = -mu_levy(a, params.sigma)
     log_q = math.log(q)
@@ -148,7 +157,7 @@ def mu_gamma_mb(params, contour=None):
                        - loggamma(g * s + 1.0 - g) + (s - 1.0) / a * log_q)
                 * np.cos(math.pi * (s - 1.0) / a))
 
-    bracket = mb_line_integral(integrand, contour) / a
+    bracket = mb_line_integral(integrand, MU_CONTOUR) / a
     if abs(bracket.imag) > 1e-10:
         raise NonConvergenceError(
             f"moment integral has spurious imaginary part {bracket.imag:.2e}")

@@ -56,6 +56,14 @@ def normal_cdf(x):
 # positive-term Gamma-ratio series
 # ----------------------------------------------------------------------
 
+def _run_end(mask, k):
+    """Index one past the first run of k consecutive True entries of the 1-d
+    boolean mask, or None if it has no such run."""
+    c = np.concatenate(([0], np.cumsum(mask)))
+    hit = np.flatnonzero(c[k:] - c[:-k] == k)
+    return int(hit[0]) + k if hit.size else None
+
+
 def log_gamma_series(z, a, b, tol, max_terms):
     """(log S, n) for S = sum_{n>=0} Gamma(1 + a n) z^n / (n! Gamma(1 + b n)).
 
@@ -79,11 +87,9 @@ def log_gamma_series(z, a, b, tol, max_terms):
         shift = lt.max()
         w = np.exp(lt - shift)
         partial = np.cumsum(w)
-        small = w[1:] < tol * partial[1:]
-        run = small[:-2] & small[1:-1] & small[2:]
-        j = int(run.argmax())
-        if run[j]:
-            return float(shift + math.log(partial[j + 3])), j + 3
+        end = _run_end(w[1:] < tol * partial[1:], 3)
+        if end is not None:
+            return float(shift + math.log(partial[end])), end
         if size >= max_terms:
             raise NonConvergenceError(
                 f"Gamma-ratio series terms failed to decay within "
@@ -144,21 +150,21 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 _GL24 = np.polynomial.legendre.leggauss(24)
 
 
-def _uniform_panels(L, n_nodes):
-    """Composite 16-point Gauss-Legendre nodes/weights on [0, L]."""
-    xg, wg = _GL16
-    npan = max(1, int(n_nodes) // 16)
-    edges = np.linspace(0.0, L, npan + 1)
+def _gauss_panels(edges, rule):
+    """Composite Gauss-Legendre nodes/weights: the (nodes, weights) rule on
+    each panel between consecutive edges."""
+    xg, wg = rule
+    edges = np.asarray(edges, float)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     return (mid + half * xg[None, :]).ravel(), (half * wg[None, :]).ravel()
 
 
-def mb_line_integral(integrand, contour, rel_tol=1e-9):
+def mb_line_integral(integrand, contour):
     """(1/2pi i) * integral of `integrand` along the contour.
 
     The value is recomputed with both half_length and nodes doubled; if the
-    two results differ by more than rel_tol (relative), the integral has not
+    two results differ by more than 1e-9 (relative), the integral has not
     converged on the requested contour and NonConvergenceError is raised.
     """
     c = contour.abscissa
@@ -167,7 +173,8 @@ def mb_line_integral(integrand, contour, rel_tol=1e-9):
     el = eu.conjugate()                              # lower-ray direction
 
     def evaluate(L, n):
-        ts, ws = _uniform_panels(L, n // 2)
+        # 16-point panels, n/2 nodes per half-line
+        ts, ws = _gauss_panels(np.linspace(0.0, L, max(1, n // 32) + 1), _GL16)
         upper = np.sum(integrand(c + ts * eu) * ws) * eu
         lower = np.sum(integrand(c + ts * el) * ws) * el
         # lower ray is traversed from far point up to c: sign flips
@@ -175,7 +182,7 @@ def mb_line_integral(integrand, contour, rel_tol=1e-9):
 
     v1 = evaluate(contour.half_length, contour.nodes)
     v2 = evaluate(2.0 * contour.half_length, 2 * contour.nodes)
-    if abs(v2 - v1) > rel_tol * max(abs(v2), 1e-300):
+    if abs(v2 - v1) > 1e-9 * max(abs(v2), 1e-300):
         raise NonConvergenceError(
             f"line integral unstable under doubling: {v1} vs {v2}")
     return complex(v2)
@@ -285,23 +292,17 @@ def _line_nodes(c, alpha, gamma, heavy, env_cap, osc):
     while edges[-1] < L:
         d = min(d * 1.7, wcap)
         edges.append(edges[-1] + d)
-    xg, wg = _GL24
-    a = np.array(edges[:-1])
-    b = np.array(edges[1:])
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    ys = (mid + half * xg[None, :]).ravel()
-    ws = (half * wg[None, :]).ravel()
+    ys, ws = _gauss_panels(edges, _GL24)
     return c + 1j * ys, ws
 
 
-def _density_batch(xs, alpha, gamma, ell, cstep=0.25):
+def _density_batch(xs, alpha, gamma, ell):
     """Green density at an array of points xs (in log-price units), scale ell.
 
     Each point gets an abscissa interpolated from saddle scans at knot values
-    of log X; points are grouped onto shared lines in steps of cstep so that
-    no point is evaluated far from its own saddle (which would lose the result
-    to cancellation).
+    of log X; points are grouped onto shared lines 0.25 apart in abscissa so
+    that no point is evaluated far from its own saddle (which would lose the
+    result to cancellation).
     """
     xs = np.asarray(xs, float)
     out = np.zeros_like(xs)
@@ -319,11 +320,11 @@ def _density_batch(xs, alpha, gamma, ell, cstep=0.25):
         cpt = np.clip(np.interp(logX, kn, ck), lo, hi)
         sad = np.interp(logX, kn, sk) + cpt * logX    # per-point log-envelope
         floor = sad.max() - 42.0                      # batch absolute floor
-        grp = np.round(cpt / cstep).astype(int)
+        grp = np.round(cpt / 0.25).astype(int)
         vals = np.empty_like(logX)
         for g in np.unique(grp):
             sel = grp == g
-            c = float(np.clip(g * cstep, lo, hi))
+            c = float(np.clip(g * 0.25, lo, hi))
             env_cap = float((np.maximum(sad[sel] - 34.0, floor)
                              - c * logX[sel]).min())
             t, w = _line_nodes(c, alpha, gamma, heavy, env_cap,
@@ -374,9 +375,9 @@ def _tail_mass(Y, alpha, gamma, ell, heavy):
 # reference pricer (quadrature against the Green density)
 # ----------------------------------------------------------------------
 
-def _geometric_panels(a, b, scale, per=32):
-    """Composite GL nodes/weights on [a, b], refined geometrically toward 0
-    (where the density peaks) and graded outward."""
+def _geometric_panels(a, b, scale):
+    """Composite 32-point GL nodes/weights on [a, b], refined geometrically
+    toward 0 (where the density peaks) and graded outward."""
     bps = {a, b}
     if a < 0.0 < b:
         bps.add(0.0)
@@ -394,11 +395,7 @@ def _geometric_panels(a, b, scale, per=32):
         if a < -y < b:
             bps.add(-y)
         y *= 1.18
-    edges = np.array(sorted(bps))
-    xg, wg = np.polynomial.legendre.leggauss(per)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return (mid + half * xg[None, :]).ravel(), (half * wg[None, :]).ravel()
+    return _gauss_panels(sorted(bps), np.polynomial.legendre.leggauss(32))
 
 
 def _payoff_upper_cutoff(ystar, alpha, gamma, ell, log_tol):
@@ -418,7 +415,7 @@ def _payoff_upper_cutoff(ystar, alpha, gamma, ell, log_tol):
     return y
 
 
-def _tilted_tail_call(ystar, alpha, gamma, ell, per=16):
+def _tilted_tail_call(ystar, alpha, gamma, ell):
     """E[(e^y - e^{ystar})^+] deep in the thin tail, where pointwise density
     values sink below the contour quadrature's cancellation floor.
 
@@ -449,7 +446,7 @@ def _tilted_tail_call(ystar, alpha, gamma, ell, per=16):
         if log_integrand(ycut) < top - 40.0:
             break
     edges = np.geomspace(ystar, ycut, 12)
-    xg, wg = np.polynomial.legendre.leggauss(per)
+    xg, wg = _GL16
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

@@ -5,7 +5,7 @@ via parity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -37,7 +37,8 @@ class TruncationMode(Enum):
 @dataclass(frozen=True)
 class PricingInputs:
     """Contract terms; kind is coerced to OptionKind and log_fwd =
-    log(S/K) + r*tau is derived on construction."""
+    log(S/K) + r*tau (inf at K = 0) is derived on construction.  Every
+    number must be finite, log_fwd too when K > 0."""
     spot: float
     strike: float
     rate: float
@@ -51,14 +52,23 @@ class PricingInputs:
         except ValueError:
             raise ValidationError("kind_value",
                                   f"unknown option kind {self.kind!r}") from None
+        for name in ("spot", "strike", "rate", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name}_finite",
+                                      f"{name}={getattr(self, name)} must be finite")
         if not self.spot > 0.0:
             raise ValidationError("spot_positive", f"spot={self.spot} must be > 0")
         if self.strike < 0.0:
             raise ValidationError("strike_range", f"strike={self.strike} must be >= 0")
         if not self.tau > 0.0:
             raise ValidationError("tau_positive", f"tau={self.tau} must be > 0")
-        lf = math.inf if self.strike == 0.0 else (
-            math.log(self.spot / self.strike) + self.rate * self.tau)
+        lf = math.inf
+        if self.strike > 0.0:
+            q = self.spot / self.strike
+            lf = (math.log(q) if q > 0.0 else -math.inf) + self.rate * self.tau
+            if not math.isfinite(lf):
+                raise ValidationError("log_fwd_finite",
+                                      f"log(S/K) + r*tau = {lf} is not finite")
         object.__setattr__(self, "log_fwd", lf)
 
 
@@ -143,10 +153,14 @@ def dfrac_call_series(params, inputs, mu=None, policy=None):
     argument sits on a pole contribute exactly 0; 0^0 is taken as 1 so the
     n=0 terms survive at ATM-forward (A=0).
 
-    m is the outer loop (the monotone direction); in adaptive mode the sum
-    stops after three consecutive m-slices each below tolerance*|sum| and a
-    divergence error is raised on sustained slice growth or a magnitude
-    blowup beyond any arbitrage bound.
+    The terms are evaluated as (m, n) blocks of the first m-slices, m being
+    the monotone direction.  A fixed policy sums one block of m_max slices.
+    An adaptive one doubles the block from 16 slices up to m_max, computing
+    only the added slices, until its first event, the earliest in m (ties
+    in this order): a slice beyond any arbitrage bound raises, three
+    consecutive slices each below tolerance*|sum| stop the sum, five growing
+    ones raise.  A sum with no event within m_max raises too.  Slices past
+    the first event may overflow and decide nothing.
     """
     validate(params)
     if inputs.strike <= 0.0:
@@ -158,69 +172,59 @@ def dfrac_call_series(params, inputs, mu=None, policy=None):
     a, g = params.alpha, params.gamma
     tau = inputs.tau
     A = -inputs.log_fwd - mu * tau
-    B = -mu * tau ** g
-    log_B = math.log(B)
+    log_B = math.log(-mu * tau ** g)
     pref = inputs.strike * math.exp(-inputs.rate * tau) / a
-
-    n = np.arange(policy.n_max + 1)
-    a_pow = np.where(n == 0, 1.0, A ** n)               # 0^0 := 1
-    coef_n = (-1.0) ** n * a_pow * np.exp(-gammaln(n + 1.0))
 
     adaptive = policy.mode is TruncationMode.ADAPTIVE
     blowup = 1e4 * (inputs.spot + inputs.strike)
-    total = 0.0
-    per_n = np.zeros_like(coef_n)
-    sums_m = []
-    small = grow = 0
-    prev_abs = math.inf
-    m_used = 0
-    converged = False
-    peak_term = 0.0
-    n_tail = 0.0
-    for m in range(1, policy.m_max + 1):
-        rg = reciprocal_gamma(1.0 - g * (n - m) / a)
-        col = pref * coef_n * rg * np.exp(((m - n) / a) * log_B)
-        peak_term = max(peak_term, float(np.abs(col).max()))
-        n_tail += abs(float(col[-1]))
-        s = float(col.sum())
-        if not math.isfinite(s) or abs(s) > blowup:
-            raise SeriesDivergenceError(
-                f"series slice magnitude {s:.3g} at m={m} exceeds any "
-                "arbitrage bound; the series is outside its validity domain")
-        total += s
-        per_n += col
-        sums_m.append(total)
-        m_used = m
-        if adaptive:
-            ref = max(abs(total), 1e-300)
-            if abs(s) < policy.tolerance * ref:
-                small += 1
-                if small >= 3:
-                    converged = True
-                    break
-            else:
-                small = 0
-            if abs(s) > prev_abs:
-                grow += 1
-                if grow >= 5:
-                    raise SeriesDivergenceError(
-                        f"series slices grew for {grow} consecutive m "
-                        f"(last |slice|={abs(s):.3g}); no convergence")
-            else:
-                grow = 0
-        prev_abs = abs(s)
-    if not adaptive:
-        converged = (len(sums_m) > 0
-                     and abs(sums_m[-1] - (sums_m[-2] if len(sums_m) > 1 else 0.0))
-                     < policy.tolerance * max(abs(total), 1e-300))
-    elif converged:
+    size = min(16, policy.m_max) if adaptive else policy.m_max
+    n = np.arange(policy.n_max + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_pow = np.where(n == 0, 1.0, A ** n)           # 0^0 := 1
+        coef_n = (-1.0) ** n * a_pow * np.exp(-gammaln(n + 1.0))
+        terms = np.empty((0, n.size))
+        while True:
+            m = np.arange(len(terms) + 1, size + 1)[:, None]  # new slices
+            rg = reciprocal_gamma(1.0 - g * (n - m) / a)
+            terms = np.concatenate(
+                (terms, pref * coef_n * rg * np.exp(((m - n) / a) * log_B)))
+            s = terms.sum(axis=1)
+            sums = np.cumsum(s)
+            abs_s = np.abs(s)
+            blow = numerics._run_end(~(abs_s <= blowup), 1)
+            small = abs_s < policy.tolerance * np.maximum(np.abs(sums), 1e-300)
+            stop = numerics._run_end(small, 3) if adaptive else None
+            grows = np.concatenate(([False], abs_s[1:] > abs_s[:-1]))
+            grow = numerics._run_end(grows, 5) if adaptive else None
+            ends = [e for e in (blow, stop, grow) if e is not None]
+            if ends or size == policy.m_max:
+                break
+            size = min(2 * size, policy.m_max)
+    m_used = min(ends, default=size)
+    if m_used == blow:
+        raise SeriesDivergenceError(
+            f"series slice magnitude {s[blow - 1]:.3g} at m={blow} exceeds "
+            "any arbitrage bound; the series is outside its validity domain")
+    if adaptive and not ends:
+        raise SeriesDivergenceError(
+            f"series slices did not settle within m_max={size}")
+    if adaptive and m_used != stop:
+        raise SeriesDivergenceError(
+            f"series slices grew for 5 consecutive m (last |slice|="
+            f"{abs_s[grow - 1]:.3g}); no convergence")
+    total, used = float(sums[m_used - 1]), terms[:m_used]
+    converged = adaptive or bool(
+        abs(total - (sums[-2] if size > 1 else 0.0))
+        < policy.tolerance * max(abs(total), 1e-300))
+    if adaptive:
         # A converged m-recursion still leaves two silent failure modes:
         # alternating terms much larger than the sum (float cancellation eats
         # the result) and an n direction that had not decayed by n_max.
         # Reject the value unless roundoff and the dropped n-tail are both
         # provably below ACCURACY_FLOOR of it.
         floor = ACCURACY_FLOOR * max(abs(total), 1e-300)
-        noise = 2e-14 * peak_term
+        noise = 2e-14 * float(np.abs(used).max())
+        n_tail = float(np.cumsum(np.abs(used[:, -1]))[-1])
         if noise > floor or n_tail > floor:
             raise SeriesDivergenceError(
                 f"series sum {total:.6g} is not certifiable to "
@@ -237,13 +241,11 @@ def dfrac_call_series(params, inputs, mu=None, policy=None):
                 f"converged series value {total:.6g} lies outside the "
                 f"arbitrage band [{lower:.6g}, {upper:.6g}]; the "
                 "series is outside its validity domain")
-    diag = SeriesDiagnostics(
-        partial_sums_m=tuple(sums_m),
-        partial_sums_n=tuple(np.cumsum(per_n)),
-        terms_used=(policy.n_max + 1) * m_used,
-        converged=converged,
-    )
-    return total, diag
+    # rows and slice sums are added in sequence, as the series runs in m
+    return total, SeriesDiagnostics(
+        partial_sums_m=tuple(sums[:m_used].tolist()),
+        partial_sums_n=tuple(np.cumsum(np.cumsum(used, axis=0)[-1])),
+        terms_used=(policy.n_max + 1) * m_used, converged=converged)
 
 
 def put_from_parity(call, inputs):
@@ -267,8 +269,7 @@ def price(params, inputs, policy=None, fallback=False):
         call = bs_call(inputs, params.sigma)
     else:
         mu = risk_neutral(params).mu
-        call_inputs = PricingInputs(inputs.spot, inputs.strike, inputs.rate,
-                                    inputs.tau, OptionKind.CALL)
+        call_inputs = replace(inputs, kind=OptionKind.CALL)
         if inputs.strike == 0.0:
             # the series representation needs K > 0; integrate the payoff
             call = numerics.reference_price(params, call_inputs, mu=mu)

@@ -56,30 +56,29 @@ def _bs_vol(market, spot, strike, rate, tau):
     return implied_vol(lambda s: bs_call(inputs, s), market).sigma_I
 
 
-def fit_rate_tau(strikes=STRIKES, prices=CALL_PRICES, vols=BS_VOLS,
-                 spot=SPOT, rate_bounds=RATE_BOUNDS, tau_bounds=TAU_BOUNDS,
-                 seeds=FIT_SEEDS):
-    """Least-squares (rate, tau) against a published BS-vol column.
+def fit_rate_tau():
+    """Least-squares (rate, tau) of the sample chain against its published
+    BS-vol column, within RATE_BOUNDS x TAU_BOUNDS from each of FIT_SEEDS.
 
     Returns (rate, tau, rms, max_abs) where the last two describe the
     residual between the recomputed and published vols at the optimum.
     """
     from scipy.optimize import minimize  # deferred: slow to import
-    vols = np.asarray(vols, float)
+    vols = np.asarray(BS_VOLS, float)
 
     def recompute(r, t):
         out = []
-        for k, p in zip(strikes, prices):
+        for k, p in zip(STRIKES, CALL_PRICES):
             try:
-                out.append(_bs_vol(p, spot, k, r, t))
+                out.append(_bs_vol(p, SPOT, k, r, t))
             except (InversionError, ValueError):
                 return None
         return np.array(out)
 
     def sse(x):
         r, t = x
-        if not (rate_bounds[0] <= r <= rate_bounds[1]
-                and tau_bounds[0] <= t <= tau_bounds[1]):
+        if not (RATE_BOUNDS[0] <= r <= RATE_BOUNDS[1]
+                and TAU_BOUNDS[0] <= t <= TAU_BOUNDS[1]):
             return 1e6
         iv = recompute(r, t)
         if iv is None:
@@ -87,7 +86,7 @@ def fit_rate_tau(strikes=STRIKES, prices=CALL_PRICES, vols=BS_VOLS,
         return float(np.sum((iv - vols) ** 2))
 
     best = None
-    for seed in seeds:
+    for seed in FIT_SEEDS:
         res = minimize(sse, seed, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-14,
                                 "maxiter": 4000})

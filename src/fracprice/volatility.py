@@ -13,6 +13,11 @@ from .pricing import (OptionKind, PricingInputs, SMILE_POLICY, bs_call,
                       dfrac_call_series, put_from_parity)
 
 
+# implied_vol's search interval for sigma and its iteration budget
+BRACKET = (1e-4, 5.0)
+MAX_ITER = 100
+
+
 class InversionError(ValueError):
     def __init__(self, code, message):
         super().__init__(message)
@@ -35,17 +40,16 @@ class SmilePoint:
     sigma_fbs: dict
 
 
-def implied_vol(pricer, market_price, bracket=(1e-4, 5.0), tol=None,
-                max_iter=100, x0=None):
-    """Invert a monotone price(sigma) function by bracketed Newton.
+def implied_vol(pricer, market_price, x0=None):
+    """Invert a monotone price(sigma) function by bracketed Newton on BRACKET,
+    to 1e-11 * max(1, market_price) in price.
 
     The derivative is a central finite difference with step 1e-4*sigma;
     whenever the Newton step leaves the bracket (or the slope degenerates)
     the step is replaced by bisection, so the bracket always shrinks.
     """
-    lo, hi = bracket
-    if tol is None:
-        tol = 1e-11 * max(1.0, abs(market_price))
+    lo, hi = BRACKET
+    tol = 1e-11 * max(1.0, abs(market_price))
 
     def _endpoint(sig, factor):
         # Truncated-series pricers can fail near sigma=0 (vanishing scale
@@ -55,7 +59,7 @@ def implied_vol(pricer, market_price, bracket=(1e-4, 5.0), tol=None,
                 return sig, pricer(sig) - market_price
             except (ArithmeticError, ValueError):
                 sig *= factor
-                if not bracket[0] <= sig <= bracket[1]:
+                if not BRACKET[0] <= sig <= BRACKET[1]:
                     break
         raise InversionError("pricer_failed",
                              "pricer not evaluable on the bracket")
@@ -76,7 +80,7 @@ def implied_vol(pricer, market_price, bracket=(1e-4, 5.0), tol=None,
     if abs(f_hi) <= tol:
         return ImpliedVolResult(hi, 0, abs(f_hi))
     sig = x0 if (x0 is not None and lo < x0 < hi) else math.sqrt(lo * hi)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         f = pricer(sig) - market_price
         if abs(f) <= tol:
             return ImpliedVolResult(sig, it, abs(f))
@@ -98,7 +102,7 @@ def implied_vol(pricer, market_price, bracket=(1e-4, 5.0), tol=None,
             f = pricer(sig) - market_price
             return ImpliedVolResult(sig, it, abs(f))
     raise InversionError("max_iterations",
-                         f"no convergence in {max_iter} iterations")
+                         f"no convergence in {MAX_ITER} iterations")
 
 
 def _check_atm_forward(spot, tau, strike, rate):
@@ -133,20 +137,21 @@ def atm_fbs_implied(call_price, spot, tau, gamma, strike=None, rate=None):
             * math.sqrt(math.exp(gammaln(1.0 + 2.0 * gamma)) / tau ** gamma))
 
 
-def _fbs_pricer(inputs, gamma, policy):
+def _fbs_pricer(inputs, gamma):
     """Price as a function of sigma under alpha=2, time fractionality gamma,
-    with the first-order drift approximation (recomputed at each sigma)."""
+    with the first-order drift approximation (recomputed at each sigma) and
+    the fixed SMILE_POLICY truncation."""
     def pricer(sigma):
         params = ModelParams.double_fractional(2.0, gamma, sigma)
         call, _ = dfrac_call_series(params, inputs, mu_gamma_approx(params),
-                                    policy)
+                                    SMILE_POLICY)
         if inputs.kind is OptionKind.PUT:
             return put_from_parity(call, inputs)
         return call
     return pricer
 
 
-def build_smile(chain, gammas, policy=SMILE_POLICY, bracket=(1e-4, 5.0)):
+def build_smile(chain, gammas):
     """Invert every quote of the chain under Black-Scholes and under the
     alpha=2 fractional model for each requested gamma.
 
@@ -171,14 +176,13 @@ def build_smile(chain, gammas, policy=SMILE_POLICY, bracket=(1e-4, 5.0)):
             return call
 
         try:
-            sigma_bs = implied_vol(bs_pricer, market, bracket, x0=guess).sigma_I
+            sigma_bs = implied_vol(bs_pricer, market, x0=guess).sigma_I
         except (InversionError, ValueError):
             sigma_bs = None
         sigma_fbs = {}
         for g in gammas:
             try:
-                res = implied_vol(_fbs_pricer(inputs, g, policy), market,
-                                  bracket, x0=guess)
+                res = implied_vol(_fbs_pricer(inputs, g), market, x0=guess)
                 sigma_fbs[g] = res.sigma_I
             except (InversionError, ValueError):
                 sigma_fbs[g] = None

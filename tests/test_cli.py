@@ -222,3 +222,34 @@ def test_cli_import_leaves_out_optimizer():
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
 
+
+
+BS_ATM = ("--spot", "100", "--strike", "100", "--rate", "0", "--tau", "1")
+
+
+@pytest.mark.parametrize("argv,reason", [
+    # a parameter the model kind does not have is rejected, not dropped
+    (("--model", "bs", "--alpha", "1.7", "--gamma", "0.5", "--sigma", "0.2")
+     + BS_ATM, "BlackScholes requires alpha=2, gamma=1"),
+    (("--model", "fmls", "--alpha", "1.7", "--gamma", "0.5", "--sigma", "0.2")
+     + BS_ATM, "FMLS requires gamma=1"),
+    # non-finite and overflowing inputs
+    (("--model", "dfrac", "--alpha", "1.7", "--gamma", "0.9", "--sigma", "0.2",
+      "--spot", "100", "--strike", "nan", "--rate", "0", "--tau", "1"),
+     "strike=nan must be finite"),
+    (("--model", "dfrac", "--alpha", "1.7", "--gamma", "0.9", "--sigma", "0.2",
+      "--spot", "100", "--strike", "100", "--rate", "nan", "--tau", "1"),
+     "rate=nan must be finite"),
+    (("--model", "bs", "--sigma", "0.2", "--spot", "100", "--strike", "100",
+      "--tau", "inf"), "tau=inf must be finite"),
+    (("--model", "bs", "--sigma", "inf") + BS_ATM, "sigma=inf must be finite"),
+    (("--model", "fmls", "--alpha", "1.7", "--sigma", "1e200") + BS_ATM,
+     "leaves the float range"),
+    (("--model", "dfrac", "--alpha", "1.7", "--gamma", "0.9",
+      "--sigma", "1e200") + BS_ATM, "leaves the float range"),
+])
+def test_price_rejected_inputs_exit_2(capsys, argv, reason):
+    rc, out, err = run(capsys, "price", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and reason in err

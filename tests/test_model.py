@@ -9,6 +9,7 @@ from fracprice.model import (ModelKind, ModelParams, ValidationError,
                              mu_gamma_approx, mu_gamma_mb, mu_gamma_series,
                              mu_levy, risk_neutral, validate)
 from fracprice.numerics import NonConvergenceError
+from fracprice.pricing import PricingInputs
 
 
 def dfrac(a, g, s):
@@ -154,3 +155,84 @@ def test_mu_gamma_series_matches_scalar_loop():
                 assert abs(r.mu - ref[0]) <= tol
                 assert r.n_terms_used == (1 if g == 1.0 else ref[1])
 
+
+
+# finite, non-finite and float-range edge values for the entry-point checks
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300,
+                     1e-300, -1e-300, 1.0, 100.0]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _typed_rejection(thunk):
+    """thunk()'s result, or None if it raised a ValidationError with a code."""
+    try:
+        return thunk()
+    except ValidationError as exc:
+        assert isinstance(exc.code, str) and exc.code
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS)
+def test_pricing_inputs_finite_or_typed_error(spot, strike, rate, tau):
+    inp = _typed_rejection(lambda: PricingInputs(spot, strike, rate, tau))
+    if inp is not None:
+        assert all(map(math.isfinite, (inp.spot, inp.strike, inp.rate, inp.tau)))
+        assert math.isfinite(inp.log_fwd) or inp.strike == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(ModelKind)), EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS)
+def test_validate_finite_or_typed_error(kind, alpha, gamma, sigma):
+    p = _typed_rejection(lambda: validate(ModelParams(kind, alpha, gamma, sigma)))
+    if p is not None:
+        assert all(map(math.isfinite, (p.alpha, p.gamma, p.sigma)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from([1.5, 1.7, 2.0]), EDGE_FLOATS), EDGE_FLOATS)
+def test_mu_levy_finite_or_typed_error(alpha, sigma):
+    mu = _typed_rejection(lambda: mu_levy(alpha, sigma))
+    if mu is not None:
+        assert math.isfinite(mu) and mu < 0.0
+
+
+@pytest.mark.parametrize("alpha,sigma,code", [
+    (1.7, math.inf, "sigma_float_range"),
+    (1.7, 1e200, "sigma_float_range"),
+    (2.0, 1e200, "sigma_float_range"),
+    (2.0, 1e-200, "sigma_float_range"),    # -sigma^2/2 underflows to -0
+    (1.7, math.nan, "sigma_positive"),
+])
+def test_mu_levy_float_range(alpha, sigma, code):
+    with pytest.raises(ValidationError) as exc:
+        mu_levy(alpha, sigma)
+    assert exc.value.code == code
+
+
+@pytest.mark.parametrize("field,value", [
+    ("spot", math.nan), ("strike", math.nan), ("rate", math.nan),
+    ("tau", math.inf), ("spot", math.inf), ("rate", -math.inf),
+])
+def test_pricing_inputs_non_finite_codes(field, value):
+    args = dict(spot=100.0, strike=100.0, rate=0.01, tau=1.0)
+    args[field] = value
+    with pytest.raises(ValidationError) as exc:
+        PricingInputs(**args)
+    assert exc.value.code == f"{field}_finite"
+
+
+def test_pricing_inputs_log_fwd_out_of_range():
+    for args in ((1e-300, 1e300, 0.0, 1.0), (1e300, 1e-300, 0.0, 1.0),
+                 (100.0, 100.0, 1e300, 1e300)):
+        with pytest.raises(ValidationError) as exc:
+            PricingInputs(*args)
+        assert exc.value.code == "log_fwd_finite"
+
+
+def test_validate_sigma_finite():
+    for sigma in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValidationError) as exc:
+            validate(ModelParams.black_scholes(sigma))
+        assert exc.value.code == "sigma_finite"

@@ -8,8 +8,8 @@ from scipy.special import erfc, loggamma
 
 from fracprice.numerics import (ContourSpec, GreenDensityQuery,
                                 NonConvergenceError, NumericsError, PoleError,
-                                _density_batch, green_density, log_gamma,
-                                log_gamma_series, log_mittag_leffler,
+                                _density_batch, _run_end, green_density,
+                                log_gamma, log_gamma_series, log_mittag_leffler,
                                 mb_line_integral, normal_cdf,
                                 reciprocal_gamma, reference_price)
 from fracprice.model import ModelParams, risk_neutral
@@ -188,3 +188,17 @@ def test_log_gamma_series_budget():
     assert log_gamma_series(0.0, 1.7, 1.2, 1e-12, 64) == (0.0, 0)
     with pytest.raises(NonConvergenceError):
         log_gamma_series(50.0, 1.0, 0.5, 1e-12, 64)
+
+
+@pytest.mark.parametrize("mask,k,end", [
+    ([1, 1, 1, 0, 0], 3, 3),          # run at the start
+    ([0, 1, 1, 1, 0, 1, 1, 1], 3, 4),  # first of two runs, in the middle
+    ([0, 0, 1, 0, 1, 1, 1], 3, 7),    # run at the end
+    ([1, 1, 0, 1, 1, 0], 3, None),    # no run long enough
+    ([], 3, None),
+    ([1, 1], 3, None),                # shorter than k
+    ([0, 0, 1, 0], 1, 3),             # k = 1: first True
+    ([0, 0, 0], 1, None),
+])
+def test_run_end(mask, k, end):
+    assert _run_end(np.array(mask, bool), k) == end

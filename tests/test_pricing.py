@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracprice import pricing
+from fracprice import numerics, pricing
 from fracprice.model import ModelParams, ValidationError, risk_neutral
 from fracprice.pricing import (DEFAULT_POLICY, SMILE_POLICY, OptionKind,
                                ParityError, PricingInputs,
@@ -239,3 +239,136 @@ def test_mu_does_not_depend_on_pricing_truncation(monkeypatch):
     price(FIG3_PARAMS, FIG3_INPUTS, TruncationPolicy(tolerance=1e-4))
     assert used == [risk_neutral(FIG3_PARAMS).mu]
 
+
+
+def _series_loop(params, inputs, mu, policy):
+    """The residue series summed one m-slice at a time: the reference for the
+    block evaluation in dfrac_call_series.  Returns (value, diagnostics); an
+    adaptive sum that runs out of m_max returns its partial sum unconverged."""
+    a, g = params.alpha, params.gamma
+    tau = inputs.tau
+    A = -inputs.log_fwd - mu * tau
+    log_B = math.log(-mu * tau ** g)
+    pref = inputs.strike * math.exp(-inputs.rate * tau) / a
+    n = np.arange(policy.n_max + 1)
+    a_pow = np.where(n == 0, 1.0, A ** n)
+    coef_n = (-1.0) ** n * a_pow * np.exp(-pricing.gammaln(n + 1.0))
+    adaptive = policy.mode is TruncationMode.ADAPTIVE
+    blowup = 1e4 * (inputs.spot + inputs.strike)
+    total = 0.0
+    per_n = np.zeros_like(coef_n)
+    sums_m = []
+    small = grow = 0
+    prev_abs = math.inf
+    m_used = 0
+    converged = False
+    peak_term = 0.0
+    n_tail = 0.0
+    for m in range(1, policy.m_max + 1):
+        rg = pricing.reciprocal_gamma(1.0 - g * (n - m) / a)
+        col = pref * coef_n * rg * np.exp(((m - n) / a) * log_B)
+        peak_term = max(peak_term, float(np.abs(col).max()))
+        n_tail += abs(float(col[-1]))
+        s = float(col.sum())
+        if not math.isfinite(s) or abs(s) > blowup:
+            raise SeriesDivergenceError("blow-up")
+        total += s
+        per_n += col
+        sums_m.append(total)
+        m_used = m
+        if adaptive:
+            if abs(s) < policy.tolerance * max(abs(total), 1e-300):
+                small += 1
+                if small >= 3:
+                    converged = True
+                    break
+            else:
+                small = 0
+            if abs(s) > prev_abs:
+                grow += 1
+                if grow >= 5:
+                    raise SeriesDivergenceError("growth")
+            else:
+                grow = 0
+        prev_abs = abs(s)
+    if not adaptive:
+        converged = (abs(sums_m[-1] - (sums_m[-2] if len(sums_m) > 1 else 0.0))
+                     < policy.tolerance * max(abs(total), 1e-300))
+    elif converged:
+        floor = pricing.ACCURACY_FLOOR * max(abs(total), 1e-300)
+        if 2e-14 * peak_term > floor or n_tail > floor:
+            raise SeriesDivergenceError("not certifiable")
+        lower, upper = _band_bounds(params, inputs, mu)
+        pad = 1e-6 * (inputs.spot + inputs.strike)
+        if not lower - pad <= total <= upper + pad:
+            raise SeriesDivergenceError("outside band")
+    return total, pricing.SeriesDiagnostics(
+        tuple(sums_m), tuple(np.cumsum(per_n)),
+        (policy.n_max + 1) * m_used, converged)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (SeriesDivergenceError, ValidationError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("policy", [DEFAULT_POLICY, SMILE_POLICY],
+                         ids=["default", "smile"])
+def test_series_blocks_match_slice_loop(policy):
+    """Block evaluation reproduces the slice loop bitwise; the one change is
+    that an adaptive sum with no stop within m_max raises."""
+    for a in (1.2, 1.5, 1.7, 2.0):
+        for g in (0.3, 0.6, 0.9, 1.0, 1.2):
+            if not 1.0 - 1.0 / a < g <= a:
+                continue
+            for s in (0.1, 0.3, 0.8):
+                params = ModelParams.double_fractional(a, g, s)
+                try:
+                    mu = risk_neutral(params).mu
+                except numerics.NonConvergenceError:
+                    continue
+                for k in (70.0, 95.0, 100.0, 110.0, 160.0):
+                    for tau in (0.1, 1.0, 3.0):
+                        inp = PricingInputs(100.0, k, 0.02, tau)
+                        ref = _outcome(_series_loop, params, inp, mu, policy)
+                        got = _outcome(dfrac_call_series, params, inp, mu,
+                                       policy)
+                        if got is SeriesDivergenceError and policy.mode is \
+                                TruncationMode.ADAPTIVE and ref is not got:
+                            assert not ref[1].converged    # m_max exhausted
+                        elif isinstance(ref, tuple):
+                            assert got[0] == ref[0]
+                            d, e = got[1], ref[1]
+                            assert d.partial_sums_m == e.partial_sums_m
+                            assert d.partial_sums_n == e.partial_sums_n
+                            assert d.terms_used == e.terms_used
+                            assert d.converged == e.converged
+                        else:
+                            assert got is ref
+
+
+def test_series_exhausted_m_max_raises(capsys):
+    from fracprice.cli import main
+    with pytest.raises(SeriesDivergenceError, match="m_max=5"):
+        dfrac_call_series(FIG3_PARAMS, FIG3_INPUTS,
+                          policy=TruncationPolicy(m_max=5))
+    argv = ["price", "--model", "dfrac", "--spot", "3800", "--strike", "4000",
+            "--rate", "0.01", "--sigma", "0.2", "--alpha", "1.7",
+            "--gamma", "0.9", "--tau", "1", "--m-max", "5"]
+    assert main(argv) == 2
+    assert "m_max=5" in capsys.readouterr().err
+
+
+def test_unsettled_default_series_falls_back_to_quadrature():
+    """A point whose slices neither settle nor grow within the default 60
+    slices: the partial sum is refused, and the fallback prices it by
+    quadrature."""
+    params = ModelParams.double_fractional(1.7026, 0.5163, 0.8)
+    inp = PricingInputs(100.0, 97.372, 0.0477, 1.0)
+    with pytest.raises(SeriesDivergenceError, match="did not settle"):
+        price(params, inp)
+    value = price(params, inp, fallback=True)
+    assert value == pytest.approx(numerics.reference_price(params, inp),
+                                  rel=1e-9)
