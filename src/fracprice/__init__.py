@@ -11,7 +11,7 @@ from .pricing import (OptionKind, ParityError, PricingInputs,
                       SeriesDiagnostics, SeriesDivergenceError,
                       TruncationMode, TruncationPolicy, bs_call,
                       dfrac_call_series, partial_sum_table, price,
-                      put_from_parity)
+                      price_chain, put_from_parity)
 from .volatility import (ImpliedVolResult, InversionError, SmilePoint,
                          atm_bs_implied, atm_fbs_implied, build_smile,
                          implied_vol)

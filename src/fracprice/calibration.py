@@ -4,14 +4,13 @@ absolute pricing error (Nelder-Mead over the kind's free parameters).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelKind, ModelParams, ValidationError, validate
-from .numerics import NumericsError
-from .pricing import (PricingInputs, SeriesDivergenceError, ParityError,
-                      price)
+from .pricing import PricingInputs, price_chain
 
 
 class CalibrationError(ValueError):
@@ -46,29 +45,43 @@ class QuoteChain:
                 raise ValidationError("strike_positive", "strikes must be > 0")
             if p < 0.0:
                 raise ValidationError("price_range", "prices must be >= 0")
+            # the pricer's input checks (every number finite, a finite
+            # log-forward and discount factor) refuse the chain as a whole
+            PricingInputs(self.spot, s, self.rate, self.tau, k)
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """The best fit over the seeds.  penalties counts the penalised quote
+    evaluations of the whole calibration (every objective evaluation and the
+    final re-pricing), keyed by the refusing exception's class name and, for
+    one that has a code, ":code"; "non_finite" counts finite prices whose
+    error against the market is not finite."""
     params: ModelParams
     aggregated_error: float
     evaluations: int
     converged: bool
     per_quote_errors: tuple
+    penalties: dict
 
 
-def _quote_errors(params, chain):
+def _quote_errors(params, chain, penalties):
+    """|model - market| per quote, the chain priced by one price_chain call.
+    A quote the model refuses costs a large finite penalty (10x the summed
+    market prices) and is counted in the Counter penalties."""
     penalty = 10.0 * sum(p for _, _, p in chain.quotes)
+    values = price_chain(params, chain.spot, chain.rate, chain.tau,
+                         [(kind, strike) for kind, strike, _ in chain.quotes])
     errs = []
-    for kind, strike, market in chain.quotes:
-        inputs = PricingInputs(chain.spot, strike, chain.rate, chain.tau, kind)
-        try:
-            model_price = price(params, inputs)
-            err = abs(model_price - market)
-            if not math.isfinite(err):
-                err = penalty
-        except (SeriesDivergenceError, ParityError, ValidationError,
-                NumericsError, OverflowError):
+    for value, (_, _, market) in zip(values, chain.quotes):
+        if isinstance(value, Exception):
+            code = getattr(value, "code", None)
+            penalties[type(value).__name__ + (f":{code}" if code else "")] += 1
+            errs.append(penalty)
+            continue
+        err = abs(value - market)
+        if not math.isfinite(err):
+            penalties["non_finite"] += 1
             err = penalty
         errs.append(err)
     return errs
@@ -80,7 +93,7 @@ def aggregated_error(params, chain):
     if not chain.quotes:
         raise CalibrationError("empty quote chain")
     validate(params)
-    return float(sum(_quote_errors(params, chain)))
+    return float(sum(_quote_errors(params, chain, Counter())))
 
 
 def _free_params(kind):
@@ -146,10 +159,12 @@ def calibrate(chain, kind, seeds=None):
              else _default_seeds(kind))
     free = _free_params(kind)
     penalty = 10.0 * sum(p for _, _, p in chain.quotes)
+    penalties = Counter()
 
     def objective(x):
         params, viol = _vector_to_params(x, kind)
-        return float(sum(_quote_errors(params, chain))) + penalty * viol
+        return (float(sum(_quote_errors(params, chain, penalties)))
+                + penalty * viol)
 
     best = None
     best_x = None
@@ -163,7 +178,7 @@ def calibrate(chain, kind, seeds=None):
         if best is None or res.fun < best.fun:
             best, best_x = res, res.x
     params, viol = _vector_to_params(best_x, kind)
-    errs = _quote_errors(params, chain)
+    errs = _quote_errors(params, chain, penalties)
     ae = float(sum(errs))
     if viol > 0.0 or ae >= penalty:
         raise CalibrationError(
@@ -174,4 +189,5 @@ def calibrate(chain, kind, seeds=None):
         evaluations=evaluations,
         converged=bool(best.success),
         per_quote_errors=tuple(errs),
+        penalties=dict(penalties),
     )

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import gammaln
@@ -36,15 +37,17 @@ class TruncationMode(Enum):
 
 @dataclass(frozen=True)
 class PricingInputs:
-    """Contract terms; kind is coerced to OptionKind and log_fwd =
-    log(S/K) + r*tau (inf at K = 0) is derived on construction.  Every
-    number must be finite, log_fwd too when K > 0."""
+    """Contract terms; kind is coerced to OptionKind, and log_fwd =
+    log(S/K) + r*tau (inf at K = 0) and discount = e^{-r tau} are derived on
+    construction.  Every number must be finite, log_fwd too when K > 0, and
+    the discount factor must not overflow."""
     spot: float
     strike: float
     rate: float
     tau: float
     kind: OptionKind = OptionKind.CALL
     log_fwd: float = field(init=False)
+    discount: float = field(init=False)
 
     def __post_init__(self):
         try:
@@ -70,6 +73,14 @@ class PricingInputs:
                 raise ValidationError("log_fwd_finite",
                                       f"log(S/K) + r*tau = {lf} is not finite")
         object.__setattr__(self, "log_fwd", lf)
+        try:
+            disc = math.exp(-self.rate * self.tau)
+        except OverflowError:
+            raise ValidationError(
+                "discount_float_range",
+                f"discount factor e^(-r*tau) overflows at r*tau = "
+                f"{self.rate * self.tau:.6g}") from None
+        object.__setattr__(self, "discount", disc)
 
 
 @dataclass(frozen=True)
@@ -110,13 +121,13 @@ def bs_call(inputs, sigma):
     """Black-Scholes call price S N(d+) - K e^{-r tau} N(d-)."""
     if not sigma > 0.0:
         raise ValidationError("sigma_positive", f"sigma={sigma} must be > 0")
-    S, K, r, tau = inputs.spot, inputs.strike, inputs.rate, inputs.tau
+    S, K = inputs.spot, inputs.strike
     if K == 0.0:
         return S
-    st = sigma * math.sqrt(tau)
+    st = sigma * math.sqrt(inputs.tau)
     d_plus = inputs.log_fwd / st + 0.5 * st
     return float(S * normal_cdf(d_plus)
-                 - K * math.exp(-r * tau) * normal_cdf(d_plus - st))
+                 - K * inputs.discount * normal_cdf(d_plus - st))
 
 
 def _band_bounds(params, inputs, mu):
@@ -138,151 +149,273 @@ def _band_bounds(params, inputs, mu):
         raise SeriesDivergenceError(
             f"mean factor e^{log_x:.6g} of the log-price overflows; the "
             "series is outside its validity domain")
-    lower = max(upper - inputs.strike * math.exp(-inputs.rate * inputs.tau),
-                0.0)
-    return lower, upper
+    return _band_lower(upper, inputs), upper
+
+
+def _band_lower(upper, inputs):
+    """The band's lower edge max(S X - K e^{-r tau}, 0), the one part of it
+    that depends on the strike."""
+    return max(upper - inputs.strike * inputs.discount, 0.0)
+
+
+# What one quote's evaluation may raise while the rest of its chain is still
+# priced; price_chain returns these as the quote's entry.
+_QUOTE_ERRORS = (ValidationError, SeriesDivergenceError, ParityError,
+                 numerics.NumericsError, OverflowError)
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the _QUOTE_ERRORS instance it raised."""
+    try:
+        return fn(*args)
+    except _QUOTE_ERRORS as exc:
+        return exc
+
+
+def _each(count, fn, *args):
+    """Iterator over the count entries of the list fn(*args) returns, or
+    over count copies of the _QUOTE_ERRORS instance it raised."""
+    out = _attempt(fn, *args)
+    return iter([out] * count if isinstance(out, Exception) else out)
+
+
+@lru_cache(maxsize=8)
+def _n_factors(n_max):
+    """n = 0..n_max with (-1)^n and 1/n!: the series' factors that depend on
+    n alone, read-only since every call shares them."""
+    n = np.arange(n_max + 1)
+    factors = n, (-1.0) ** n, np.exp(-gammaln(n + 1.0))
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
+def _series_chain(params, mu, chain, policy):
+    """Residue-series calls for PricingInputs with K > 0 sharing spot, rate
+    and tau: per strike, (price, a function returning its SeriesDiagnostics)
+    or the exception that refuses it.
+
+    V = (K e^{-r tau}/alpha) * sum_{n>=0, m>=1}
+        (-1)^n / (n! Gamma(1 - gamma (n-m)/alpha)) * A^n * B^{(m-n)/alpha}
+    with A = -log_fwd - mu*tau and B = -mu*tau^gamma > 0.  Terms whose Gamma
+    argument sits on a pole contribute exactly 0; 0^0 is taken as 1 so the
+    n=0 terms survive at ATM-forward (A=0).  A strike enters only through
+    the prefactor and A^n, so the Gamma and B-power factors of each (m, n)
+    block, and the band's mean factor, are computed once for the chain.
+
+    The terms are evaluated as (strike, m, n) blocks of the first m-slices,
+    m being the monotone direction.  A fixed policy sums one block of m_max
+    slices.  An adaptive one doubles the block from 16 slices up to m_max,
+    computing only the added slices, until every strike has had its first
+    event, the earliest in m (ties in this order): a slice beyond any
+    arbitrage bound raises, three consecutive slices each below
+    tolerance*|sum| stop the sum, five growing ones raise.  A sum with no
+    event within m_max raises too.  Slices past a strike's first event may
+    overflow and decide nothing for it.
+    """
+    if not chain:
+        return []
+    a, g = params.alpha, params.gamma
+    spot, tau = chain[0].spot, chain[0].tau
+    log_B = math.log(-mu * tau ** g)
+    A, pref, blowup = np.array(
+        [(-inp.log_fwd - mu * tau, inp.strike * inp.discount / a,
+          1e4 * (spot + inp.strike)) for inp in chain]).T
+
+    adaptive = policy.mode is TruncationMode.ADAPTIVE
+    size = min(16, policy.m_max) if adaptive else policy.m_max
+    n, sign, inv_fact = _n_factors(policy.n_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_pow = np.where(n == 0, 1.0, A[:, None] ** n)     # 0^0 := 1
+        coef = sign * a_pow * inv_fact
+        pc = (pref[:, None] * coef)[:, None, :]
+        terms = np.empty((len(chain), 0, n.size))
+        while True:
+            m = np.arange(terms.shape[1] + 1, size + 1)[:, None]  # new slices
+            rg = reciprocal_gamma(1.0 - g * (n - m) / a)
+            terms = np.concatenate(
+                (terms, pc * rg * np.exp(((m - n) / a) * log_B)), axis=1)
+            s = terms.sum(axis=2)
+            sums = np.cumsum(s, axis=1)
+            abs_s = np.abs(s)
+            # per strike, one past the event's slice; size + 1 for none
+            blow = numerics._run_end(~(abs_s <= blowup[:, None]), 1).tolist()
+            if adaptive:
+                small = abs_s < policy.tolerance * np.maximum(np.abs(sums),
+                                                              1e-300)
+                stop = numerics._run_end(small, 3).tolist()
+                # slice j + 1 grows past slice j
+                grows = abs_s[:, 1:] > abs_s[:, :-1]
+                grow = (numerics._run_end(grows, 5) + 1).tolist()
+            else:
+                stop = grow = [size + 1] * len(chain)
+            events = list(zip(blow, stop, grow))
+            if size == policy.m_max or max(map(min, events)) <= size:
+                break
+            size = min(2 * size, policy.m_max)
+        m_used = [min(*ev, size) for ev in events]
+
+    results, upper = [], None
+    sums = sums.tolist()
+    for k, inp in enumerate(chain):
+        (blow, stop, grow), mk = events[k], m_used[k]
+        used = terms[k, :mk]
+        try:
+            if mk == blow:
+                if not np.isfinite(coef[k]).all():
+                    raise SeriesDivergenceError(
+                        f"series coefficients A^n/n! overflow at |A|="
+                        f"{abs(A[k]):.3g}; the series is outside its "
+                        "validity domain")
+                raise SeriesDivergenceError(
+                    f"series slice magnitude {s[k, blow - 1]:.3g} at m={blow} "
+                    "exceeds any arbitrage bound; the series is outside its "
+                    "validity domain")
+            if adaptive and min(stop, grow) > size:
+                raise SeriesDivergenceError(
+                    f"series slices did not settle within m_max={size}")
+            if adaptive and mk != stop:
+                raise SeriesDivergenceError(
+                    f"series slices grew for 5 consecutive m (last |slice|="
+                    f"{abs_s[k, grow - 1]:.3g}); no convergence")
+            total = sums[k][mk - 1]
+            converged = adaptive or bool(
+                abs(total - (sums[k][-2] if size > 1 else 0.0))
+                < policy.tolerance * max(abs(total), 1e-300))
+            if adaptive:
+                # A converged m-recursion still leaves two silent failure
+                # modes: alternating terms much larger than the sum (float
+                # cancellation eats the result) and an n direction that had
+                # not decayed by n_max.  Reject the value unless roundoff and
+                # the dropped n-tail are both provably below ACCURACY_FLOOR
+                # of it.
+                floor = ACCURACY_FLOOR * max(abs(total), 1e-300)
+                noise = 2e-14 * float(np.abs(used).max())
+                n_tail = float(np.cumsum(np.abs(used[:, -1]))[-1])
+                if noise > floor or n_tail > floor:
+                    raise SeriesDivergenceError(
+                        f"series sum {total:.6g} is not certifiable to "
+                        f"{ACCURACY_FLOOR:g} relative accuracy (cancellation "
+                        f"noise ~{noise:.2g}, dropped n-tail ~{n_tail:.2g})")
+                # The series can converge to a spurious branch outside its
+                # validity region (e.g. when the effective log-moneyness A
+                # turns negative at gamma != 1).  A converged value outside
+                # the hard arbitrage band is therefore rejected rather than
+                # returned.  The band's upper edge is shared by the chain.
+                if upper is None:
+                    upper = _band_bounds(params, inp, mu)[1]
+                lower = _band_lower(upper, inp)
+                pad = 1e-6 * (spot + inp.strike)
+                if not lower - pad <= total <= upper + pad:
+                    raise SeriesDivergenceError(
+                        f"converged series value {total:.6g} lies outside the "
+                        f"arbitrage band [{lower:.6g}, {upper:.6g}]; the "
+                        "series is outside its validity domain")
+        except _QUOTE_ERRORS as exc:
+            # without its traceback, which holds this frame and its blocks
+            results.append(exc.with_traceback(None))
+            continue
+        results.append((total, partial(_diagnostics, sums[k][:mk], used,
+                                       converged)))
+    return results
+
+
+def _diagnostics(sums_m, used, converged):
+    """SeriesDiagnostics of one strike's sum over the (m, n) block used."""
+    # rows and slice sums are added in sequence, as the series runs in m
+    return SeriesDiagnostics(
+        partial_sums_m=tuple(sums_m),
+        partial_sums_n=tuple(np.cumsum(np.cumsum(used, axis=0)[-1])),
+        terms_used=used.size, converged=converged)
 
 
 def dfrac_call_series(params, inputs, mu=None, policy=None):
     """Residue-series call price; returns (price, SeriesDiagnostics).
 
-    V = (K e^{-r tau}/alpha) * sum_{n>=0, m>=1}
-        (-1)^n / (n! Gamma(1 - gamma (n-m)/alpha)) * A^n * B^{(m-n)/alpha}
-    with A = -log_fwd - mu*tau and B = -mu*tau^gamma > 0, where the float mu
-    defaults to the model's risk_neutral(params).mu.  Terms whose Gamma
-    argument sits on a pole contribute exactly 0; 0^0 is taken as 1 so the
-    n=0 terms survive at ATM-forward (A=0).
-
-    The terms are evaluated as (m, n) blocks of the first m-slices, m being
-    the monotone direction.  A fixed policy sums one block of m_max slices.
-    An adaptive one doubles the block from 16 slices up to m_max, computing
-    only the added slices, until its first event, the earliest in m (ties
-    in this order): a slice beyond any arbitrage bound raises, three
-    consecutive slices each below tolerance*|sum| stop the sum, five growing
-    ones raise.  A sum with no event within m_max raises too.  Slices past
-    the first event may overflow and decide nothing.
+    The series kernel (see _series_chain) on a chain of one; the float mu
+    defaults to the model's risk_neutral(params).mu.
     """
     validate(params)
     if inputs.strike <= 0.0:
         raise ValidationError("strike_positive",
                               "series price requires strike > 0")
-    policy = policy or DEFAULT_POLICY
     if mu is None:
         mu = risk_neutral(params).mu
-    a, g = params.alpha, params.gamma
-    tau = inputs.tau
-    A = -inputs.log_fwd - mu * tau
-    log_B = math.log(-mu * tau ** g)
-    pref = inputs.strike * math.exp(-inputs.rate * tau) / a
-
-    adaptive = policy.mode is TruncationMode.ADAPTIVE
-    blowup = 1e4 * (inputs.spot + inputs.strike)
-    size = min(16, policy.m_max) if adaptive else policy.m_max
-    n = np.arange(policy.n_max + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_pow = np.where(n == 0, 1.0, A ** n)           # 0^0 := 1
-        coef_n = (-1.0) ** n * a_pow * np.exp(-gammaln(n + 1.0))
-        terms = np.empty((0, n.size))
-        while True:
-            m = np.arange(len(terms) + 1, size + 1)[:, None]  # new slices
-            rg = reciprocal_gamma(1.0 - g * (n - m) / a)
-            terms = np.concatenate(
-                (terms, pref * coef_n * rg * np.exp(((m - n) / a) * log_B)))
-            s = terms.sum(axis=1)
-            sums = np.cumsum(s)
-            abs_s = np.abs(s)
-            blow = numerics._run_end(~(abs_s <= blowup), 1)
-            small = abs_s < policy.tolerance * np.maximum(np.abs(sums), 1e-300)
-            stop = numerics._run_end(small, 3) if adaptive else None
-            grows = np.concatenate(([False], abs_s[1:] > abs_s[:-1]))
-            grow = numerics._run_end(grows, 5) if adaptive else None
-            ends = [e for e in (blow, stop, grow) if e is not None]
-            if ends or size == policy.m_max:
-                break
-            size = min(2 * size, policy.m_max)
-    m_used = min(ends, default=size)
-    if m_used == blow:
-        raise SeriesDivergenceError(
-            f"series slice magnitude {s[blow - 1]:.3g} at m={blow} exceeds "
-            "any arbitrage bound; the series is outside its validity domain")
-    if adaptive and not ends:
-        raise SeriesDivergenceError(
-            f"series slices did not settle within m_max={size}")
-    if adaptive and m_used != stop:
-        raise SeriesDivergenceError(
-            f"series slices grew for 5 consecutive m (last |slice|="
-            f"{abs_s[grow - 1]:.3g}); no convergence")
-    total, used = float(sums[m_used - 1]), terms[:m_used]
-    converged = adaptive or bool(
-        abs(total - (sums[-2] if size > 1 else 0.0))
-        < policy.tolerance * max(abs(total), 1e-300))
-    if adaptive:
-        # A converged m-recursion still leaves two silent failure modes:
-        # alternating terms much larger than the sum (float cancellation eats
-        # the result) and an n direction that had not decayed by n_max.
-        # Reject the value unless roundoff and the dropped n-tail are both
-        # provably below ACCURACY_FLOOR of it.
-        floor = ACCURACY_FLOOR * max(abs(total), 1e-300)
-        noise = 2e-14 * float(np.abs(used).max())
-        n_tail = float(np.cumsum(np.abs(used[:, -1]))[-1])
-        if noise > floor or n_tail > floor:
-            raise SeriesDivergenceError(
-                f"series sum {total:.6g} is not certifiable to "
-                f"{ACCURACY_FLOOR:g} relative accuracy (cancellation noise "
-                f"~{noise:.2g}, dropped n-tail ~{n_tail:.2g})")
-        # The series can converge to a spurious branch outside its validity
-        # region (e.g. when the effective log-moneyness A turns negative at
-        # gamma != 1).  A converged value outside the hard arbitrage band is
-        # therefore rejected rather than returned.
-        lower, upper = _band_bounds(params, inputs, mu)
-        pad = 1e-6 * (inputs.spot + inputs.strike)
-        if not lower - pad <= total <= upper + pad:
-            raise SeriesDivergenceError(
-                f"converged series value {total:.6g} lies outside the "
-                f"arbitrage band [{lower:.6g}, {upper:.6g}]; the "
-                "series is outside its validity domain")
-    # rows and slice sums are added in sequence, as the series runs in m
-    return total, SeriesDiagnostics(
-        partial_sums_m=tuple(sums[:m_used].tolist()),
-        partial_sums_n=tuple(np.cumsum(np.cumsum(used, axis=0)[-1])),
-        terms_used=(policy.n_max + 1) * m_used, converged=converged)
+    result, = _series_chain(params, mu, [inputs], policy or DEFAULT_POLICY)
+    if isinstance(result, Exception):
+        raise result
+    value, diagnostics = result
+    return value, diagnostics()
 
 
 def put_from_parity(call, inputs):
     """P = C - S + K e^{-r tau}, floored at 0; rejects inconsistent calls."""
-    p = call - inputs.spot + inputs.strike * math.exp(-inputs.rate * inputs.tau)
+    p = call - inputs.spot + inputs.strike * inputs.discount
     if p < -1e-8 * inputs.spot:
         raise ParityError(
             f"call {call} below parity bound by {p:.3g}")
     return max(p, 0.0)
 
 
+def _price_inputs(params, chain, policy, fallback):
+    """price() of each of the PricingInputs sharing spot, rate and tau: its
+    value, or the _QUOTE_ERRORS instance refusing it.  An error of the whole
+    chain (params, mu) is raised."""
+    validate(params)
+    if params.kind is ModelKind.BLACK_SCHOLES:
+        calls = [_attempt(bs_call, inp, params.sigma) for inp in chain]
+    else:
+        mu = risk_neutral(params).mu
+        series = [inp for inp in chain if inp.strike > 0.0]
+        found = _each(len(series), _series_chain, params, mu, series, policy)
+        calls = []
+        for inp in chain:
+            # the series needs K > 0; at K = 0 the payoff is integrated
+            call = next(found) if inp.strike > 0.0 else None
+            if isinstance(call, tuple):
+                call = call[0]
+            elif call is None or (fallback and
+                                  isinstance(call, SeriesDivergenceError)):
+                call = _attempt(numerics.reference_price, params,
+                                replace(inp, kind=OptionKind.CALL), mu)
+            calls.append(call)
+    return [_attempt(put_from_parity, call, inp)
+            if inp.kind is OptionKind.PUT and not isinstance(call, Exception)
+            else call for call, inp in zip(calls, chain)]
+
+
+def price_chain(params, spot, rate, tau, quotes):
+    """Price (kind, strike) quotes sharing (params, spot, rate, tau) under
+    the default truncation policy, without fallback.
+
+    Returns one entry per quote: the float price() returns for it, or the
+    exception price() raises (a ValidationError, SeriesDivergenceError,
+    ParityError, NumericsError or OverflowError; any other propagates).
+    The drift mu, the residue series' strike-independent factors and the
+    band's mean factor are computed once for the chain.
+    """
+    chain = [_attempt(PricingInputs, spot, strike, rate, tau, kind)
+             for kind, strike in quotes]
+    valid = [inp for inp in chain if not isinstance(inp, Exception)]
+    priced = _each(len(valid), _price_inputs, params, valid, DEFAULT_POLICY,
+                   False)
+    return [inp if isinstance(inp, Exception) else next(priced)
+            for inp in chain]
+
+
 def price(params, inputs, policy=None, fallback=False):
-    """Dispatch to the closed form or the series by model kind.
+    """Dispatch to the closed form or the series by model kind; a scalar
+    price is a chain of one (see price_chain).
 
     Puts are priced from the call via parity.  With fallback=True a series
     divergence is resolved by the quadrature reference pricer instead of
     raising.
     """
-    validate(params)
-    if params.kind is ModelKind.BLACK_SCHOLES:
-        call = bs_call(inputs, params.sigma)
-    else:
-        mu = risk_neutral(params).mu
-        call_inputs = replace(inputs, kind=OptionKind.CALL)
-        if inputs.strike == 0.0:
-            # the series representation needs K > 0; integrate the payoff
-            call = numerics.reference_price(params, call_inputs, mu=mu)
-        else:
-            try:
-                call, _ = dfrac_call_series(params, inputs, mu, policy)
-            except SeriesDivergenceError:
-                if not fallback:
-                    raise
-                call = numerics.reference_price(params, call_inputs, mu=mu)
-    if inputs.kind is OptionKind.PUT:
-        return put_from_parity(call, inputs)
-    return call
+    value, = _price_inputs(params, [inputs], policy or DEFAULT_POLICY,
+                           fallback)
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def partial_sum_table(params, inputs, mu=None, policy=None):

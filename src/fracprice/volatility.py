@@ -163,7 +163,7 @@ def build_smile(chain, gammas):
         guess = None
         try:
             anchor = market if inputs.kind is OptionKind.CALL else (
-                market + chain.spot - strike * math.exp(-chain.rate * chain.tau))
+                market + chain.spot - strike * inputs.discount)
             if 0.0 < anchor < chain.spot:
                 guess = atm_bs_implied(anchor, chain.spot, chain.tau)
         except InversionError:

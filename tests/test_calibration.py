@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
 import pytest
 
 from fracprice.calibration import (CalibrationError, CalibrationResult,
-                                   QuoteChain, aggregated_error, calibrate)
+                                   QuoteChain, _quote_errors,
+                                   aggregated_error, calibrate)
 from fracprice.model import ModelKind, ModelParams, ValidationError
 from fracprice.pricing import OptionKind, PricingInputs, price
 
@@ -94,3 +96,81 @@ def test_calibrate_result_params_validate():
     # the returned parameters are inside the admissible set by construction
     from fracprice.model import validate
     validate(res.params)
+
+
+# The fixture fits from the benchmark's single starts, frozen bitwise:
+# (kind, seeds, evaluations, (alpha, gamma, sigma), per-quote errors,
+# penalised quote evaluations by class)
+FIXTURE_FITS = [
+    ("bs", None, 226, (2.0, 1.0, 0.4021752929687501),
+     (10.305558032592586, 8.751534732666371, 6.168571181024959,
+      2.556379865461011, 1.2617733863548466, 4.115562463012708,
+      5.8742822777375405, 5.8855917741649595, 5.280949048874945,
+      3.5540348996861724), {}),
+    ("fmls", (ModelParams.fmls(1.95, 0.4),), 221,
+     (1.5121827526600016, 1.0, 0.46313029284689217),
+     (1.5987386423272198, 3.7094025628903182e-09, 1.2044960067758268,
+      1.379487500019252, 0.7278406230436083, 8.448708399555471e-11,
+      0.7111541339241825, 0.8135282561656725, 0.8665263020020162,
+      0.5630705169618755), {"SeriesDivergenceError": 10}),
+    ("dfrac", (ModelParams.double_fractional(1.7, 0.8, 0.3),), 506,
+     (1.519828230876886, 1.0692022034847368, 0.592376222348078),
+     (0.3701435638741657, 1.624016476853285e-10, 0.5026134197280498,
+      0.47631540805894446, 2.267425287527658e-07, 0.36939622028792485,
+      0.6641938642971787, 0.6203803198791933, 0.612532502493619,
+      0.3883281800688396), {"SeriesDivergenceError": 77}),
+]
+
+
+@pytest.mark.parametrize("kind,seeds,evaluations,params,errors,penalties",
+                         FIXTURE_FITS, ids=[f[0] for f in FIXTURE_FITS])
+def test_calibrate_fixture_frozen(monkeypatch, kind, seeds, evaluations,
+                                  params, errors, penalties):
+    """Pricing the chain in one call moves no fitted digit, and the
+    penalties are the exceptions the pricer returned, by class and code."""
+    from fracprice import calibration, sampledata
+    returned = Counter()
+    real = calibration.price_chain
+
+    def spy(*args):
+        out = real(*args)
+        returned.update(type(v).__name__ for v in out
+                        if isinstance(v, Exception))
+        return out
+
+    monkeypatch.setattr(calibration, "price_chain", spy)
+    res = calibrate(sampledata.fixture_chain(), kind, seeds=seeds)
+    assert res.evaluations == evaluations
+    assert (res.params.alpha, res.params.gamma, res.params.sigma) == params
+    assert res.per_quote_errors == errors
+    assert res.aggregated_error == sum(errors)
+    assert res.penalties == penalties == dict(returned)
+
+
+def test_penalties_keyed_by_code():
+    """A quote refused for a coded reason is counted under class:code."""
+    chain = QuoteChain(100.0, 0.0, 1.0, (
+        ("call", 95.0, 8.0), ("call", 100.0, 5.0), ("call", 105.0, 3.0)))
+    res = calibrate(chain, ModelKind.BLACK_SCHOLES,
+                    seeds=(ModelParams.black_scholes(0.2),))
+    assert res.penalties == {}
+    counts = Counter()
+    # inadmissible parameters refuse every quote of the chain
+    _quote_errors(ModelParams.double_fractional(1.5, 0.2, 0.2), chain, counts)
+    assert counts == {"ValidationError:gamma_condition": 3}
+
+
+@pytest.mark.parametrize("spot,rate,strike,code", [
+    (100.0, math.nan, 100.0, "rate_finite"),
+    (100.0, math.inf, 100.0, "rate_finite"),
+    (math.inf, 0.0, 100.0, "spot_finite"),
+    (100.0, 0.0, math.inf, "strike_finite"),
+    (100.0, -1000.0, 100.0, "discount_float_range"),
+])
+def test_chain_input_errors_raise_before_the_fit(spot, rate, strike, code):
+    """An input the pricer refuses for every parameter set raises its coded
+    error instead of penalising every quote of every descent."""
+    quotes = (("call", 95.0, 8.0), ("call", strike, 5.0), ("call", 105.0, 3.0))
+    with pytest.raises(ValidationError) as err:
+        calibrate(QuoteChain(spot, rate, 1.0, quotes), ModelKind.FMLS)
+    assert err.value.code == code

@@ -247,6 +247,13 @@ BS_ATM = ("--spot", "100", "--strike", "100", "--rate", "0", "--tau", "1")
      "leaves the float range"),
     (("--model", "dfrac", "--alpha", "1.7", "--gamma", "0.9",
       "--sigma", "1e200") + BS_ATM, "leaves the float range"),
+    # e^{-r tau} overflows; a drift so large that A^n/n! overflows
+    (("--model", "bs", "--spot", "100", "--strike", "100", "--rate", "-1000",
+      "--sigma", "0.2", "--tau", "1"),
+     "discount factor e^(-r*tau) overflows at r*tau = -1000"),
+    (("--model", "fmls", "--alpha", "1.7", "--sigma", "1e6", "--spot", "100",
+      "--strike", "100", "--tau", "1"),
+     "series coefficients A^n/n! overflow at |A|=9.87e+09"),
 ])
 def test_price_rejected_inputs_exit_2(capsys, argv, reason):
     rc, out, err = run(capsys, "price", *argv)

@@ -201,4 +201,12 @@ def test_log_gamma_series_budget():
     ([0, 0, 0], 1, None),
 ])
 def test_run_end(mask, k, end):
-    assert _run_end(np.array(mask, bool), k) == end
+    # no run: one past the end of the mask
+    assert _run_end(np.array(mask, bool), k) == (
+        len(mask) + 1 if end is None else end)
+
+
+def test_run_end_per_row():
+    mask = np.array([[0, 1, 1, 1, 0], [1, 1, 0, 1, 1], [1, 1, 1, 1, 1]], bool)
+    assert _run_end(mask, 3).tolist() == [4, 6, 3]
+    assert _run_end(mask[:, :2], 3).tolist() == [3, 3, 3]

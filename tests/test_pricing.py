@@ -12,7 +12,7 @@ from fracprice.pricing import (DEFAULT_POLICY, SMILE_POLICY, OptionKind,
                                SeriesDivergenceError, TruncationMode,
                                TruncationPolicy, _band_bounds, bs_call,
                                dfrac_call_series, partial_sum_table, price,
-                               put_from_parity)
+                               price_chain, put_from_parity)
 
 FIG3_INPUTS = PricingInputs(3800.0, 4000.0, 0.01, 1.0)
 FIG3_PARAMS = ModelParams.double_fractional(1.7, 0.9, 0.2)
@@ -229,13 +229,13 @@ def test_price_short_n_truncation_fails_n_tail_check():
 def test_mu_does_not_depend_on_pricing_truncation(monkeypatch):
     """price() uses the model's mu whatever TruncationPolicy it is given."""
     used = []
-    real = pricing.dfrac_call_series
+    real = pricing._series_chain
 
-    def spy(params, inputs, mu=None, policy=None):
+    def spy(params, mu, chain, policy):
         used.append(mu)
-        return real(params, inputs, mu, policy)
+        return real(params, mu, chain, policy)
 
-    monkeypatch.setattr(pricing, "dfrac_call_series", spy)
+    monkeypatch.setattr(pricing, "_series_chain", spy)
     price(FIG3_PARAMS, FIG3_INPUTS, TruncationPolicy(tolerance=1e-4))
     assert used == [risk_neutral(FIG3_PARAMS).mu]
 
@@ -372,3 +372,103 @@ def test_unsettled_default_series_falls_back_to_quadrature():
     value = price(params, inp, fallback=True)
     assert value == pytest.approx(numerics.reference_price(params, inp),
                                   rel=1e-9)
+
+
+def test_discount_overflow_is_typed():
+    """e^{-r tau} beyond the float range is an input error, derived once."""
+    with pytest.raises(ValidationError) as err:
+        PricingInputs(100.0, 100.0, -1000.0, 1.0)
+    assert err.value.code == "discount_float_range"
+    inp = PricingInputs(100.0, 90.0, 0.03, 0.7)
+    assert inp.discount == math.exp(-0.03 * 0.7)
+
+
+POLICIES = [DEFAULT_POLICY, SMILE_POLICY, TruncationPolicy(n_max=5),
+            TruncationPolicy(m_max=20),
+            TruncationPolicy(mode=TruncationMode.FIXED)]
+
+
+@st.composite
+def chain_params(draw):
+    kind = draw(st.sampled_from(["bs", "fmls", "dfrac"]))
+    sigma = draw(st.floats(0.03, 0.9))
+    if kind == "bs":
+        return ModelParams.black_scholes(sigma)
+    alpha = draw(st.floats(1.1, 2.0))
+    if kind == "fmls":
+        return ModelParams.fmls(alpha, sigma)
+    lo, hi = max(1.0 - 1.0 / alpha, 0.05) + 1e-3, min(alpha, 1.4)
+    return ModelParams.double_fractional(
+        alpha, lo + draw(st.floats(0.0, 1.0)) * (hi - lo), sigma)
+
+
+def _entry(value):
+    if isinstance(value, Exception):
+        return type(value), str(value)
+    return value
+
+
+def _chain_of(params, chain, policy, fallback):
+    """The pricer's entries for PricingInputs sharing spot, rate and tau;
+    an error of the whole chain fills every entry."""
+    try:
+        return pricing._price_inputs(params, chain, policy, fallback)
+    except pricing._QUOTE_ERRORS as exc:
+        return [exc] * len(chain)
+
+
+def _alone(params, inputs, policy=None, fallback=False):
+    try:
+        return price(params, inputs, policy, fallback)
+    except pricing._QUOTE_ERRORS as exc:
+        return exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=chain_params(), spot=st.floats(50.0, 150.0),
+       rate=st.floats(-0.05, 0.12), tau=st.floats(0.02, 2.0),
+       quotes=st.lists(st.tuples(st.sampled_from(["call", "put"]),
+                                 st.floats(-0.6, 0.6)),
+                       min_size=1, max_size=12),
+       policy=st.sampled_from(POLICIES))
+def test_price_chain_equals_chains_of_one(params, spot, rate, tau, quotes,
+                                          policy):
+    """Every entry of a chain is bitwise the price of that quote alone, or
+    the same exception class with the same message, under every policy."""
+    quotes = [(kind, spot * math.exp(x)) for kind, x in quotes]
+    inputs = [PricingInputs(spot, strike, rate, tau, kind)
+              for kind, strike in quotes]
+    chain = _chain_of(params, inputs, policy, False)
+    assert len(chain) == len(quotes)
+    for got, inp in zip(chain, inputs):
+        assert _entry(got) == _entry(_alone(params, inp, policy))
+    if policy is DEFAULT_POLICY:
+        assert ([_entry(v) for v in price_chain(params, spot, rate, tau,
+                                                 quotes)]
+                == [_entry(v) for v in chain])
+
+
+def test_price_chain_per_quote_routes():
+    """Entries of one chain may take different routes: a rejected quote, a
+    zero-strike quadrature, a quadrature fallback, a put by parity."""
+    params = ModelParams.double_fractional(1.7026, 0.5163, 0.8)
+    quotes = [("call", 97.372), ("call", -5.0), ("call", 0.0), ("put", 97.372),
+              ("call", 110.0)]
+    chain = price_chain(params, 100.0, 0.0477, 1.0, quotes)
+    assert isinstance(chain[1], ValidationError)
+    assert chain[1].code == "strike_range"
+    assert isinstance(chain[0], SeriesDivergenceError)
+    assert "did not settle" in str(chain[0])
+    inputs = [PricingInputs(100.0, strike, 0.0477, 1.0, kind)
+              for kind, strike in quotes if strike >= 0.0]
+    assert ([_entry(v) for v in chain[:1] + chain[2:]]
+            == [_entry(_alone(params, inp)) for inp in inputs])
+    # with the quadrature fallback the unsettled call and its put are priced
+    routed = _chain_of(params, inputs, DEFAULT_POLICY, True)
+    assert all(isinstance(v, float) for v in routed)
+    assert routed == [price(params, inp, fallback=True) for inp in inputs]
+    assert routed[1] == chain[2]
+    # an error of the whole chain fills every entry
+    bad = ModelParams(params.kind, params.alpha, params.gamma, -1.0)
+    assert all(isinstance(v, ValidationError)
+               for v in price_chain(bad, 100.0, 0.0, 1.0, quotes))
