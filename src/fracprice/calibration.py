@@ -7,8 +7,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import ModelKind, ModelParams, ValidationError, validate
 from .pricing import PricingInputs, price_chain
 
@@ -126,7 +124,7 @@ def _fold(x, lo, hi):
     elif x > hi:
         v = x - hi
         x = hi - (x - hi)
-    return float(np.clip(x, lo, hi)), v
+    return min(max(float(x), lo), hi), v
 
 
 def _vector_to_params(x, kind):

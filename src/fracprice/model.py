@@ -15,7 +15,10 @@ from .numerics import (ContourSpec, NonConvergenceError, log_gamma_series,
                        mb_line_integral)
 
 MU_TOLERANCE = 1e-12
+# The moment series' term budget: MU_MAX_TERMS, extended where the terms are
+# shrinking there (see _mu_term_budget), up to MU_TERM_CAP.
 MU_MAX_TERMS = 64
+MU_TERM_CAP = 4096
 MU_CONTOUR = ContourSpec(abscissa=0.5, half_length=48.0, nodes=3200,
                          tilt_deg=60.0)
 
@@ -130,13 +133,31 @@ def mu_gamma_series(params):
     for Black-Scholes).  The accuracy is this module's, independent of any
     pricing truncation: the sum stops once three consecutive terms each
     contribute less than MU_TOLERANCE * partial sum, and NonConvergenceError
-    is raised if that does not happen within MU_MAX_TERMS terms.
+    is raised if that does not happen within _mu_term_budget terms.
     """
     validate(params)
-    a = params.alpha
-    log_sum, n = log_gamma_series(-mu_levy(a, params.sigma), a,
-                                  params.gamma * a, MU_TOLERANCE, MU_MAX_TERMS)
+    a, b = params.alpha, params.gamma * params.alpha
+    q = -mu_levy(a, params.sigma)
+    log_sum, n = log_gamma_series(q, a, b, MU_TOLERANCE,
+                                  _mu_term_budget(q, a, b))
     return RiskNeutralParam(-log_sum, n, True)
+
+
+def _mu_term_budget(q, a, b):
+    """Terms the moment series sum_n Gamma(1+a n) q^n / (n! Gamma(1+b n)) may
+    use.  By Stirling, past n its terms shrink by a factor of about
+    rho(n) = q a^a b^-b n^-(b-a+1) each, which falls with n since b > a - 1
+    on the admissible set.  Where rho(MU_MAX_TERMS) < 1 the budget extends
+    MU_MAX_TERMS by the terms that a decay at that rate needs to fall below
+    MU_TOLERANCE (near gamma = 1 - 1/alpha, where b - a + 1 -> 0, the decay
+    is slow but steady); where it is >= 1 the terms may still be growing and
+    MU_MAX_TERMS stays the budget."""
+    log_rho = (math.log(q) + a * math.log(a) - b * math.log(b)
+               - (b - a + 1.0) * math.log(MU_MAX_TERMS))
+    if log_rho >= 0.0:
+        return MU_MAX_TERMS
+    return MU_MAX_TERMS + min(math.ceil(math.log(MU_TOLERANCE) / log_rho),
+                              MU_TERM_CAP - MU_MAX_TERMS)
 
 
 def mu_gamma_mb(params):

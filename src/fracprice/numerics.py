@@ -126,6 +126,14 @@ def log_mittag_leffler(z, gamma):
         return z ** (1.0 / gamma) - math.log(gamma)
 
 
+def log_mean_factor(mu, tau, gamma):
+    """log X for the mean factor X = e^{mu tau} E_gamma(-mu tau^gamma) of the
+    exponentiated log-price, e^{-r tau} E[S_T] = S X; X = 1 at gamma = 1.
+    The Mittag-Leffler argument -mu tau^gamma is the combination that scales
+    the Green density, so X reproduces the quadrature mean to rounding."""
+    return mu * tau + log_mittag_leffler(-mu * tau ** gamma, gamma)
+
+
 # ----------------------------------------------------------------------
 # Mellin-Barnes line integration
 # ----------------------------------------------------------------------
@@ -155,6 +163,7 @@ class ContourSpec:
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL24 = np.polynomial.legendre.leggauss(24)
+_GL32 = np.polynomial.legendre.leggauss(32)
 
 
 def _gauss_panels(edges, rule):
@@ -250,23 +259,35 @@ def _analytic_strip(alpha, heavy):
     return (-40.0, 0.6)
 
 
-def _saddle_scan(logX, alpha, gamma, heavy, deep=False):
-    """Abscissa minimizing the integrand envelope, and the envelope there.
+def _saddle_scans(logX, alpha, gamma, heavy, deep=False):
+    """Abscissae minimizing the integrand envelope at each log X, and the
+    envelopes there.
 
     The heavy-side strip is pole-bounded, but the thin-side ratio is analytic
     arbitrarily far left and its superexponential tails put the saddle deeper
     than any fixed window (~ -X^2/2 in the Gaussian limit).  With deep=True
     the window is widened until the minimum is interior, which keeps relative
     accuracy at any tail depth; the default stays inside the fixed strip that
-    the shared-line batch evaluator is built around."""
+    the shared-line batch evaluator is built around.  Only the cs * log X
+    term depends on the point, so each window's Gamma ratio is evaluated once
+    for every point still scanning."""
+    logX = np.asarray(logX, float)
+    c, env = np.empty_like(logX), np.empty_like(logX)
+    todo = np.arange(logX.size)
     lo, hi = _analytic_strip(alpha, heavy)
-    while True:
+    while todo.size:
         cs = np.linspace(lo, hi, 321)
-        obj = _mellin_log_ratio(cs + 0.5j, alpha, gamma, heavy).real + cs * logX
-        i = int(np.argmin(obj))
-        if heavy or not deep or i > 4 or lo < -1e5:
-            return float(cs[i]), float(obj[i])
+        strip = _mellin_log_ratio(cs + 0.5j, alpha, gamma, heavy).real
+        i = np.empty(todo.size, int)
+        for i0 in range(0, todo.size, 64):            # bound the work matrix
+            obj = strip + cs * logX[todo[i0:i0 + 64], None]
+            i[i0:i0 + 64] = obj.argmin(axis=1)
+        done = (i > 4) | (heavy or not deep or lo < -1e5)
+        c[todo[done]] = cs[i[done]]
+        env[todo[done]] = strip[i[done]] + cs[i[done]] * logX[todo[done]]
+        todo = todo[~done]
         lo *= 4.0
+    return c, env
 
 
 def _line_nodes(c, alpha, gamma, heavy, env_cap, osc):
@@ -283,24 +304,40 @@ def _line_nodes(c, alpha, gamma, heavy, env_cap, osc):
     # affordable line reaches the target.
     cap = max(1500.0, 3.0 * math.sqrt(68.0 * max(-c, 1.0)
                                       / max(1.0 - gamma / alpha, 1e-12)))
-    L = 4.0
-    while True:
-        if _mellin_log_ratio(c + 1j * L, alpha, gamma, heavy).real < env_cap:
-            break
-        L *= 1.3
-        if L >= cap:
-            raise NonConvergenceError(
-                "integrand envelope does not decay within the line cap; "
-                f"gamma={gamma} is too close to alpha={alpha} for the "
-                "contour representation")
+    Ls = [4.0]                                  # candidate lengths, x1.3
+    while Ls[-1] * 1.3 < cap:
+        Ls.append(Ls[-1] * 1.3)
+    low = _mellin_log_ratio(c + 1j * np.array(Ls), alpha, gamma,
+                            heavy).real < env_cap
+    if not low.any():
+        raise NonConvergenceError(
+            "integrand envelope does not decay within the line cap; "
+            f"gamma={gamma} is too close to alpha={alpha} for the "
+            "contour representation")
+    L = Ls[low.argmax()]
+    # panel widths grow x1.7 from 0.085 up to wcap; the edges are their
+    # running sum (a sequential accumulate), up to the first edge >= L
     wcap = max(0.25, 6.0 / max(osc, 1.0))
-    edges = [0.0]
-    d = 0.05
-    while edges[-1] < L:
-        d = min(d * 1.7, wcap)
-        edges.append(edges[-1] + d)
-    ys, ws = _gauss_panels(edges, _GL24)
+    steps = [0.085]
+    while steps[-1] < wcap:
+        steps.append(min(steps[-1] * 1.7, wcap))
+    steps += [wcap] * (int((L - sum(steps)) / wcap) + 2)
+    edges = np.cumsum([0.0] + steps)
+    ys, ws = _gauss_panels(edges[:np.argmax(edges >= L) + 1], _GL24)
     return c + 1j * ys, ws
+
+
+def _line_sums(logX, t, v):
+    """Re sum_k v_k X^(t_k - c) at each log X, for line nodes t_k = c + i y_k.
+
+    t_k - c = i y_k exactly, so each factor is the rotation e^(i y_k log X);
+    the rows are summed in blocks of 64 to bound the work matrix."""
+    y = t.imag
+    out = np.empty(logX.size)
+    for i0 in range(0, logX.size, 64):
+        ph = np.multiply.outer(logX[i0:i0 + 64], y)
+        out[i0:i0 + 64] = np.cos(ph) @ v.real - np.sin(ph) @ v.imag
+    return out
 
 
 def _density_batch(xs, alpha, gamma, ell):
@@ -321,9 +358,8 @@ def _density_batch(xs, alpha, gamma, ell):
         lo, hi = _analytic_strip(alpha, heavy)
         kn = np.linspace(logX.min() - 1e-9, logX.max() + 1e-9,
                          min(33, 2 + len(logX)))
-        scans = [_saddle_scan(k, alpha, gamma, heavy) for k in kn]
-        ck = np.array([s[0] for s in scans])
-        sk = np.array([s[1] - s[0] * k for s, k in zip(scans, kn)])
+        ck, sk = _saddle_scans(kn, alpha, gamma, heavy)
+        sk -= ck * kn
         cpt = np.clip(np.interp(logX, kn, ck), lo, hi)
         sad = np.interp(logX, kn, sk) + cpt * logX    # per-point log-envelope
         floor = sad.max() - 42.0                      # batch absolute floor
@@ -338,12 +374,7 @@ def _density_batch(xs, alpha, gamma, ell):
                                float(np.abs(logX[sel]).max()))
             lr = _mellin_log_ratio(t, alpha, gamma, heavy)
             lrmax = lr.real.max()
-            lx = logX[sel]
-            res = np.empty(lx.size)
-            for i0 in range(0, lx.size, 64):          # bound the work matrix
-                blk = lx[i0:i0 + 64]
-                ex = np.exp(lr[None, :] - lrmax + blk[:, None] * (t[None, :] - c))
-                res[i0:i0 + 64] = (ex @ w).real
+            res = _line_sums(logX[sel], t, w * np.exp(lr - lrmax))
             vals[sel] = res / math.pi * np.exp(lrmax + c * logX[sel])
         # far-tail values below the cancellation floor come back as signed
         # noise ~ envelope*eps; the density is nonnegative, so clip to 0
@@ -366,16 +397,32 @@ def green_density(query):
                                 query.alpha, query.gamma, ell)[0])
 
 
+def _tail_masses(Ys, alpha, gamma, ell, heavy):
+    """P[y < -Y] (heavy side) or P[y > Y] (thin side) at each Y > 0.
+
+    Each point is integrated on the line through its own (deep) saddle.
+    Points whose saddles share an abscissa share one line, long enough for
+    the lowest envelope target among them, and one Gamma-ratio evaluation."""
+    logX = np.log(np.asarray(Ys, float) / ell)
+    cs, sad = _saddle_scans(logX, alpha, gamma, heavy, deep=True)
+    cs = np.minimum(cs, -0.3)
+    out = np.empty_like(logX)
+    for c in np.unique(cs):
+        sel = cs == c
+        lx = logX[sel]
+        t, w = _line_nodes(c, alpha, gamma, heavy,
+                           float((sad[sel] - c * lx).min()) - 34.0,
+                           float(np.abs(lx).max()))
+        lr = _mellin_log_ratio(t, alpha, gamma, heavy)
+        lrmax = lr.real.max()
+        res = _line_sums(lx, t, w * np.exp(lr - lrmax) / t)
+        out[sel] = -res / math.pi / alpha * np.exp(lrmax + c * lx)
+    return out
+
+
 def _tail_mass(Y, alpha, gamma, ell, heavy):
-    """P[y < -Y] (heavy side) or P[y > Y] (thin side), Y > 0."""
-    logX = math.log(Y / ell)
-    c, sad = _saddle_scan(logX, alpha, gamma, heavy, deep=True)
-    c = min(c, -0.3)
-    t, w = _line_nodes(c, alpha, gamma, heavy, sad - c * logX - 34.0, abs(logX))
-    lr = _mellin_log_ratio(t, alpha, gamma, heavy)
-    off = lr.real.max() + c * logX
-    ex = np.exp(lr + logX * (t - c) - (off - c * logX)) / t
-    return -float((ex @ w).real) / math.pi / alpha * math.exp(off)
+    """_tail_masses at a single Y, as a float."""
+    return float(_tail_masses([Y], alpha, gamma, ell, heavy)[0])
 
 
 # ----------------------------------------------------------------------
@@ -402,7 +449,7 @@ def _geometric_panels(a, b, scale):
         if a < -y < b:
             bps.add(-y)
         y *= 1.18
-    return _gauss_panels(sorted(bps), np.polynomial.legendre.leggauss(32))
+    return _gauss_panels(sorted(bps), _GL32)
 
 
 def _payoff_upper_cutoff(ystar, alpha, gamma, ell, log_tol):
@@ -414,9 +461,8 @@ def _payoff_upper_cutoff(ystar, alpha, gamma, ell, log_tol):
     exp overflow threshold instead of terminating."""
     y = max(ystar, ell)
     for _ in range(400):
-        logX = math.log(y / ell)
-        _, sad = _saddle_scan(logX, alpha, gamma, False, deep=True)
-        if y + sad - math.log(alpha * y) < log_tol:
+        sad = _saddle_scans([math.log(y / ell)], alpha, gamma, False, True)[1]
+        if y + sad[0] - math.log(alpha * y) < log_tol:
             return y
         y *= 1.22
     return y
@@ -428,38 +474,31 @@ def _tilted_tail_call(ystar, alpha, gamma, ell):
 
     Integration by parts turns the payoff integral into
     int_{ystar}^inf e^y P[y' > y] dy, a product of positive factors in which
-    each tail probability is evaluated on its own contour in log space, so
-    relative accuracy survives even when the result is dozens of orders of
-    magnitude below the forward.
+    each tail probability is evaluated on a contour through its own saddle,
+    in log space, so relative accuracy survives even when the result is
+    dozens of orders of magnitude below the forward.  The quadrature nodes'
+    tail probabilities are one _tail_masses batch.
 
     Returns None when the tail cannot be resolved in double precision."""
-    _, sad = _saddle_scan(math.log(ystar / ell), alpha, gamma, False,
-                          deep=True)
-    if sad + ystar < -700.0:
+    sad = _saddle_scans([math.log(ystar / ell)], alpha, gamma, False, True)[1]
+    if sad[0] + ystar < -700.0:
         return 0.0  # below the smallest representable double
 
-    def log_integrand(y):
-        t = _tail_mass(y, alpha, gamma, ell, False)
-        if t <= 0.0:
-            return -math.inf
-        return y + math.log(t)
+    def log_integrand(ys):
+        t = _tail_masses(ys, alpha, gamma, ell, False)
+        with np.errstate(divide="ignore"):
+            return ys + np.log(np.maximum(t, 0.0))
 
-    top = log_integrand(ystar)
+    top = log_integrand([ystar])[0]
     if top == -math.inf:
         return None
     ycut = ystar
     for _ in range(400):
         ycut = ycut * 1.25 + 0.25 * ell
-        if log_integrand(ycut) < top - 40.0:
+        if log_integrand([ycut])[0] < top - 40.0:
             break
-    edges = np.geomspace(ystar, ycut, 12)
-    xg, wg = _GL16
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        vals = [math.exp(log_integrand(mid + half * x) - top) for x in xg]
-        total += half * float(np.dot(vals, wg))
-    return total * math.exp(top)
+    ys, ws = _gauss_panels(np.geomspace(ystar, ycut, 12), _GL16)
+    return float(np.exp(log_integrand(ys) - top) @ ws) * math.exp(top)
 
 
 def reference_price(params, inputs, mu=None):
@@ -469,6 +508,11 @@ def reference_price(params, inputs, mu=None):
     integrand for puts, with the drift correction mu of the model (computed
     from params when not supplied).  This is the oracle the series engine is
     checked against; it makes no use of the residue series.
+
+    The integral is taken on the out-of-the-money side, where the value is
+    small: an in-the-money call (K > 0, y* < 0) is the put integral over
+    y < y* plus parity under the mean factor, C = P + S X - K e^{-r tau}.
+    A mean factor beyond the float range raises NumericsError.
     """
     if mu is None:
         from .model import risk_neutral  # deferred: model imports this module
@@ -480,12 +524,15 @@ def reference_price(params, inputs, mu=None):
     ell = (-mu * tau ** gamma) ** (1.0 / alpha)
     fwd = S * math.exp((r + mu) * tau)
     disc = inputs.discount
+    call = inputs.kind.value == "call"
+    if K <= 0.0:
+        if not call:
+            return 0.0
+        ystar = -60.0
+    else:
+        ystar = -(math.log(S / K) + r * tau) - mu * tau
 
-    if inputs.kind.value == "call":
-        if K <= 0.0:
-            ystar = -60.0
-        else:
-            ystar = -(math.log(S / K) + r * tau) - mu * tau
+    if call and (K <= 0.0 or ystar >= 0.0):
         log_tol = math.log(1e-15 * max(K, fwd) / fwd)
         yhi = _payoff_upper_cutoff(ystar, alpha, gamma, ell, log_tol)
         if yhi > ystar:
@@ -502,12 +549,19 @@ def reference_price(params, inputs, mu=None):
                 return disc * fwd * tail
         return body
 
-    if K <= 0.0:
-        return 0.0
-    ystar = -(math.log(S / K) + r * tau) - mu * tau
+    if call:
+        log_x = log_mean_factor(mu, tau, gamma)
+        try:
+            mean = S * math.exp(log_x)              # e^{-r tau} E[S_T]
+        except OverflowError:
+            mean = math.inf
+        if not math.isfinite(mean):
+            raise NumericsError(
+                f"mean factor e^{log_x:.6g} of the log-price overflows")
     ylo = 60.0 + abs(ystar)
     ys, ws = _geometric_panels(-ylo, ystar, ell)
     g = _density_batch(ys, alpha, gamma, ell)
     pay = K - fwd * np.exp(ys)
     body = float((pay * g) @ ws)
-    return disc * (body + K * _tail_mass(ylo, alpha, gamma, ell, True))
+    put = disc * (body + K * _tail_mass(ylo, alpha, gamma, ell, True))
+    return put + mean - K * disc if call else put

@@ -133,14 +133,10 @@ def bs_call(inputs, sigma):
 def _band_bounds(params, inputs, mu):
     """Hard bounds on the true call value: the discounted expectation of
     (S_T - K)+ lies in [max(S X - K e^{-r tau}, 0), S X] where
-    X = e^{mu tau} E_gamma(-mu tau^gamma) is the (non-martingale) mean factor
-    of the exponentiated log-price; X = 1 exactly at gamma = 1.  The
-    Mittag-Leffler argument is -mu tau^gamma -- the same combination that
-    scales the density -- which reproduces the quadrature mean to rounding.
-    A mean factor beyond the float range bounds nothing the series could be
+    X is the (non-martingale) mean factor of numerics.log_mean_factor.  A
+    mean factor beyond the float range bounds nothing the series could be
     trusted with, so it is reported as a divergence."""
-    log_x = mu * inputs.tau + numerics.log_mittag_leffler(
-        -mu * inputs.tau ** params.gamma, params.gamma)
+    log_x = numerics.log_mean_factor(mu, inputs.tau, params.gamma)
     try:
         upper = inputs.spot * math.exp(log_x)
     except OverflowError:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracprice.model import (ModelKind, ModelParams, ValidationError,
+from fracprice.model import (MU_MAX_TERMS, MU_TERM_CAP, ModelKind,
+                             ModelParams, ValidationError, _mu_term_budget,
                              mu_gamma_approx, mu_gamma_mb, mu_gamma_series,
                              mu_levy, risk_neutral, validate)
 from fracprice.numerics import NonConvergenceError
@@ -123,9 +124,12 @@ def test_mu_gamma_negative_on_domain(a, g, s):
     assert mu_gamma_series(dfrac(a, g, s)).mu < 0.0
 
 
-def _mu_loop(a, g, s, tol=1e-12, max_terms=64):
-    """Reference: the moment series summed term by term in plain floats."""
+def _mu_loop(a, g, s, tol=1e-12, max_terms=None):
+    """Reference: the moment series summed term by term in plain floats,
+    within the model's term budget unless max_terms is given."""
     q = -mu_levy(a, s)
+    if max_terms is None:
+        max_terms = _mu_term_budget(q, a, g * a)
     total, small = 1.0, 0
     for n in range(1, max_terms + 1):
         t = math.exp(math.lgamma(1.0 + a * n) + n * math.log(q)
@@ -139,7 +143,7 @@ def _mu_loop(a, g, s, tol=1e-12, max_terms=64):
 
 def test_mu_gamma_series_matches_scalar_loop():
     """Same term count, the same parameters out of budget, and the same
-    value up to the rounding of a sum of at most 64 terms in log S."""
+    value up to the rounding of a sum of at most n terms in log S."""
     for a in np.round(np.arange(1.15, 2.0001, 0.05), 10):
         for g in np.round(np.arange(0.05, a + 1e-9, 0.05), 10):
             if g <= 1.0 - 1.0 / a:
@@ -151,9 +155,35 @@ def test_mu_gamma_series_matches_scalar_loop():
                         mu_gamma_series(dfrac(a, g, s))
                     continue
                 r = mu_gamma_series(dfrac(a, g, s))
-                tol = 64 * np.finfo(float).eps * max(1.0, -ref[0])
+                tol = max(64, ref[1]) * np.finfo(float).eps * max(1.0, -ref[0])
                 assert abs(r.mu - ref[0]) <= tol
                 assert r.n_terms_used == (1 if g == 1.0 else ref[1])
+
+
+@pytest.mark.parametrize("a, g, s, n", [
+    (1.5, 0.3343, 0.5, 94),    # just above gamma = 1 - 1/alpha
+    (1.5, 0.35, 0.5, 72),
+    (1.3, 0.3, 0.5, 121),
+    (1.15, 0.3, 0.5, 210),
+])
+def test_mu_gamma_series_beyond_64_terms(a, g, s, n):
+    """Where the terms shrink at the 64th but slowly, the budget sized from
+    the asymptotic term ratio sums them to the loop's value and count."""
+    ref = _mu_loop(a, g, s, max_terms=5000)
+    r = mu_gamma_series(dfrac(a, g, s))
+    assert r.n_terms_used == ref[1] == n
+    assert abs(r.mu - ref[0]) <= n * np.finfo(float).eps * max(1.0, -ref[0])
+
+
+def test_mu_term_budget():
+    # growing at the 64th term: the budget stays 64 and the series is refused
+    q = -mu_levy(1.2, 5.0)
+    assert _mu_term_budget(q, 1.2, 0.72) == MU_MAX_TERMS
+    # ratio ~0.77 at dfrac(1.5, 0.3343, 0.5): 64 + ceil(log 1e-12 / log 0.77)
+    assert _mu_term_budget(-mu_levy(1.5, 0.5), 1.5, 1.5 * 0.3343) == 169
+    # a ratio just below 1 is capped
+    q = 0.999 * MU_MAX_TERMS ** 0.2 / (1.5 ** 1.5 / 0.7 ** 0.7)
+    assert _mu_term_budget(q, 1.5, 0.7) == MU_TERM_CAP
 
 
 

@@ -8,10 +8,13 @@ from scipy.special import erfc, loggamma
 
 from fracprice.numerics import (ContourSpec, GreenDensityQuery,
                                 NonConvergenceError, NumericsError, PoleError,
-                                _density_batch, _run_end, green_density,
-                                log_gamma, log_gamma_series, log_mittag_leffler,
-                                mb_line_integral, normal_cdf,
-                                reciprocal_gamma, reference_price)
+                                _analytic_strip, _density_batch,
+                                _geometric_panels, _line_nodes,
+                                _mellin_log_ratio, _payoff_upper_cutoff,
+                                _run_end, _saddle_scans, _tail_masses,
+                                green_density, log_gamma, log_gamma_series,
+                                log_mittag_leffler, mb_line_integral,
+                                normal_cdf, reciprocal_gamma, reference_price)
 from fracprice.model import ModelParams, risk_neutral
 from fracprice.pricing import PricingInputs, OptionKind, bs_call
 
@@ -156,6 +159,106 @@ def test_reference_price_zero_strike_gamma1():
     params = ModelParams.double_fractional(1.6, 1.0, 0.3)
     inputs = PricingInputs(250.0, 0.0, 0.02, 1.5, OptionKind.CALL)
     assert reference_price(params, inputs) == pytest.approx(250.0, rel=1e-9)
+
+
+def _direct_call(params, inputs, mu):
+    """The call payoff integrated against the density from y* up, the way
+    reference_price integrates an out-of-the-money call."""
+    alpha, gamma = params.alpha, params.gamma
+    S, K, r, tau = inputs.spot, inputs.strike, inputs.rate, inputs.tau
+    ell = (-mu * tau ** gamma) ** (1.0 / alpha)
+    fwd = S * math.exp((r + mu) * tau)
+    ystar = -(math.log(S / K) + r * tau) - mu * tau
+    assert ystar < 0.0                      # in the money
+    yhi = _payoff_upper_cutoff(ystar, alpha, gamma, ell,
+                               math.log(1e-15 * max(K, fwd) / fwd))
+    ys, ws = _geometric_panels(ystar, yhi, ell)
+    g = _density_batch(ys, alpha, gamma, ell)
+    return inputs.discount * float(((fwd * np.exp(ys) - K) * g) @ ws)
+
+
+@pytest.mark.parametrize("alpha, gamma", [(1.5, 1.0), (1.7, 0.9),
+                                          (1.9, 1.1), (2.0, 1.0)])
+def test_in_the_money_call_matches_direct_integral(alpha, gamma):
+    """An in-the-money call is priced as the out-of-the-money put plus
+    parity under the mean factor; it agrees with the call integral."""
+    params = ModelParams.double_fractional(alpha, gamma, 0.2)
+    mu = risk_neutral(params).mu
+    for strike, tau in ((80.0, 0.25), (90.0, 1.0)):
+        inputs = PricingInputs(100.0, strike, 0.01, tau)
+        assert reference_price(params, inputs, mu) == pytest.approx(
+            _direct_call(params, inputs, mu), rel=1e-12)
+
+
+@pytest.mark.parametrize("strike", [70.0, 80.0])
+def test_deep_in_the_money_short_maturity_call(strike):
+    inputs = PricingInputs(100.0, strike, 0.01, 0.02)
+    params = ModelParams.double_fractional(2.0, 1.0, 0.2)
+    assert reference_price(params, inputs) == pytest.approx(
+        bs_call(inputs, 0.2), rel=1e-10)
+
+
+def test_in_the_money_call_mean_factor_overflow():
+    # E_0.4(15.07) ~ exp(882): the mean factor S X is beyond the float range
+    params = ModelParams.double_fractional(1.5, 0.4, 0.3)
+    inputs = PricingInputs(100.0, 90.0, 0.01, 1e-4)
+    with pytest.raises(NumericsError, match="mean factor"):
+        reference_price(params, inputs, mu=-600.0)
+
+
+def _scan_loop(logX, alpha, gamma, heavy, deep):
+    """Reference: one saddle scan, its strip evaluated for this point alone."""
+    lo, hi = _analytic_strip(alpha, heavy)
+    while True:
+        cs = np.linspace(lo, hi, 321)
+        obj = _mellin_log_ratio(cs + 0.5j, alpha, gamma, heavy).real + cs * logX
+        i = int(np.argmin(obj))
+        if heavy or not deep or i > 4 or lo < -1e5:
+            return float(cs[i]), float(obj[i])
+        lo *= 4.0
+
+
+@pytest.mark.parametrize("heavy, deep", [(False, False), (False, True),
+                                         (True, False), (True, True)])
+def test_saddle_scans_match_scalar_scan(heavy, deep):
+    """Bitwise: only the shared strip evaluation moved out of the loop.
+    Thin-side points deep in the tail widen the window several times."""
+    logX = np.concatenate([np.linspace(-4.0, 9.0, 150), [2.5, 2.5]])
+    for alpha, gamma in ((1.7, 0.9), (2.0, 1.0), (1.3, 1.1)):
+        c, env = _saddle_scans(logX, alpha, gamma, heavy, deep)
+        ref = [_scan_loop(float(x), alpha, gamma, heavy, deep) for x in logX]
+        assert c.tolist() == [r[0] for r in ref]
+        assert env.tolist() == [r[1] for r in ref]
+
+
+def _tail_mass_loop(Y, alpha, gamma, ell, heavy):
+    """Reference: one tail probability on a line of its own."""
+    logX = math.log(Y / ell)
+    c, sad = _scan_loop(logX, alpha, gamma, heavy, True)
+    c = min(c, -0.3)
+    t, w = _line_nodes(c, alpha, gamma, heavy, sad - c * logX - 34.0,
+                       abs(logX))
+    lr = _mellin_log_ratio(t, alpha, gamma, heavy)
+    off = lr.real.max() + c * logX
+    ex = np.exp(lr + logX * (t - c) - (off - c * logX)) / t
+    return -float((ex @ w).real) / math.pi / alpha * math.exp(off)
+
+
+@pytest.mark.parametrize("alpha, gamma, heavy", [
+    (1.7, 0.9, False), (2.0, 1.0, False), (1.8, 1.15, False),
+    (1.7, 0.9, True), (1.8, 1.15, True)])
+def test_tail_masses_match_per_point_lines(alpha, gamma, heavy):
+    """Points whose saddles share an abscissa share a line; each value
+    matches its own line's to rounding, from the bulk to the far tail, and
+    underflows where it does."""
+    ell = 0.1
+    Ys = ell * np.concatenate([np.geomspace(0.3, 60.0, 70),
+                               np.linspace(20.0, 21.0, 16)])
+    got = _tail_masses(Ys, alpha, gamma, ell, heavy)
+    ref = np.array([_tail_mass_loop(Y, alpha, gamma, ell, heavy)
+                    for Y in Ys])
+    assert np.all(ref >= 0.0) and (ref > 1e-300).sum() >= 60
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
 
 
 @settings(max_examples=20, deadline=None)
