@@ -23,7 +23,7 @@ for alpha, gamma in PAIRS:
         if gamma != 1.0 and A < 0.0:
             print(f"  log-moneyness {x:+.2f}: skipped (A={A:.4f} < 0)")
             continue
-        series, _ = dfrac_call_series(params, inputs, mu)
+        series, _ = dfrac_call_series(params, inputs)
         ref = reference_price(params, inputs, mu=mu)
         rel = abs(series - ref) / abs(ref)
         print(f"  log-moneyness {x:+.2f}: series={series:.10g} "

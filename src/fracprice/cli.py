@@ -84,11 +84,7 @@ def cmd_price(args):
                          args.sigma)
     inputs = PricingInputs(args.spot, args.strike, args.rate, args.tau,
                            args.kind)
-    policy = None
-    if args.n_max is not None or args.m_max is not None:
-        policy = TruncationPolicy(
-            n_max=DEFAULT_POLICY.n_max if args.n_max is None else args.n_max,
-            m_max=DEFAULT_POLICY.m_max if args.m_max is None else args.m_max)
+    policy = TruncationPolicy(args.n_max, args.m_max)
     value = price(params, inputs, policy, fallback=args.fallback)
     if args.json:
         print(json.dumps({"price": value}))
@@ -294,8 +290,8 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--kind", choices=["call", "put"], default="call")
-    p.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p.add_argument("--m-max", type=int, default=None, dest="m_max")
+    p.add_argument("--n-max", type=int, default=DEFAULT_POLICY.n_max)
+    p.add_argument("--m-max", type=int, default=DEFAULT_POLICY.m_max)
     p.add_argument("--fallback", action="store_true",
                    help="use the quadrature pricer if the series diverges")
     p.add_argument("--json", action="store_true")

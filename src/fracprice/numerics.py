@@ -59,8 +59,8 @@ def normal_cdf(x):
 def _run_end(mask, k):
     """Index one past the first run of k consecutive True entries along the
     last axis of a boolean mask of length L; L + 1 where there is none."""
-    # shifted ANDs, not a cumsum: at k = 1, the fixed 4x4 smile series'
-    # only call, this is a third of the cost, which a smile price feels
+    # shifted ANDs, not a cumsum: at k = 1, the residue series' blow-up
+    # test on every block, there is no AND at all
     L = mask.shape[-1]
     w = max(L + 1 - k, 0)
     # hit[j]: entries j..j+k-1 all True; hit[w], past the windows, is True

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln
@@ -28,11 +28,6 @@ class ParityError(ValueError):
 class OptionKind(Enum):
     CALL = "call"
     PUT = "put"
-
-
-class TruncationMode(Enum):
-    FIXED = "fixed"
-    ADAPTIVE = "adaptive"
 
 
 @dataclass(frozen=True)
@@ -85,24 +80,23 @@ class PricingInputs:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
+    """The residue series' truncation: n = 0..n_max, m = 1..m_max."""
     n_max: int = 60
     m_max: int = 60
-    tolerance: float = 1e-12
-    mode: TruncationMode = TruncationMode.ADAPTIVE
 
     def __post_init__(self):
         if self.n_max < 0:
             raise ValidationError("n_max_range", "n_max must be >= 0")
         if self.m_max < 1:
             raise ValidationError("m_max_range", "m_max must be >= 1")
-        if not self.tolerance > 0.0:
-            raise ValidationError("tolerance_positive", "tolerance must be > 0")
 
 
 DEFAULT_POLICY = TruncationPolicy()
-SMILE_POLICY = TruncationPolicy(n_max=4, m_max=4, mode=TruncationMode.FIXED)
 
-# An adaptive evaluation that cannot vouch for this relative accuracy is
+# The series stops after three consecutive m-slices each below this fraction
+# of the partial sum.
+SERIES_TOLERANCE = 1e-12
+# A series value that cannot be vouched for to this relative accuracy is
 # rejected as divergent (extreme moneyness/short maturity corners where the
 # alternating terms dwarf their sum).
 ACCURACY_FLOOR = 1e-9
@@ -110,7 +104,8 @@ ACCURACY_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class SeriesDiagnostics:
-    """Partial sums after each m-slice / n-slice, for convergence plots."""
+    """Partial sums after each m-slice / n-slice, for convergence plots.
+    converged is always True: a sum that does not converge raises."""
     partial_sums_m: tuple
     partial_sums_n: tuple
     terms_used: int
@@ -175,17 +170,6 @@ def _each(count, fn, *args):
     return iter([out] * count if isinstance(out, Exception) else out)
 
 
-@lru_cache(maxsize=8)
-def _n_factors(n_max):
-    """n = 0..n_max with (-1)^n and 1/n!: the series' factors that depend on
-    n alone, read-only since every call shares them."""
-    n = np.arange(n_max + 1)
-    factors = n, (-1.0) ** n, np.exp(-gammaln(n + 1.0))
-    for f in factors:
-        f.flags.writeable = False
-    return factors
-
-
 def _series_chain(params, mu, chain, policy):
     """Residue-series calls for PricingInputs with K > 0 sharing spot, rate
     and tau: per strike, (price, a function returning its SeriesDiagnostics)
@@ -200,14 +184,13 @@ def _series_chain(params, mu, chain, policy):
     block, and the band's mean factor, are computed once for the chain.
 
     The terms are evaluated as (strike, m, n) blocks of the first m-slices,
-    m being the monotone direction.  A fixed policy sums one block of m_max
-    slices.  An adaptive one doubles the block from 16 slices up to m_max,
-    computing only the added slices, until every strike has had its first
-    event, the earliest in m (ties in this order): a slice beyond any
+    m being the monotone direction.  The block doubles from 16 slices up to
+    m_max, computing only the added slices, until every strike has had its
+    first event, the earliest in m (ties in this order): a slice beyond any
     arbitrage bound raises, three consecutive slices each below
-    tolerance*|sum| stop the sum, five growing ones raise.  A sum with no
-    event within m_max raises too.  Slices past a strike's first event may
-    overflow and decide nothing for it.
+    SERIES_TOLERANCE*|sum| stop the sum, five growing ones raise.  A sum
+    with no event within m_max raises too.  Slices past a strike's first
+    event may overflow and decide nothing for it.
     """
     if not chain:
         return []
@@ -218,9 +201,9 @@ def _series_chain(params, mu, chain, policy):
         [(-inp.log_fwd - mu * tau, inp.strike * inp.discount / a,
           1e4 * (spot + inp.strike)) for inp in chain]).T
 
-    adaptive = policy.mode is TruncationMode.ADAPTIVE
-    size = min(16, policy.m_max) if adaptive else policy.m_max
-    n, sign, inv_fact = _n_factors(policy.n_max)
+    size = min(16, policy.m_max)
+    n = np.arange(policy.n_max + 1)
+    sign, inv_fact = (-1.0) ** n, np.exp(-gammaln(n + 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
         a_pow = np.where(n == 0, 1.0, A[:, None] ** n)     # 0^0 := 1
         coef = sign * a_pow * inv_fact
@@ -236,15 +219,11 @@ def _series_chain(params, mu, chain, policy):
             abs_s = np.abs(s)
             # per strike, one past the event's slice; size + 1 for none
             blow = numerics._run_end(~(abs_s <= blowup[:, None]), 1).tolist()
-            if adaptive:
-                small = abs_s < policy.tolerance * np.maximum(np.abs(sums),
-                                                              1e-300)
-                stop = numerics._run_end(small, 3).tolist()
-                # slice j + 1 grows past slice j
-                grows = abs_s[:, 1:] > abs_s[:, :-1]
-                grow = (numerics._run_end(grows, 5) + 1).tolist()
-            else:
-                stop = grow = [size + 1] * len(chain)
+            small = abs_s < SERIES_TOLERANCE * np.maximum(np.abs(sums), 1e-300)
+            stop = numerics._run_end(small, 3).tolist()
+            # slice j + 1 grows past slice j
+            grows = abs_s[:, 1:] > abs_s[:, :-1]
+            grow = (numerics._run_end(grows, 5) + 1).tolist()
             events = list(zip(blow, stop, grow))
             if size == policy.m_max or max(map(min, events)) <= size:
                 break
@@ -267,77 +246,70 @@ def _series_chain(params, mu, chain, policy):
                     f"series slice magnitude {s[k, blow - 1]:.3g} at m={blow} "
                     "exceeds any arbitrage bound; the series is outside its "
                     "validity domain")
-            if adaptive and min(stop, grow) > size:
+            if min(stop, grow) > size:
                 raise SeriesDivergenceError(
                     f"series slices did not settle within m_max={size}")
-            if adaptive and mk != stop:
+            if mk != stop:
                 raise SeriesDivergenceError(
                     f"series slices grew for 5 consecutive m (last |slice|="
                     f"{abs_s[k, grow - 1]:.3g}); no convergence")
             total = sums[k][mk - 1]
-            converged = adaptive or bool(
-                abs(total - (sums[k][-2] if size > 1 else 0.0))
-                < policy.tolerance * max(abs(total), 1e-300))
-            if adaptive:
-                # A converged m-recursion still leaves two silent failure
-                # modes: alternating terms much larger than the sum (float
-                # cancellation eats the result) and an n direction that had
-                # not decayed by n_max.  Reject the value unless roundoff and
-                # the dropped n-tail are both provably below ACCURACY_FLOOR
-                # of it.
-                floor = ACCURACY_FLOOR * max(abs(total), 1e-300)
-                noise = 2e-14 * float(np.abs(used).max())
-                n_tail = float(np.cumsum(np.abs(used[:, -1]))[-1])
-                if noise > floor or n_tail > floor:
-                    raise SeriesDivergenceError(
-                        f"series sum {total:.6g} is not certifiable to "
-                        f"{ACCURACY_FLOOR:g} relative accuracy (cancellation "
-                        f"noise ~{noise:.2g}, dropped n-tail ~{n_tail:.2g})")
-                # The series can converge to a spurious branch outside its
-                # validity region (e.g. when the effective log-moneyness A
-                # turns negative at gamma != 1).  A converged value outside
-                # the hard arbitrage band is therefore rejected rather than
-                # returned.  The band's upper edge is shared by the chain.
-                if upper is None:
-                    upper = _band_bounds(params, inp, mu)[1]
-                lower = _band_lower(upper, inp)
-                pad = 1e-6 * (spot + inp.strike)
-                if not lower - pad <= total <= upper + pad:
-                    raise SeriesDivergenceError(
-                        f"converged series value {total:.6g} lies outside the "
-                        f"arbitrage band [{lower:.6g}, {upper:.6g}]; the "
-                        "series is outside its validity domain")
+            # A converged m-recursion still leaves two silent failure modes:
+            # alternating terms much larger than the sum (float cancellation
+            # eats the result) and an n direction that had not decayed by
+            # n_max.  Reject the value unless roundoff and the dropped n-tail
+            # are both provably below ACCURACY_FLOOR of it.
+            floor = ACCURACY_FLOOR * max(abs(total), 1e-300)
+            noise = 2e-14 * float(np.abs(used).max())
+            n_tail = float(np.cumsum(np.abs(used[:, -1]))[-1])
+            if noise > floor or n_tail > floor:
+                raise SeriesDivergenceError(
+                    f"series sum {total:.6g} is not certifiable to "
+                    f"{ACCURACY_FLOOR:g} relative accuracy (cancellation "
+                    f"noise ~{noise:.2g}, dropped n-tail ~{n_tail:.2g})")
+            # The series can converge to a spurious branch outside its
+            # validity region (e.g. when the effective log-moneyness A turns
+            # negative at gamma != 1).  A converged value outside the hard
+            # arbitrage band is therefore rejected rather than returned.  The
+            # band's upper edge is shared by the chain.
+            if upper is None:
+                upper = _band_bounds(params, inp, mu)[1]
+            lower = _band_lower(upper, inp)
+            pad = 1e-6 * (spot + inp.strike)
+            if not lower - pad <= total <= upper + pad:
+                raise SeriesDivergenceError(
+                    f"converged series value {total:.6g} lies outside the "
+                    f"arbitrage band [{lower:.6g}, {upper:.6g}]; the "
+                    "series is outside its validity domain")
         except _QUOTE_ERRORS as exc:
             # without its traceback, which holds this frame and its blocks
             results.append(exc.with_traceback(None))
             continue
-        results.append((total, partial(_diagnostics, sums[k][:mk], used,
-                                       converged)))
+        results.append((total, partial(_diagnostics, sums[k][:mk], used)))
     return results
 
 
-def _diagnostics(sums_m, used, converged):
+def _diagnostics(sums_m, used):
     """SeriesDiagnostics of one strike's sum over the (m, n) block used."""
     # rows and slice sums are added in sequence, as the series runs in m
     return SeriesDiagnostics(
         partial_sums_m=tuple(sums_m),
         partial_sums_n=tuple(np.cumsum(np.cumsum(used, axis=0)[-1])),
-        terms_used=used.size, converged=converged)
+        terms_used=used.size, converged=True)
 
 
-def dfrac_call_series(params, inputs, mu=None, policy=None):
-    """Residue-series call price; returns (price, SeriesDiagnostics).
+def dfrac_call_series(params, inputs, policy=None):
+    """Residue-series call price under the model's drift
+    risk_neutral(params).mu; returns (price, SeriesDiagnostics).
 
-    The series kernel (see _series_chain) on a chain of one; the float mu
-    defaults to the model's risk_neutral(params).mu.
+    The series kernel (see _series_chain) on a chain of one.
     """
     validate(params)
     if inputs.strike <= 0.0:
         raise ValidationError("strike_positive",
                               "series price requires strike > 0")
-    if mu is None:
-        mu = risk_neutral(params).mu
-    result, = _series_chain(params, mu, [inputs], policy or DEFAULT_POLICY)
+    result, = _series_chain(params, risk_neutral(params).mu, [inputs],
+                            policy or DEFAULT_POLICY)
     if isinstance(result, Exception):
         raise result
     value, diagnostics = result
@@ -353,31 +325,52 @@ def put_from_parity(call, inputs):
     return max(p, 0.0)
 
 
+def _otm_put(params, inputs, mu):
+    """A put with K > 0 out of the money (y* = -log_fwd - mu tau < 0) by
+    quadrature: parity's C - S + K e^{-r tau} would cancel it away, so it is
+    the direct put plus S (X - 1), X the band's mean factor (the parity
+    value in exact arithmetic, bitwise the direct put at gamma = 1), floored
+    and checked as put_from_parity does."""
+    log_x = numerics.log_mean_factor(mu, inputs.tau, params.gamma)
+    with np.errstate(over="ignore"):
+        shift = inputs.spot * float(np.expm1(log_x))
+    if not math.isfinite(shift):
+        raise numerics.NumericsError(
+            f"mean factor e^{log_x:.6g} of the log-price overflows")
+    put = numerics.reference_price(params, inputs, mu) + shift
+    if put < -1e-8 * inputs.spot:
+        raise ParityError(f"put {put:.3g} below the parity bound 0")
+    return max(put, 0.0)
+
+
 def _price_inputs(params, chain, policy, fallback):
     """price() of each of the PricingInputs sharing spot, rate and tau: its
     value, or the _QUOTE_ERRORS instance refusing it.  An error of the whole
     chain (params, mu) is raised."""
     validate(params)
-    if params.kind is ModelKind.BLACK_SCHOLES:
-        calls = [_attempt(bs_call, inp, params.sigma) for inp in chain]
-    else:
+    bs = params.kind is ModelKind.BLACK_SCHOLES
+    if not bs:
         mu = risk_neutral(params).mu
         series = [inp for inp in chain if inp.strike > 0.0]
         found = _each(len(series), _series_chain, params, mu, series, policy)
-        calls = []
-        for inp in chain:
-            # the series needs K > 0; at K = 0 the payoff is integrated
-            call = next(found) if inp.strike > 0.0 else None
-            if isinstance(call, tuple):
-                call = call[0]
-            elif call is None or (fallback and
-                                  isinstance(call, SeriesDivergenceError)):
-                call = _attempt(numerics.reference_price, params,
-                                replace(inp, kind=OptionKind.CALL), mu)
-            calls.append(call)
-    return [_attempt(put_from_parity, call, inp)
-            if inp.kind is OptionKind.PUT and not isinstance(call, Exception)
-            else call for call, inp in zip(calls, chain)]
+    values = []
+    for inp in chain:
+        put = inp.kind is OptionKind.PUT
+        # the series needs K > 0; at K = 0 the payoff is integrated
+        call = (_attempt(bs_call, inp, params.sigma) if bs
+                else next(found) if inp.strike > 0.0 else None)
+        if isinstance(call, tuple):
+            call = call[0]
+        elif call is None or (fallback and
+                              isinstance(call, SeriesDivergenceError)):
+            if put and inp.strike > 0.0 and -inp.log_fwd - mu * inp.tau < 0.0:
+                values.append(_attempt(_otm_put, params, inp, mu))
+                continue
+            call = _attempt(numerics.reference_price, params,
+                            replace(inp, kind=OptionKind.CALL), mu)
+        values.append(_attempt(put_from_parity, call, inp)
+                      if put and not isinstance(call, Exception) else call)
+    return values
 
 
 def price_chain(params, spot, rate, tau, quotes):
@@ -405,7 +398,7 @@ def price(params, inputs, policy=None, fallback=False):
 
     Puts are priced from the call via parity.  With fallback=True a series
     divergence is resolved by the quadrature reference pricer instead of
-    raising.
+    raising; an out-of-the-money put is then integrated directly.
     """
     value, = _price_inputs(params, [inputs], policy or DEFAULT_POLICY,
                            fallback)
@@ -414,7 +407,6 @@ def price(params, inputs, policy=None, fallback=False):
     return value
 
 
-def partial_sum_table(params, inputs, mu=None, policy=None):
+def partial_sum_table(params, inputs, policy=None):
     """SeriesDiagnostics for the partial-sum convergence plots."""
-    _, diag = dfrac_call_series(params, inputs, mu, policy)
-    return diag
+    return dfrac_call_series(params, inputs, policy)[1]

@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
+import numpy as np
 from scipy.special import gammaln
 
 from .model import ModelParams, mu_gamma_approx
-from .pricing import (OptionKind, PricingInputs, SMILE_POLICY, bs_call,
-                      dfrac_call_series, put_from_parity)
+from .numerics import reciprocal_gamma
+from .pricing import (OptionKind, PricingInputs, SeriesDivergenceError,
+                      bs_call, put_from_parity)
 
 
 # implied_vol's search interval for sigma and its iteration budget
@@ -137,54 +140,62 @@ def atm_fbs_implied(call_price, spot, tau, gamma, strike=None, rate=None):
             * math.sqrt(math.exp(gammaln(1.0 + 2.0 * gamma)) / tau ** gamma))
 
 
-def _fbs_pricer(inputs, gamma):
-    """Price as a function of sigma under alpha=2, time fractionality gamma,
-    with the first-order drift approximation (recomputed at each sigma) and
-    the fixed SMILE_POLICY truncation."""
+# the f-BS smile's fixed truncation of the residue series: n = 0..4, m = 1..4
+_N, _M = np.arange(5), np.arange(1, 5)[:, None]
+_SIGN, _INV_FACT = (-1.0) ** _N, np.exp(-gammaln(_N + 1.0))
+
+
+def _fbs_call(inputs, gamma, sigma):
+    """The f-BS smile's call: pricing._series_chain's terms at alpha = 2 under
+    the first-order drift mu_gamma_approx, summed over n in each slice of
+    the fixed block, then over the slices.  Not certified; its one refusal,
+    a slice not finite or beyond 1e4 (S + K), raises SeriesDivergenceError
+    so that implied_vol pulls its bracket endpoint in."""
+    mu = mu_gamma_approx(ModelParams.double_fractional(2.0, gamma, sigma))
+    tau = inputs.tau
+    A = -inputs.log_fwd - mu * tau
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = _SIGN * np.where(_N == 0, 1.0, A ** _N) * _INV_FACT  # 0^0 := 1
+        slices = (inputs.strike * inputs.discount / 2.0 * coef
+                  * reciprocal_gamma(1.0 - gamma * (_N - _M) / 2.0)
+                  * np.exp(((_M - _N) / 2.0) * math.log(-mu * tau ** gamma))
+                  ).sum(axis=1)
+    if not (np.abs(slices) <= 1e4 * (inputs.spot + inputs.strike)).all():
+        raise SeriesDivergenceError(
+            "f-BS series slice beyond any arbitrage bound")
+    return float(np.cumsum(slices)[-1])
+
+
+def _vol_or_none(inputs, call, market, guess):
+    """implied_vol of the quote from call(sigma), a put's price by parity;
+    None where the inversion fails."""
+    put = inputs.kind is OptionKind.PUT
+
     def pricer(sigma):
-        params = ModelParams.double_fractional(2.0, gamma, sigma)
-        call, _ = dfrac_call_series(params, inputs, mu_gamma_approx(params),
-                                    SMILE_POLICY)
-        if inputs.kind is OptionKind.PUT:
-            return put_from_parity(call, inputs)
-        return call
-    return pricer
+        value = call(sigma)
+        return put_from_parity(value, inputs) if put else value
+    try:
+        return implied_vol(pricer, market, x0=guess).sigma_I
+    except ValueError:
+        return None
 
 
 def build_smile(chain, gammas):
     """Invert every quote of the chain under Black-Scholes and under the
-    alpha=2 fractional model for each requested gamma.
+    alpha=2 fractional model for each requested gamma (_fbs_call).
 
     Per-point inversion failures are recorded as None vols, never raised.
     """
     points = []
     for kind, strike, market in chain.quotes:
         inputs = PricingInputs(chain.spot, strike, chain.rate, chain.tau, kind)
-        guess = None
-        try:
-            anchor = market if inputs.kind is OptionKind.CALL else (
-                market + chain.spot - strike * inputs.discount)
-            if 0.0 < anchor < chain.spot:
-                guess = atm_bs_implied(anchor, chain.spot, chain.tau)
-        except InversionError:
-            guess = None
-
-        def bs_pricer(sigma, inputs=inputs):
-            call = bs_call(inputs, sigma)
-            if inputs.kind is OptionKind.PUT:
-                return put_from_parity(call, inputs)
-            return call
-
-        try:
-            sigma_bs = implied_vol(bs_pricer, market, x0=guess).sigma_I
-        except (InversionError, ValueError):
-            sigma_bs = None
-        sigma_fbs = {}
-        for g in gammas:
-            try:
-                res = implied_vol(_fbs_pricer(inputs, g), market, x0=guess)
-                sigma_fbs[g] = res.sigma_I
-            except (InversionError, ValueError):
-                sigma_fbs[g] = None
+        anchor = market if inputs.kind is OptionKind.CALL else (
+            market + chain.spot - strike * inputs.discount)
+        guess = (atm_bs_implied(anchor, chain.spot, chain.tau)
+                 if 0.0 < anchor < chain.spot else None)
+        sigma_bs = _vol_or_none(inputs, partial(bs_call, inputs), market,
+                                guess)
+        sigma_fbs = {g: _vol_or_none(inputs, partial(_fbs_call, inputs, g),
+                                     market, guess) for g in gammas}
         points.append(SmilePoint(strike, market, sigma_bs, sigma_fbs))
     return points

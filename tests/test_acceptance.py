@@ -340,7 +340,6 @@ def test_criterion_9_property_suite():
         ("tau_positive", lambda: PricingInputs(100.0, 100.0, 0.0, 0.0)),
         ("n_max_range", lambda: TruncationPolicy(n_max=-1)),
         ("m_max_range", lambda: TruncationPolicy(m_max=0)),
-        ("tolerance_positive", lambda: TruncationPolicy(tolerance=0.0)),
         ("spot_positive", lambda: QuoteChain(0.0, 0.0, 1.0, (("call", 1.0, 1.0),))),
         ("tau_positive", lambda: QuoteChain(1.0, 0.0, 0.0, (("call", 1.0, 1.0),))),
         ("kind_value", lambda: QuoteChain(1.0, 0.0, 1.0, (("swap", 1.0, 1.0),))),

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from fracprice import numerics, pricing
 from fracprice.model import ModelParams, ValidationError, risk_neutral
-from fracprice.pricing import (DEFAULT_POLICY, SMILE_POLICY, OptionKind,
-                               ParityError, PricingInputs,
-                               SeriesDivergenceError, TruncationMode,
+from fracprice.pricing import (DEFAULT_POLICY, OptionKind, ParityError,
+                               PricingInputs, SeriesDivergenceError,
                                TruncationPolicy, _band_bounds, bs_call,
                                dfrac_call_series, partial_sum_table, price,
                                price_chain, put_from_parity)
@@ -47,12 +46,8 @@ def test_truncation_policy_validation():
         TruncationPolicy(n_max=-1)
     with pytest.raises(ValidationError):
         TruncationPolicy(m_max=0)
-    with pytest.raises(ValidationError):
-        TruncationPolicy(tolerance=0.0)
     # n_max=0 is a legal degenerate truncation: only the n=0 column.
     assert TruncationPolicy(n_max=0).n_max == 0
-    assert SMILE_POLICY.mode is TruncationMode.FIXED
-    assert SMILE_POLICY.n_max == 4 and SMILE_POLICY.m_max == 4
 
 
 def test_series_reduces_to_black_scholes():
@@ -69,13 +64,6 @@ def test_series_fig3_value_against_quadrature_frozen():
     val, diag = dfrac_call_series(FIG3_PARAMS, FIG3_INPUTS)
     assert diag.converged
     assert val == pytest.approx(290.128688083696, rel=1e-10)
-
-
-def test_series_fixed_4x4_value():
-    val, diag = dfrac_call_series(FIG3_PARAMS, FIG3_INPUTS,
-                                  policy=SMILE_POLICY)
-    assert val == pytest.approx(290.105447344322, rel=1e-10)
-    assert diag.terms_used == 5 * 4   # (n_max+1) * m_max
 
 
 def test_series_partial_sum_shapes():
@@ -236,15 +224,16 @@ def test_mu_does_not_depend_on_pricing_truncation(monkeypatch):
         return real(params, mu, chain, policy)
 
     monkeypatch.setattr(pricing, "_series_chain", spy)
-    price(FIG3_PARAMS, FIG3_INPUTS, TruncationPolicy(tolerance=1e-4))
+    with pytest.raises(SeriesDivergenceError):
+        price(FIG3_PARAMS, FIG3_INPUTS, TruncationPolicy(n_max=5))
     assert used == [risk_neutral(FIG3_PARAMS).mu]
 
 
 
 def _series_loop(params, inputs, mu, policy):
     """The residue series summed one m-slice at a time: the reference for the
-    block evaluation in dfrac_call_series.  Returns (value, diagnostics); an
-    adaptive sum that runs out of m_max returns its partial sum unconverged."""
+    block evaluation in dfrac_call_series.  Returns (value, diagnostics); a
+    sum that runs out of m_max returns its partial sum unconverged."""
     a, g = params.alpha, params.gamma
     tau = inputs.tau
     A = -inputs.log_fwd - mu * tau
@@ -253,7 +242,6 @@ def _series_loop(params, inputs, mu, policy):
     n = np.arange(policy.n_max + 1)
     a_pow = np.where(n == 0, 1.0, A ** n)
     coef_n = (-1.0) ** n * a_pow * np.exp(-pricing.gammaln(n + 1.0))
-    adaptive = policy.mode is TruncationMode.ADAPTIVE
     blowup = 1e4 * (inputs.spot + inputs.strike)
     total = 0.0
     per_n = np.zeros_like(coef_n)
@@ -276,25 +264,21 @@ def _series_loop(params, inputs, mu, policy):
         per_n += col
         sums_m.append(total)
         m_used = m
-        if adaptive:
-            if abs(s) < policy.tolerance * max(abs(total), 1e-300):
-                small += 1
-                if small >= 3:
-                    converged = True
-                    break
-            else:
-                small = 0
-            if abs(s) > prev_abs:
-                grow += 1
-                if grow >= 5:
-                    raise SeriesDivergenceError("growth")
-            else:
-                grow = 0
+        if abs(s) < pricing.SERIES_TOLERANCE * max(abs(total), 1e-300):
+            small += 1
+            if small >= 3:
+                converged = True
+                break
+        else:
+            small = 0
+        if abs(s) > prev_abs:
+            grow += 1
+            if grow >= 5:
+                raise SeriesDivergenceError("growth")
+        else:
+            grow = 0
         prev_abs = abs(s)
-    if not adaptive:
-        converged = (abs(sums_m[-1] - (sums_m[-2] if len(sums_m) > 1 else 0.0))
-                     < policy.tolerance * max(abs(total), 1e-300))
-    elif converged:
+    if converged:
         floor = pricing.ACCURACY_FLOOR * max(abs(total), 1e-300)
         if 2e-14 * peak_term > floor or n_tail > floor:
             raise SeriesDivergenceError("not certifiable")
@@ -314,11 +298,12 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-@pytest.mark.parametrize("policy", [DEFAULT_POLICY, SMILE_POLICY],
-                         ids=["default", "smile"])
+@pytest.mark.parametrize(
+    "policy", [DEFAULT_POLICY, TruncationPolicy(m_max=20)],
+    ids=["default", "m_max_20"])
 def test_series_blocks_match_slice_loop(policy):
     """Block evaluation reproduces the slice loop bitwise; the one change is
-    that an adaptive sum with no stop within m_max raises."""
+    that a sum with no stop within m_max raises."""
     for a in (1.2, 1.5, 1.7, 2.0):
         for g in (0.3, 0.6, 0.9, 1.0, 1.2):
             if not 1.0 - 1.0 / a < g <= a:
@@ -333,10 +318,8 @@ def test_series_blocks_match_slice_loop(policy):
                     for tau in (0.1, 1.0, 3.0):
                         inp = PricingInputs(100.0, k, 0.02, tau)
                         ref = _outcome(_series_loop, params, inp, mu, policy)
-                        got = _outcome(dfrac_call_series, params, inp, mu,
-                                       policy)
-                        if got is SeriesDivergenceError and policy.mode is \
-                                TruncationMode.ADAPTIVE and ref is not got:
+                        got = _outcome(dfrac_call_series, params, inp, policy)
+                        if got is SeriesDivergenceError and ref is not got:
                             assert not ref[1].converged    # m_max exhausted
                         elif isinstance(ref, tuple):
                             assert got[0] == ref[0]
@@ -383,9 +366,8 @@ def test_discount_overflow_is_typed():
     assert inp.discount == math.exp(-0.03 * 0.7)
 
 
-POLICIES = [DEFAULT_POLICY, SMILE_POLICY, TruncationPolicy(n_max=5),
-            TruncationPolicy(m_max=20),
-            TruncationPolicy(mode=TruncationMode.FIXED)]
+POLICIES = [DEFAULT_POLICY, TruncationPolicy(n_max=5),
+            TruncationPolicy(m_max=20)]
 
 
 @st.composite
@@ -472,3 +454,44 @@ def test_price_chain_per_quote_routes():
     bad = ModelParams(params.kind, params.alpha, params.gamma, -1.0)
     assert all(isinstance(v, ValidationError)
                for v in price_chain(bad, 100.0, 0.0, 1.0, quotes))
+
+
+def test_fallback_otm_put_is_integrated_directly():
+    """A quadrature-fallback put out of the money keeps its relative
+    accuracy: parity from the quadrature call cancelled it (1.2e-6 relative
+    off at K = 85, 0.0 at K = 80.016)."""
+    params = ModelParams.double_fractional(2.0, 1.0, 0.199)
+    for strike in (85.0, 80.016):
+        inp = PricingInputs(100.0, strike, 0.01, 0.0199, OptionKind.PUT)
+        with pytest.raises(SeriesDivergenceError):
+            price(params, inp)
+        # gamma = 1: the mean factor is 1, the value the direct integral
+        assert (price(params, inp, fallback=True)
+                == numerics.reference_price(params, inp))
+    inp = PricingInputs(100.0, 85.0, 0.01, 0.0199, OptionKind.PUT)
+    # the Black-Scholes put, evaluated in 50-digit arithmetic
+    assert price(params, inp, fallback=True) == pytest.approx(
+        1.43368872199e-09, rel=pricing.ACCURACY_FLOOR)
+    # an in-the-money fallback put keeps parity from the quadrature call
+    itm = PricingInputs(100.0, 110.0, 0.01, 0.0199, OptionKind.PUT)
+    call = numerics.reference_price(params, PricingInputs(100.0, 110.0, 0.01,
+                                                          0.0199))
+    assert price(params, itm, fallback=True) == put_from_parity(call, itm)
+
+
+def test_fallback_otm_put_parity_value_off_gamma_1():
+    """At gamma != 1 the direct put plus S (X - 1) is parity's value."""
+    params = ModelParams.double_fractional(1.9, 0.9, 0.2)
+    for strike in (60.0, 80.0, 85.0):
+        inp = PricingInputs(100.0, strike, 0.01, 0.02, OptionKind.PUT)
+        call = numerics.reference_price(
+            params, PricingInputs(100.0, strike, 0.01, 0.02))
+        assert price(params, inp, fallback=True) == pytest.approx(
+            put_from_parity(call, inp), rel=1e-12)
+
+
+def test_fallback_otm_put_mean_factor_overflow_is_typed():
+    params = ModelParams.double_fractional(1.7, 0.6, 1.0)
+    inp = PricingInputs(100.0, 100.0, 10.0, 1000.0, OptionKind.PUT)
+    with pytest.raises(numerics.NumericsError, match="mean factor"):
+        price(params, inp, fallback=True)

@@ -1,15 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from fracprice import sampledata
-from fracprice.model import ModelParams
-from fracprice.pricing import OptionKind, PricingInputs, bs_call, price
+from fracprice.model import ModelParams, mu_gamma_approx
+from fracprice.numerics import reciprocal_gamma
+from fracprice.pricing import (OptionKind, ParityError, PricingInputs,
+                               SeriesDivergenceError, bs_call, price,
+                               put_from_parity)
 from fracprice.volatility import (ImpliedVolResult, InversionError,
-                                  atm_bs_implied, atm_fbs_implied,
-                                  build_smile, implied_vol)
+                                  _fbs_call, atm_bs_implied,
+                                  atm_fbs_implied, build_smile, implied_vol)
 
 
 def bs_pricer(inp):
@@ -141,3 +146,98 @@ def test_implied_vol_roundtrip_dfrac(sigma):
 
     res = implied_vol(pricer, price(params, inp))
     assert res.sigma_I == pytest.approx(sigma, abs=1e-7)
+
+
+def _fbs_loop(inputs, gamma, sigma):
+    """The f-BS smile's call one (m, n) term at a time: the reference for
+    the block evaluation in volatility._fbs_call."""
+    params = ModelParams.double_fractional(2.0, gamma, sigma)
+    mu = mu_gamma_approx(params)
+    tau = inputs.tau
+    A = -inputs.log_fwd - mu * tau
+    log_B = math.log(-mu * tau ** gamma)
+    pref = inputs.strike * inputs.discount / 2.0
+    total = 0.0
+    for m in range(1, 5):
+        s = 0.0
+        for n in range(5):
+            with np.errstate(over="ignore", invalid="ignore"):
+                # 0^0 := 1; numpy's elementwise pow, as the block evaluation
+                # takes it (libm's pow, and numpy's own square for a scalar
+                # exponent 2, can differ in the last bit)
+                a_pow = 1.0 if n == 0 else np.power([A], [n])[0]
+                s += (pref * ((-1.0) ** n * a_pow * np.exp(-gammaln(n + 1.0)))
+                      * reciprocal_gamma(1.0 - gamma * (n - m) / 2.0)
+                      * np.exp(((m - n) / 2.0) * log_B))
+        if not abs(s) <= 1e4 * (inputs.spot + inputs.strike):
+            raise SeriesDivergenceError("blow-up")
+        total += s
+    return float(total)
+
+
+def _fbs_outcome(call, inputs, gamma, sigma):
+    """The quote's f-BS price from call, a put's by parity, or the class of
+    the exception refusing it."""
+    try:
+        value = call(inputs, gamma, sigma)
+        if inputs.kind is OptionKind.PUT:
+            return put_from_parity(value, inputs)
+        return value
+    except (SeriesDivergenceError, ParityError) as exc:
+        return type(exc)
+
+
+def test_fbs_call_matches_term_loop():
+    """The smile's fixed 4x4 block sum reproduces the term-by-term loop
+    bitwise, refusals included, over gamma, sigma across the bracket,
+    strikes and both kinds."""
+    refused = priced = 0
+    for g in (0.8, 0.9, 1.0, 1.1):
+        for sigma in np.geomspace(1e-4, 5.0, 12):
+            for k in (70.0, 85.0, 100.0, 115.0, 130.0, 160.0):
+                for kind in ("call", "put"):
+                    for tau, rate in ((0.05, 0.0), (0.5, 0.02), (2.0, 0.05)):
+                        inp = PricingInputs(100.0, k, rate, tau, kind)
+                        ref = _fbs_outcome(_fbs_loop, inp, g, float(sigma))
+                        got = _fbs_outcome(_fbs_call, inp, g, float(sigma))
+                        assert got == ref
+                        refused += ref is SeriesDivergenceError
+                        priced += isinstance(ref, float)
+    assert refused > 100 and priced > 500
+
+
+# build_smile(fixture_chain(), (0.8, 0.9, 1.0, 1.1)) f-BS vols per strike, in
+# gamma order.  The fixed 4x4 sum is uncertified: at gamma = 1 the column is
+# off the Black-Scholes vol (0.442 against 0.265 at K = 1280); these pin the
+# values, not their accuracy.
+FIXTURE_FBS_VOLS = {
+    900.0: (0.3090236613325844, 0.3824053085205392, 0.4809083677360799,
+            0.6162725270123475),
+    940.0: (0.3073864286450983, 0.3736617151218081, 0.46194888335990575,
+            0.5818468949100031),
+    980.0: (0.2982481314412133, 0.3602193889481587, 0.4421298302002675,
+            0.5522383006447485),
+    1020.0: (0.2832262704217486, 0.3417480616056965, 0.418836526027577,
+             0.5219195521182063),
+    1060.0: (0.26485209727355313, 0.3203664915611611, 0.3934770083039815,
+             0.49111582140785115),
+    1100.0: (0.24753768202104895, 0.30068483126230855, 0.37030679247022913,
+             0.46291699499634026),
+    1150.0: (0.23583717243155825, 0.28705836657847333, 0.35016861390280574,
+             0.4281377374942123),
+    1180.0: (0.24143160651143342, 0.29341505184095074, 0.35235995652558694,
+             0.4099435769814756),
+    1220.0: (0.2619963291066048, 0.3180542978864672, 0.3756940544642428,
+             0.4008292651203405),
+    1280.0: (0.3095598070521627, 0.37655900681475546, 0.442418179183177,
+             0.4536513566736522),
+}
+
+
+def test_build_smile_fixture_fbs_vols_pinned():
+    gammas = (0.8, 0.9, 1.0, 1.1)
+    pts = build_smile(sampledata.fixture_chain(), gammas)
+    assert [p.strike for p in pts] == list(FIXTURE_FBS_VOLS)
+    for p in pts:
+        assert [p.sigma_fbs[g] for g in gammas] == pytest.approx(
+            FIXTURE_FBS_VOLS[p.strike], rel=1e-13)
