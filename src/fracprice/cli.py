@@ -17,8 +17,9 @@ from .calibration import CalibrationError, QuoteChain, calibrate
 from .model import (ModelKind, ModelParams, ValidationError, mu_gamma_approx,
                     mu_gamma_mb, mu_gamma_series)
 from .numerics import NumericsError
-from .pricing import (DEFAULT_POLICY, PricingInputs, SeriesDivergenceError,
-                      TruncationPolicy, partial_sum_table, price)
+from .pricing import (DEFAULT_POLICY, ParityError, PricingInputs,
+                      SeriesDivergenceError, TruncationPolicy,
+                      partial_sum_table, price)
 from .volatility import atm_fbs_implied, build_smile
 from . import sampledata
 
@@ -336,7 +337,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValidationError, CalibrationError, SeriesDivergenceError,
-            NumericsError) as e:
+            NumericsError, ParityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ChainFormatError, OSError) as e:

@@ -263,11 +263,12 @@ def _saddle_scans(logX, alpha, gamma, heavy, deep=False):
     """Abscissae minimizing the integrand envelope at each log X, and the
     envelopes there.
 
-    The heavy-side strip is pole-bounded, but the thin-side ratio is analytic
-    arbitrarily far left and its superexponential tails put the saddle deeper
-    than any fixed window (~ -X^2/2 in the Gaussian limit).  With deep=True
-    the window is widened until the minimum is interior, which keeps relative
-    accuracy at any tail depth; the default stays inside the fixed strip that
+    The heavy-side strip at alpha < 2 is pole-bounded, but the thin-side
+    ratio (the heavy side's too at alpha = 2) is analytic arbitrarily far
+    left and its superexponential tails put the saddle deeper than any fixed
+    window (~ -X^2/2 in the Gaussian limit).  With deep=True the window is
+    widened until the minimum is interior, which keeps relative accuracy at
+    any tail depth; the default stays inside the fixed strip that
     the shared-line batch evaluator is built around.  Only the cs * log X
     term depends on the point, so each window's Gamma ratio is evaluated once
     for every point still scanning."""
@@ -282,7 +283,7 @@ def _saddle_scans(logX, alpha, gamma, heavy, deep=False):
         for i0 in range(0, todo.size, 64):            # bound the work matrix
             obj = strip + cs * logX[todo[i0:i0 + 64], None]
             i[i0:i0 + 64] = obj.argmin(axis=1)
-        done = (i > 4) | (heavy or not deep or lo < -1e5)
+        done = (i > 4) | ((heavy and alpha < 2.0) or not deep or lo < -1e5)
         c[todo[done]] = cs[i[done]]
         env[todo[done]] = strip[i[done]] + cs[i[done]] * logX[todo[done]]
         todo = todo[~done]
@@ -363,9 +364,12 @@ def _density_batch(xs, alpha, gamma, ell):
         cpt = np.clip(np.interp(logX, kn, ck), lo, hi)
         sad = np.interp(logX, kn, sk) + cpt * logX    # per-point log-envelope
         floor = sad.max() - 42.0                      # batch absolute floor
+        # a point enveloped below the floor is 0.0: lines built to that
+        # floor could only return noise for it
+        live = sad >= floor
         grp = np.round(cpt / 0.25).astype(int)
-        vals = np.empty_like(logX)
-        for g in np.unique(grp):
+        vals = np.zeros_like(logX)
+        for g in np.unique(grp[live]):
             sel = grp == g
             c = float(np.clip(g * 0.25, lo, hi))
             env_cap = float((np.maximum(sad[sel] - 34.0, floor)
@@ -374,10 +378,11 @@ def _density_batch(xs, alpha, gamma, ell):
                                float(np.abs(logX[sel]).max()))
             lr = _mellin_log_ratio(t, alpha, gamma, heavy)
             lrmax = lr.real.max()
+            sel &= live
             res = _line_sums(logX[sel], t, w * np.exp(lr - lrmax))
             vals[sel] = res / math.pi * np.exp(lrmax + c * logX[sel])
-        # far-tail values below the cancellation floor come back as signed
-        # noise ~ envelope*eps; the density is nonnegative, so clip to 0
+        # live values near the floor can come back as signed noise
+        # ~ envelope*eps; the density is nonnegative, so clip to 0
         out[m] = np.maximum(vals, 0.0) / (alpha * np.abs(xs[m]))
     return out
 
@@ -402,13 +407,16 @@ def _tail_masses(Ys, alpha, gamma, ell, heavy):
 
     Each point is integrated on the line through its own (deep) saddle.
     Points whose saddles share an abscissa share one line, long enough for
-    the lowest envelope target among them, and one Gamma-ratio evaluation."""
+    the lowest envelope target among them, and one Gamma-ratio evaluation.
+    A point whose saddle envelope is below e^-800 gets no line: its mass,
+    at most that envelope times the line's length, underflows to 0.0."""
     logX = np.log(np.asarray(Ys, float) / ell)
     cs, sad = _saddle_scans(logX, alpha, gamma, heavy, deep=True)
     cs = np.minimum(cs, -0.3)
-    out = np.empty_like(logX)
-    for c in np.unique(cs):
-        sel = cs == c
+    live = sad >= -800.0
+    out = np.zeros_like(logX)
+    for c in np.unique(cs[live]):
+        sel = live & (cs == c)
         lx = logX[sel]
         t, w = _line_nodes(c, alpha, gamma, heavy,
                            float((sad[sel] - c * lx).min()) - 34.0,
@@ -468,16 +476,19 @@ def _payoff_upper_cutoff(ystar, alpha, gamma, ell, log_tol):
     return y
 
 
-def _tilted_tail_call(ystar, alpha, gamma, ell):
-    """E[(e^y - e^{ystar})^+] deep in the thin tail, where pointwise density
-    values sink below the contour quadrature's cancellation floor.
+def _tilted_tail_call(ystar, alpha, gamma, ell, scale, negligible):
+    """scale * E[(e^y - e^{ystar})^+] deep in the thin tail, where pointwise
+    density values sink below the contour quadrature's cancellation floor.
 
     Integration by parts turns the payoff integral into
     int_{ystar}^inf e^y P[y' > y] dy, a product of positive factors in which
     each tail probability is evaluated on a contour through its own saddle,
     in log space, so relative accuracy survives even when the result is
     dozens of orders of magnitude below the forward.  The quadrature nodes'
-    tail probabilities are one _tail_masses batch.
+    tail probabilities are one _tail_masses batch.  The integrand falls
+    from its maximum at ystar, so the integral up to the cutoff is at most
+    that maximum times the cutoff's distance; when twice this bound, times
+    scale, is below `negligible`, 0.0 is returned without the batch.
 
     Returns None when the tail cannot be resolved in double precision."""
     sad = _saddle_scans([math.log(ystar / ell)], alpha, gamma, False, True)[1]
@@ -497,11 +508,14 @@ def _tilted_tail_call(ystar, alpha, gamma, ell):
         ycut = ycut * 1.25 + 0.25 * ell
         if log_integrand([ycut])[0] < top - 40.0:
             break
+    if 2.0 * scale * math.exp(top) * (ycut - ystar) < negligible:
+        return 0.0
     ys, ws = _gauss_panels(np.geomspace(ystar, ycut, 12), _GL16)
-    return float(np.exp(log_integrand(ys) - top) @ ws) * math.exp(top)
+    return scale * (float(np.exp(log_integrand(ys) - top) @ ws)
+                    * math.exp(top))
 
 
-def reference_price(params, inputs, mu=None):
+def reference_price(params, inputs, mu=None, *, _negligible=0.0):
     """Discounted expected payoff under the Green density, by quadrature.
 
     e^{-r tau} * E[(S e^{(r+mu) tau + y} - K)^+] for calls and the mirrored
@@ -512,7 +526,11 @@ def reference_price(params, inputs, mu=None):
     The integral is taken on the out-of-the-money side, where the value is
     small: an in-the-money call (K > 0, y* < 0) is the put integral over
     y < y* plus parity under the mean factor, C = P + S X - K e^{-r tau}.
-    A mean factor beyond the float range raises NumericsError.
+    A mean factor or forward beyond the float range raises NumericsError.
+
+    _negligible is for pricing's puts by parity: a call whose deep-tail
+    integral is bounded below it comes back as 0.0 without that integral.
+    They pass ulp(S)/4, under which any call C rounds C - S to -S.
     """
     if mu is None:
         from .model import risk_neutral  # deferred: model imports this module
@@ -522,7 +540,14 @@ def reference_price(params, inputs, mu=None):
     alpha, gamma = params.alpha, params.gamma
     S, K, r, tau = inputs.spot, inputs.strike, inputs.rate, inputs.tau
     ell = (-mu * tau ** gamma) ** (1.0 / alpha)
-    fwd = S * math.exp((r + mu) * tau)
+    try:
+        fwd = S * math.exp((r + mu) * tau)
+    except OverflowError:
+        fwd = math.inf
+    if not math.isfinite(fwd):
+        raise NumericsError(
+            f"forward S e^((r + mu) tau) = {S:.6g} e^{(r + mu) * tau:.6g} "
+            "overflows")
     disc = inputs.discount
     call = inputs.kind.value == "call"
     if K <= 0.0:
@@ -544,9 +569,10 @@ def reference_price(params, inputs, mu=None):
             body = 0.0
         if K > 0.0 and ystar > 0.0 and body <= 1e-10 * fwd:
             # so far out that the density values themselves are unreliable
-            tail = _tilted_tail_call(ystar, alpha, gamma, ell)
+            tail = _tilted_tail_call(ystar, alpha, gamma, ell, disc * fwd,
+                                     _negligible)
             if tail is not None:
-                return disc * fwd * tail
+                return tail
         return body
 
     if call:

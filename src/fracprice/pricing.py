@@ -366,7 +366,10 @@ def _price_inputs(params, chain, policy, fallback):
             if put and inp.strike > 0.0 and -inp.log_fwd - mu * inp.tau < 0.0:
                 values.append(_attempt(_otm_put, params, inp, mu))
                 continue
-            call = _attempt(numerics.reference_price, params,
+            # a put by parity cannot see a call below ulp(S)/4
+            quadrature = partial(numerics.reference_price, _negligible=(
+                math.ulp(inp.spot) / 4.0 if put else 0.0))
+            call = _attempt(quadrature, params,
                             replace(inp, kind=OptionKind.CALL), mu)
         values.append(_attempt(put_from_parity, call, inp)
                       if put and not isinstance(call, Exception) else call)

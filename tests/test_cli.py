@@ -254,6 +254,13 @@ BS_ATM = ("--spot", "100", "--strike", "100", "--rate", "0", "--tau", "1")
     (("--model", "fmls", "--alpha", "1.7", "--sigma", "1e6", "--spot", "100",
       "--strike", "100", "--tau", "1"),
      "series coefficients A^n/n! overflow at |A|=9.87e+09"),
+    # at gamma > 1 the mean factor X < 1 puts the fallback put P + S (X - 1)
+    # below zero: a refused value, not a crash
+    (("--model", "dfrac", "--alpha", "1.9091501082217124",
+      "--gamma", "1.1754297176642157", "--sigma", "0.6192074448521081",
+      "--spot", "118.0147182757466", "--strike", "68.53964351244062",
+      "--rate", "0.02276989831963662", "--tau", "0.3158102075975164",
+      "--kind", "put", "--fallback"), "below the parity bound 0"),
 ])
 def test_price_rejected_inputs_exit_2(capsys, argv, reason):
     rc, out, err = run(capsys, "price", *argv)

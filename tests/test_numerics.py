@@ -213,7 +213,7 @@ def _scan_loop(logX, alpha, gamma, heavy, deep):
         cs = np.linspace(lo, hi, 321)
         obj = _mellin_log_ratio(cs + 0.5j, alpha, gamma, heavy).real + cs * logX
         i = int(np.argmin(obj))
-        if heavy or not deep or i > 4 or lo < -1e5:
+        if (heavy and alpha < 2.0) or not deep or i > 4 or lo < -1e5:
             return float(cs[i]), float(obj[i])
         lo *= 4.0
 
@@ -259,6 +259,65 @@ def test_tail_masses_match_per_point_lines(alpha, gamma, heavy):
                     for Y in Ys])
     assert np.all(ref >= 0.0) and (ref > 1e-300).sum() >= 60
     assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+
+def test_heavy_tail_masses_at_alpha_2_are_the_thin_side():
+    """At alpha = 2 the density is symmetric and the heavy ratio is the thin
+    one, so the heavy scan widens as the thin one does: the far tail is
+    resolved, not signed noise (down to -2.5e-40) from the fixed strip."""
+    Ys = 0.1 * np.geomspace(0.3, 60.0, 40)
+    heavy = _tail_masses(Ys, 2.0, 1.0, 0.1, True)
+    assert np.all(heavy >= 0.0)
+    assert heavy.tolist() == _tail_masses(Ys, 2.0, 1.0, 0.1, False).tolist()
+
+
+def _floor_margins(xs, alpha, gamma, ell):
+    """Reference: each point's log-envelope as _density_batch assigns it
+    (saddle scans at knots, interpolated), less the batch floor."""
+    heavy = bool(xs[0] < 0.0)
+    logX = np.log(np.abs(xs) / ell)
+    kn = np.linspace(logX.min() - 1e-9, logX.max() + 1e-9,
+                     min(33, 2 + len(logX)))
+    ck, sk = _saddle_scans(kn, alpha, gamma, heavy)
+    cpt = np.clip(np.interp(logX, kn, ck), *_analytic_strip(alpha, heavy))
+    sad = np.interp(logX, kn, sk - ck * kn) + cpt * logX
+    return sad - (sad.max() - 42.0)
+
+
+# Densities at ell = 0.1 as computed before below-floor points were
+# skipped, at indices into xs; the highest lie e^3 to e^15 above the floor.
+DENSITY_PINS = [
+    (2.0, 1.0, -np.geomspace(0.01, 61.0, 120), {
+        0: 2.8139043560650503, 20: 2.691947748937935, 40: 1.1743075262642528,
+        56: 0.0003048425440020687, 58: 1.3611213962742867e-05,
+        60: 2.1091257829877e-07, 62: 7.911051590771462e-10,
+        63: 2.461919868285032e-11, 64: 4.431734806092199e-13,
+        65: 4.23280084458972e-15, 66: 1.9409281834357995e-17,
+        67: 3.8059198096040795e-20, 68: 2.818482821057343e-23}),
+    (1.7, 0.9, np.geomspace(0.01, 30.0, 120), {
+        0: 3.1508260963738133, 20: 3.1308368022711526, 40: 2.008037460874019,
+        60: 0.00038153431128569936, 62: 1.8482961696071146e-05,
+        64: 3.278206844712765e-07, 66: 1.5264142710208725e-09,
+        67: 5.5215832452794036e-11, 68: 1.1984207930531033e-12,
+        69: 1.4428198944500774e-14, 70: 8.801039741724704e-17,
+        71: 2.450139497993841e-19, 72: 2.7594617403812577e-22}),
+]
+
+
+@pytest.mark.parametrize("alpha, gamma, xs, pins", DENSITY_PINS)
+def test_density_batch_is_zero_below_floor(alpha, gamma, xs, pins):
+    """A point enveloped below the batch floor (e^-42 of the batch's largest
+    envelope) is exactly 0.0; before, lines built to that floor returned
+    noise there (up to 3e-29), clipped at 0.  The lines of the points left
+    are unchanged: their values keep 1e-13 relative, or 1e-30 of the
+    batch's largest where cancelling terms within e^-8 of the floor round
+    differently."""
+    g = _density_batch(xs, alpha, gamma, 0.1)
+    margin = _floor_margins(xs, alpha, gamma, 0.1)
+    assert (margin < 0.0).sum() >= 40 and np.all(g[margin < 0.0] == 0.0)
+    for i, v in pins.items():
+        assert margin[i] >= 0.0
+        assert abs(g[i] - v) <= 1e-13 * v + 1e-30 * g.max()
 
 
 @settings(max_examples=20, deadline=None)

@@ -495,3 +495,50 @@ def test_fallback_otm_put_mean_factor_overflow_is_typed():
     inp = PricingInputs(100.0, 100.0, 10.0, 1000.0, OptionKind.PUT)
     with pytest.raises(numerics.NumericsError, match="mean factor"):
         price(params, inp, fallback=True)
+
+
+def test_fallback_forward_overflow_is_typed():
+    params = ModelParams.double_fractional(1.7, 0.6, 1.0)
+    inp = PricingInputs(100.0, 100.0, 10.0, 1000.0)
+    with pytest.raises(numerics.NumericsError, match="forward .* overflows"):
+        price(params, inp, fallback=True)
+
+
+@pytest.mark.parametrize("alpha, gamma, sigma, tau, strike, call_size", [
+    (2.0, 1.0, 0.2, 0.02, 120.0, 2.8e-11),
+    (2.0, 1.0, 0.2, 0.02, 130.0, 3.2e-21),
+    (2.0, 1.0, 0.2, 0.05, 140.0, 2.0e-14),
+    (1.6, 1.0, 0.25, 0.05, 120.0, 4.5e-11),
+    (1.6, 1.0, 0.25, 0.02, 125.0, 1.4e-70),
+    (1.8, 1.15, 0.2, 0.05, 110.0, 4.4e-9),
+    (1.8, 1.15, 0.2, 0.02, 118.0, 3.9e-155),
+])
+def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
+                                                    sigma, tau, strike,
+                                                    call_size):
+    """An in-the-money put the series refuses is parity from the quadrature
+    call.  Where that call is below ulp(S)/4, C - S rounds to -S whatever
+    it is, so the put skips the call's deep-tail batch (its tail
+    probabilities come one point at a time); elsewhere it integrates it.
+    Either way the put is bitwise parity from reference_price's call."""
+    params = (ModelParams.fmls(alpha, sigma) if gamma == 1.0 and alpha < 2.0
+              else ModelParams.double_fractional(alpha, gamma, sigma))
+    put = PricingInputs(100.0, strike, 0.01, tau, OptionKind.PUT)
+    call = PricingInputs(100.0, strike, 0.01, tau)
+    with pytest.raises(SeriesDivergenceError):
+        dfrac_call_series(params, call)
+    sizes = []
+    tail_masses = numerics._tail_masses
+
+    def spy(Ys, *args):
+        sizes.append(len(Ys))
+        return tail_masses(Ys, *args)
+
+    monkeypatch.setattr(numerics, "_tail_masses", spy)
+    value = price(params, put, fallback=True)
+    put_sizes, sizes[:] = sizes[:], []
+    c = numerics.reference_price(params, call)
+    assert c == pytest.approx(call_size, rel=0.05)
+    assert max(sizes) == 176                    # the call is integrated
+    assert max(put_sizes) == (1 if c < math.ulp(100.0) / 4.0 else 176)
+    assert value == put_from_parity(c, put)
