@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import ModelKind, ModelParams, ValidationError, validate
 from .pricing import PricingInputs, price_chain
@@ -22,11 +22,13 @@ GAMMA_MARGIN = 1e-3
 
 @dataclass(frozen=True)
 class QuoteChain:
-    """Market quotes (kind, strike, price) sharing one spot/rate/maturity."""
+    """Market quotes (kind, strike, price) sharing one spot/rate/maturity;
+    inputs holds each quote's PricingInputs, built once here."""
     spot: float
     rate: float
     tau: float
     quotes: tuple
+    inputs: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "quotes", tuple(
@@ -36,6 +38,7 @@ class QuoteChain:
             raise ValidationError("spot_positive", "spot must be > 0")
         if not self.tau > 0.0:
             raise ValidationError("tau_positive", "tau must be > 0")
+        inputs = []
         for k, s, p in self.quotes:
             if k not in ("call", "put"):
                 raise ValidationError("kind_value", f"unknown quote kind {k!r}")
@@ -45,7 +48,8 @@ class QuoteChain:
                 raise ValidationError("price_range", "prices must be >= 0")
             # the pricer's input checks (every number finite, a finite
             # log-forward and discount factor) refuse the chain as a whole
-            PricingInputs(self.spot, s, self.rate, self.tau, k)
+            inputs.append(PricingInputs(self.spot, s, self.rate, self.tau, k))
+        object.__setattr__(self, "inputs", tuple(inputs))
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,7 @@ def _quote_errors(params, chain, penalties):
     A quote the model refuses costs a large finite penalty (10x the summed
     market prices) and is counted in the Counter penalties."""
     penalty = 10.0 * sum(p for _, _, p in chain.quotes)
-    values = price_chain(params, chain.spot, chain.rate, chain.tau,
-                         [(kind, strike) for kind, strike, _ in chain.quotes])
+    values = price_chain(params, chain.inputs)
     errs = []
     for value, (_, _, market) in zip(values, chain.quotes):
         if isinstance(value, Exception):

@@ -100,7 +100,6 @@ class RiskNeutralParam:
     """The drift correction mu (< 0) and how it was obtained."""
     mu: float
     n_terms_used: int
-    converged: bool
 
 
 def mu_levy(alpha, sigma):
@@ -140,7 +139,7 @@ def mu_gamma_series(params):
     q = -mu_levy(a, params.sigma)
     log_sum, n = log_gamma_series(q, a, b, MU_TOLERANCE,
                                   _mu_term_budget(q, a, b))
-    return RiskNeutralParam(-log_sum, n, True)
+    return RiskNeutralParam(-log_sum, n)
 
 
 def _mu_term_budget(q, a, b):

@@ -515,22 +515,23 @@ def _tilted_tail_call(ystar, alpha, gamma, ell, scale, negligible):
                     * math.exp(top))
 
 
-def reference_price(params, inputs, mu=None, *, _negligible=0.0):
+def reference_price(params, inputs, mu=None):
     """Discounted expected payoff under the Green density, by quadrature.
 
-    e^{-r tau} * E[(S e^{(r+mu) tau + y} - K)^+] for calls and the mirrored
-    integrand for puts, with the drift correction mu of the model (computed
-    from params when not supplied).  This is the oracle the series engine is
-    checked against; it makes no use of the residue series.
+    e^{-r tau} * E[(S e^{(r+mu) tau + y} - K)^+] for calls, with the drift
+    correction mu of the model (computed from params when not supplied), and
+    for puts the package's parity P = C - S + K e^{-r tau}, not floored.
+    This is the oracle the series engine is checked against; it makes no use
+    of the residue series.
 
-    The integral is taken on the out-of-the-money side, where the value is
-    small: an in-the-money call (K > 0, y* < 0) is the put integral over
-    y < y* plus parity under the mean factor, C = P + S X - K e^{-r tau}.
-    A mean factor or forward beyond the float range raises NumericsError.
-
-    _negligible is for pricing's puts by parity: a call whose deep-tail
-    integral is bounded below it comes back as 0.0 without that integral.
-    They pass ulp(S)/4, under which any call C rounds C - S to -S.
+    Only the out-of-the-money side, where the value is small, is integrated.
+    With y* = -log_fwd - mu tau >= 0 (or K = 0) that is the call C, and a
+    put is C - S + K e^{-r tau}; a put cannot see a call whose deep-tail
+    integral is bounded below ulp(S)/4, so that tail is then skipped.  With
+    y* < 0 it is the put integral P, and a put is P + S (X - 1), a call
+    P + S X - K e^{-r tau}, X the mean factor of log_mean_factor.  A forward
+    S e^{(r + mu) tau} outside the float range, or then a mean factor beyond
+    it, raises NumericsError.
     """
     if mu is None:
         from .model import risk_neutral  # deferred: model imports this module
@@ -544,50 +545,42 @@ def reference_price(params, inputs, mu=None, *, _negligible=0.0):
         fwd = S * math.exp((r + mu) * tau)
     except OverflowError:
         fwd = math.inf
-    if not math.isfinite(fwd):
+    if not 0.0 < fwd < math.inf:
         raise NumericsError(
             f"forward S e^((r + mu) tau) = {S:.6g} e^{(r + mu) * tau:.6g} "
-            "overflows")
+            f"{'overflows' if fwd else 'underflows'}")
     disc = inputs.discount
     call = inputs.kind.value == "call"
-    if K <= 0.0:
-        if not call:
-            return 0.0
-        ystar = -60.0
-    else:
-        ystar = -(math.log(S / K) + r * tau) - mu * tau
+    ystar = -60.0 if K <= 0.0 else -(math.log(S / K) + r * tau) - mu * tau
 
-    if call and (K <= 0.0 or ystar >= 0.0):
+    if K <= 0.0 or ystar >= 0.0:
         log_tol = math.log(1e-15 * max(K, fwd) / fwd)
         yhi = _payoff_upper_cutoff(ystar, alpha, gamma, ell, log_tol)
         if yhi > ystar:
             ys, ws = _geometric_panels(ystar, yhi, ell)
             g = _density_batch(ys, alpha, gamma, ell)
             pay = fwd * np.exp(ys) - K
-            body = disc * float((pay * g) @ ws)
+            c = disc * float((pay * g) @ ws)
         else:
-            body = 0.0
-        if K > 0.0 and ystar > 0.0 and body <= 1e-10 * fwd:
+            c = 0.0
+        if K > 0.0 and ystar > 0.0 and c <= 1e-10 * fwd:
             # so far out that the density values themselves are unreliable
             tail = _tilted_tail_call(ystar, alpha, gamma, ell, disc * fwd,
-                                     _negligible)
+                                     0.0 if call else math.ulp(S) / 4.0)
             if tail is not None:
-                return tail
-        return body
+                c = tail
+        return c if call else c - S + K * disc
 
-    if call:
-        log_x = log_mean_factor(mu, tau, gamma)
-        try:
-            mean = S * math.exp(log_x)              # e^{-r tau} E[S_T]
-        except OverflowError:
-            mean = math.inf
-        if not math.isfinite(mean):
-            raise NumericsError(
-                f"mean factor e^{log_x:.6g} of the log-price overflows")
+    log_x = log_mean_factor(mu, tau, gamma)
+    with np.errstate(over="ignore"):
+        shift = S * float(np.expm1(log_x))          # S (X - 1)
+    if not math.isfinite(shift):
+        raise NumericsError(
+            f"mean factor e^{log_x:.6g} of the log-price overflows")
     ylo = 60.0 + abs(ystar)
     ys, ws = _geometric_panels(-ylo, ystar, ell)
     g = _density_batch(ys, alpha, gamma, ell)
     pay = K - fwd * np.exp(ys)
     body = float((pay * g) @ ws)
     put = disc * (body + K * _tail_mass(ylo, alpha, gamma, ell, True))
-    return put + mean - K * disc if call else put
+    return put + S * math.exp(log_x) - K * disc if call else put + shift

@@ -5,7 +5,7 @@ via parity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
@@ -316,31 +316,17 @@ def dfrac_call_series(params, inputs, policy=None):
     return value, diagnostics()
 
 
-def put_from_parity(call, inputs):
-    """P = C - S + K e^{-r tau}, floored at 0; rejects inconsistent calls."""
-    p = call - inputs.spot + inputs.strike * inputs.discount
-    if p < -1e-8 * inputs.spot:
-        raise ParityError(
-            f"call {call} below parity bound by {p:.3g}")
-    return max(p, 0.0)
-
-
-def _otm_put(params, inputs, mu):
-    """A put with K > 0 out of the money (y* = -log_fwd - mu tau < 0) by
-    quadrature: parity's C - S + K e^{-r tau} would cancel it away, so it is
-    the direct put plus S (X - 1), X the band's mean factor (the parity
-    value in exact arithmetic, bitwise the direct put at gamma = 1), floored
-    and checked as put_from_parity does."""
-    log_x = numerics.log_mean_factor(mu, inputs.tau, params.gamma)
-    with np.errstate(over="ignore"):
-        shift = inputs.spot * float(np.expm1(log_x))
-    if not math.isfinite(shift):
-        raise numerics.NumericsError(
-            f"mean factor e^{log_x:.6g} of the log-price overflows")
-    put = numerics.reference_price(params, inputs, mu) + shift
+def _floor_put(put, inputs):
+    """A put value floored at 0; one below -1e-8 S is refused."""
     if put < -1e-8 * inputs.spot:
         raise ParityError(f"put {put:.3g} below the parity bound 0")
     return max(put, 0.0)
+
+
+def put_from_parity(call, inputs):
+    """P = C - S + K e^{-r tau}, floored at 0; rejects inconsistent calls."""
+    return _floor_put(call - inputs.spot + inputs.strike * inputs.discount,
+                      inputs)
 
 
 def _price_inputs(params, chain, policy, fallback):
@@ -355,53 +341,50 @@ def _price_inputs(params, chain, policy, fallback):
         found = _each(len(series), _series_chain, params, mu, series, policy)
     values = []
     for inp in chain:
-        put = inp.kind is OptionKind.PUT
-        # the series needs K > 0; at K = 0 the payoff is integrated
-        call = (_attempt(bs_call, inp, params.sigma) if bs
-                else next(found) if inp.strike > 0.0 else None)
-        if isinstance(call, tuple):
-            call = call[0]
-        elif call is None or (fallback and
-                              isinstance(call, SeriesDivergenceError)):
-            if put and inp.strike > 0.0 and -inp.log_fwd - mu * inp.tau < 0.0:
-                values.append(_attempt(_otm_put, params, inp, mu))
-                continue
-            # a put by parity cannot see a call below ulp(S)/4
-            quadrature = partial(numerics.reference_price, _negligible=(
-                math.ulp(inp.spot) / 4.0 if put else 0.0))
-            call = _attempt(quadrature, params,
-                            replace(inp, kind=OptionKind.CALL), mu)
-        values.append(_attempt(put_from_parity, call, inp)
-                      if put and not isinstance(call, Exception) else call)
+        # the series needs K > 0; at K = 0 the quote is integrated
+        value = (_attempt(bs_call, inp, params.sigma) if bs
+                 else next(found) if inp.strike > 0.0 else None)
+        floor = put_from_parity
+        if isinstance(value, tuple):
+            value = value[0]
+        elif value is None or (fallback and
+                               isinstance(value, SeriesDivergenceError)):
+            # the quadrature prices the quote as given, a put by parity
+            value = _attempt(numerics.reference_price, params, inp, mu)
+            floor = _floor_put
+        if inp.kind is OptionKind.PUT and not isinstance(value, Exception):
+            value = _attempt(floor, value, inp)
+        values.append(value)
     return values
 
 
-def price_chain(params, spot, rate, tau, quotes):
-    """Price (kind, strike) quotes sharing (params, spot, rate, tau) under
-    the default truncation policy, without fallback.
+def price_chain(params, chain):
+    """Price PricingInputs sharing (spot, rate, tau) under the default
+    truncation policy, without fallback; inputs that do not share them
+    raise ValidationError (code chain_terms).
 
-    Returns one entry per quote: the float price() returns for it, or the
+    Returns one entry per input: the float price() returns for it, or the
     exception price() raises (a ValidationError, SeriesDivergenceError,
     ParityError, NumericsError or OverflowError; any other propagates).
     The drift mu, the residue series' strike-independent factors and the
     band's mean factor are computed once for the chain.
     """
-    chain = [_attempt(PricingInputs, spot, strike, rate, tau, kind)
-             for kind, strike in quotes]
-    valid = [inp for inp in chain if not isinstance(inp, Exception)]
-    priced = _each(len(valid), _price_inputs, params, valid, DEFAULT_POLICY,
-                   False)
-    return [inp if isinstance(inp, Exception) else next(priced)
-            for inp in chain]
+    terms = {(inp.spot, inp.rate, inp.tau) for inp in chain}
+    if len(terms) > 1:
+        raise ValidationError(
+            "chain_terms", f"chain inputs must share (spot, rate, tau); "
+            f"got {len(terms)} different")
+    return list(_each(len(chain), _price_inputs, params, chain,
+                      DEFAULT_POLICY, False))
 
 
 def price(params, inputs, policy=None, fallback=False):
     """Dispatch to the closed form or the series by model kind; a scalar
     price is a chain of one (see price_chain).
 
-    Puts are priced from the call via parity.  With fallback=True a series
-    divergence is resolved by the quadrature reference pricer instead of
-    raising; an out-of-the-money put is then integrated directly.
+    Puts are priced by parity, P = C - S + K e^{-r tau}, floored at 0.
+    With fallback=True a series divergence is resolved by the quadrature
+    reference pricer instead of raising, which prices the put itself.
     """
     value, = _price_inputs(params, [inputs], policy or DEFAULT_POLICY,
                            fallback)

@@ -12,8 +12,8 @@ from scipy.special import gammaln
 
 from .model import ModelParams, mu_gamma_approx
 from .numerics import reciprocal_gamma
-from .pricing import (OptionKind, PricingInputs, SeriesDivergenceError,
-                      bs_call, put_from_parity)
+from .pricing import (OptionKind, SeriesDivergenceError, bs_call,
+                      put_from_parity)
 
 
 # implied_vol's search interval for sigma and its iteration budget
@@ -187,8 +187,7 @@ def build_smile(chain, gammas):
     Per-point inversion failures are recorded as None vols, never raised.
     """
     points = []
-    for kind, strike, market in chain.quotes:
-        inputs = PricingInputs(chain.spot, strike, chain.rate, chain.tau, kind)
+    for (_, strike, market), inputs in zip(chain.quotes, chain.inputs):
         anchor = market if inputs.kind is OptionKind.CALL else (
             market + chain.spot - strike * inputs.discount)
         guess = (atm_bs_implied(anchor, chain.spot, chain.tau)

@@ -15,8 +15,8 @@ from fracprice.calibration import QuoteChain, calibrate
 from fracprice.model import (ModelKind, ModelParams, ValidationError, mu_levy,
                              mu_gamma_mb, mu_gamma_series, validate)
 from fracprice.numerics import (GreenDensityQuery, NumericsError,
-                                _density_batch, _tail_mass, reciprocal_gamma,
-                                reference_price)
+                                _density_batch, _geometric_panels, _tail_mass,
+                                reciprocal_gamma, reference_price)
 from fracprice.pricing import (OptionKind, PricingInputs, TruncationPolicy,
                                bs_call, partial_sum_table, price,
                                put_from_parity)
@@ -248,6 +248,24 @@ def test_criterion_8_calibration_recovery():
            f"{ordered}; {time.perf_counter() - t0:.0f}s")
 
 
+def _direct_put(params, inputs):
+    """The put payoff integrated against the Green density below y*, plus
+    K P[y < -ylo] beyond the cutoff: the direct put integral, independent
+    of how reference_price routes a quote."""
+    mu = mu_gamma_series(params).mu
+    alpha, gamma = params.alpha, params.gamma
+    S, K, r, tau = inputs.spot, inputs.strike, inputs.rate, inputs.tau
+    ell = (-mu * tau ** gamma) ** (1.0 / alpha)
+    fwd = S * math.exp((r + mu) * tau)
+    ystar = -(math.log(S / K) + r * tau) - mu * tau
+    ylo = 60.0 + abs(ystar)
+    ys, ws = _geometric_panels(-ylo, ystar, ell)
+    body = float(((K - fwd * np.exp(ys))
+                  * _density_batch(ys, alpha, gamma, ell)) @ ws)
+    return inputs.discount * (body
+                              + K * _tail_mass(ylo, alpha, gamma, ell, True))
+
+
 def _band_holds(params, inputs, X):
     c = price(params, inputs, fallback=True)
     pad = 1e-9 * inputs.spot
@@ -275,18 +293,24 @@ def test_criterion_9_property_suite():
                 PricingInputs(100.0 * ratio, 100.0, 0.01, 1.0),
                 mean_factor(alpha, gamma, 0.2, 1.0))
 
-    # put-call parity: genuine two-sided quadrature at gamma=1, and its
-    # mean-factor generalization C - P = S*X - K e^{-r tau} at gamma != 1
-    # (plain parity is off by S(X-1) there, ~2e-3 relative at these params)
+    # put-call parity: the call integral against the direct put integral
+    # (two-sided quadrature), C - P = S*X - K e^{-r tau}, exact parity at
+    # gamma=1 and its mean-factor generalization at gamma != 1; and the
+    # package's put, plain parity P = C - S + K e^{-r tau}, from the
+    # quadrature (reference_price) and from the series
     parity_gap = 0.0
     for alpha, gamma in ((1.7, 1.0), (2.0, 1.0), (1.7, 0.9)):
         params = dfrac(alpha, gamma, 0.2)
         ci = PricingInputs(100.0, 105.0, 0.02, 0.75)
         pi = PricingInputs(100.0, 105.0, 0.02, 0.75, OptionKind.PUT)
-        gap = (reference_price(params, ci) - reference_price(params, pi)
+        call = reference_price(params, ci)
+        gap = (call - _direct_put(params, pi)
                - (100.0 * mean_factor(alpha, gamma, 0.2, 0.75)
                   - 105.0 * math.exp(-0.02 * 0.75)))
         parity_gap = max(parity_gap, abs(gap))
+        parity_gap = max(parity_gap, abs(
+            call - reference_price(params, pi)
+            - (100.0 - 105.0 * math.exp(-0.02 * 0.75))))
         series_put = put_from_parity(price(params, ci), pi)
         parity_gap = max(parity_gap, abs(
             price(params, ci) - series_put

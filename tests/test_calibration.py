@@ -35,6 +35,9 @@ def test_quote_chain_validation():
 def test_quote_chain_accepts_kind_enum():
     c = QuoteChain(100.0, 0.0, 1.0, ((OptionKind.PUT, 90.0, 1.5),))
     assert c.quotes == (("put", 90.0, 1.5),)
+    # the inputs the chain is priced with are built once, with it
+    assert c.inputs == (PricingInputs(100.0, 90.0, 0.0, 1.0, OptionKind.PUT),)
+    assert c == QuoteChain(100.0, 0.0, 1.0, (("put", 90.0, 1.5),))
 
 
 def test_aggregated_error_zero_at_generator():

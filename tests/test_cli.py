@@ -261,6 +261,10 @@ BS_ATM = ("--spot", "100", "--strike", "100", "--rate", "0", "--tau", "1")
       "--spot", "118.0147182757466", "--strike", "68.53964351244062",
       "--rate", "0.02276989831963662", "--tau", "0.3158102075975164",
       "--kind", "put", "--fallback"), "below the parity bound 0"),
+    # the forward S e^{(r + mu) tau} underflows to 0 in the quadrature
+    (("--model", "fmls", "--alpha", "1.7", "--sigma", "5", "--spot", "100",
+      "--strike", "100", "--tau", "100", "--fallback"),
+     "forward S e^((r + mu) tau) = 100 e^-960.49 underflows"),
 ])
 def test_price_rejected_inputs_exit_2(capsys, argv, reason):
     rc, out, err = run(capsys, "price", *argv)

@@ -146,13 +146,19 @@ def test_reference_price_matches_black_scholes():
 
 
 def test_reference_price_put_parity():
-    params = ModelParams.double_fractional(1.7, 1.0, 0.2)
-    call_in = PricingInputs(100.0, 110.0, 0.02, 0.5, OptionKind.CALL)
-    put_in = PricingInputs(100.0, 110.0, 0.02, 0.5, OptionKind.PUT)
-    c = reference_price(params, call_in)
-    p = reference_price(params, put_in)
-    k_disc = 110.0 * math.exp(-0.02 * 0.5)
-    assert c - p == pytest.approx(100.0 - k_disc, abs=1e-7)
+    """A put is the package's parity P = C - S + K e^{-r tau} at every
+    gamma, on both sides of y* = 0 (y* = 0 near K = 103 here) and at
+    K = 0; the direct put integral differs from it by S (1 - X)."""
+    for gamma in (0.8, 0.9, 1.0, 1.1, 1.2):
+        params = ModelParams.double_fractional(1.7, gamma, 0.2)
+        mu = risk_neutral(params).mu
+        for strike in (0.0, 70.0, 90.0, 110.0, 130.0):
+            call_in = PricingInputs(100.0, strike, 0.02, 0.5, OptionKind.CALL)
+            put_in = PricingInputs(100.0, strike, 0.02, 0.5, OptionKind.PUT)
+            c = reference_price(params, call_in, mu)
+            p = reference_price(params, put_in, mu)
+            k_disc = strike * math.exp(-0.02 * 0.5)
+            assert abs(c - p - (100.0 - k_disc)) <= 1e-12 * 100.0
 
 
 def test_reference_price_zero_strike_gamma1():

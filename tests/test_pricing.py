@@ -425,35 +425,43 @@ def test_price_chain_equals_chains_of_one(params, spot, rate, tau, quotes,
     for got, inp in zip(chain, inputs):
         assert _entry(got) == _entry(_alone(params, inp, policy))
     if policy is DEFAULT_POLICY:
-        assert ([_entry(v) for v in price_chain(params, spot, rate, tau,
-                                                 quotes)]
+        assert ([_entry(v) for v in price_chain(params, inputs)]
                 == [_entry(v) for v in chain])
 
 
 def test_price_chain_per_quote_routes():
-    """Entries of one chain may take different routes: a rejected quote, a
-    zero-strike quadrature, a quadrature fallback, a put by parity."""
+    """Entries of one chain may take different routes: a zero-strike
+    quadrature, a quadrature fallback, a put by parity."""
     params = ModelParams.double_fractional(1.7026, 0.5163, 0.8)
-    quotes = [("call", 97.372), ("call", -5.0), ("call", 0.0), ("put", 97.372),
+    quotes = [("call", 97.372), ("call", 0.0), ("put", 97.372),
               ("call", 110.0)]
-    chain = price_chain(params, 100.0, 0.0477, 1.0, quotes)
-    assert isinstance(chain[1], ValidationError)
-    assert chain[1].code == "strike_range"
+    inputs = [PricingInputs(100.0, strike, 0.0477, 1.0, kind)
+              for kind, strike in quotes]
+    chain = price_chain(params, inputs)
     assert isinstance(chain[0], SeriesDivergenceError)
     assert "did not settle" in str(chain[0])
-    inputs = [PricingInputs(100.0, strike, 0.0477, 1.0, kind)
-              for kind, strike in quotes if strike >= 0.0]
-    assert ([_entry(v) for v in chain[:1] + chain[2:]]
+    assert ([_entry(v) for v in chain]
             == [_entry(_alone(params, inp)) for inp in inputs])
     # with the quadrature fallback the unsettled call and its put are priced
     routed = _chain_of(params, inputs, DEFAULT_POLICY, True)
     assert all(isinstance(v, float) for v in routed)
     assert routed == [price(params, inp, fallback=True) for inp in inputs]
-    assert routed[1] == chain[2]
+    assert routed[1] == chain[1]
     # an error of the whole chain fills every entry
     bad = ModelParams(params.kind, params.alpha, params.gamma, -1.0)
     assert all(isinstance(v, ValidationError)
-               for v in price_chain(bad, 100.0, 0.0, 1.0, quotes))
+               for v in price_chain(bad, inputs))
+
+
+def test_price_chain_refuses_inputs_of_different_terms():
+    params = ModelParams.fmls(1.7, 0.2)
+    assert price_chain(params, []) == []
+    for other in (PricingInputs(101.0, 100.0, 0.01, 1.0),
+                  PricingInputs(100.0, 100.0, 0.02, 1.0),
+                  PricingInputs(100.0, 100.0, 0.01, 0.5)):
+        with pytest.raises(ValidationError) as err:
+            price_chain(params, [PricingInputs(100.0, 90.0, 0.01, 1.0), other])
+        assert err.value.code == "chain_terms"
 
 
 def test_fallback_otm_put_is_integrated_directly():
@@ -491,17 +499,68 @@ def test_fallback_otm_put_parity_value_off_gamma_1():
 
 
 def test_fallback_otm_put_mean_factor_overflow_is_typed():
+    # the forward e^30.6 S is finite, the mean factor e^773 is not
     params = ModelParams.double_fractional(1.7, 0.6, 1.0)
-    inp = PricingInputs(100.0, 100.0, 10.0, 1000.0, OptionKind.PUT)
+    inp = PricingInputs(100.0, 100.0, 2.0, 700.0, OptionKind.PUT)
     with pytest.raises(numerics.NumericsError, match="mean factor"):
         price(params, inp, fallback=True)
 
 
 def test_fallback_forward_overflow_is_typed():
+    # the mean factor overflows too; the forward is checked first
     params = ModelParams.double_fractional(1.7, 0.6, 1.0)
-    inp = PricingInputs(100.0, 100.0, 10.0, 1000.0)
-    with pytest.raises(numerics.NumericsError, match="forward .* overflows"):
+    for kind in OptionKind:
+        inp = PricingInputs(100.0, 100.0, 10.0, 1000.0, kind)
+        with pytest.raises(numerics.NumericsError,
+                           match="forward .* overflows"):
+            price(params, inp, fallback=True)
+
+
+@pytest.mark.parametrize("params, tau", [
+    (ModelParams.fmls(1.7, 5.0), 100.0),
+    (ModelParams.double_fractional(1.7, 0.6, 1.0), 1000.0),
+])
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_fallback_forward_underflow_is_typed(params, tau, kind):
+    """A forward S e^{(r + mu) tau} that underflows to 0 is refused, not
+    divided by."""
+    inp = PricingInputs(100.0, 100.0, 0.0, tau, kind)
+    with pytest.raises(numerics.NumericsError, match="forward .* underflows"):
         price(params, inp, fallback=True)
+
+
+@pytest.mark.parametrize("params, tau, strikes", [
+    # gamma = 1: the series refuses these short-maturity wings
+    (ModelParams.double_fractional(2.0, 1.0, 0.199), 0.0199,
+     (0.0, 80.016, 85.0, 110.0, 120.0)),
+    (ModelParams.fmls(1.6, 0.25), 0.02, (0.0, 80.0, 125.0)),
+    # gamma != 1, both sides of y* = 0 (y* = 0 near K = 100 here)
+    (ModelParams.double_fractional(2.0, 0.8, 0.2), 0.02,
+     (0.0, 60.0, 70.0, 130.0, 140.0)),
+    (ModelParams.double_fractional(1.9, 0.9, 0.2), 0.02,
+     (0.0, 60.0, 85.0, 115.0, 130.0)),
+    (ModelParams.double_fractional(1.7, 1.1, 0.3), 0.05,
+     (0.0, 80.0, 90.0, 110.0, 120.0)),
+    # X < 1 puts the parity value P + S (X - 1) below zero
+    (ModelParams.double_fractional(1.8, 1.15, 0.2), 0.02,
+     (0.0, 85.0, 95.0, 110.0, 118.0)),
+])
+def test_fallback_put_is_the_floored_reference_put(params, tau, strikes):
+    """A put the series refuses (or cannot take, at K = 0) is
+    max(reference_price(put), 0.0), bitwise, or a ParityError where the
+    reference put is below -1e-8 S: one floor for both routes."""
+    mu = risk_neutral(params).mu
+    for strike in strikes:
+        inp = PricingInputs(100.0, strike, 0.01, tau, OptionKind.PUT)
+        if strike > 0.0:
+            with pytest.raises(SeriesDivergenceError):
+                price(params, inp)
+        ref = numerics.reference_price(params, inp, mu)
+        if ref < -1e-8 * inp.spot:
+            with pytest.raises(ParityError, match="below the parity bound 0"):
+                price(params, inp, fallback=True)
+        else:
+            assert price(params, inp, fallback=True) == max(ref, 0.0)
 
 
 @pytest.mark.parametrize("alpha, gamma, sigma, tau, strike, call_size", [
