@@ -530,8 +530,8 @@ def reference_price(params, inputs, mu=None):
     integral is bounded below ulp(S)/4, so that tail is then skipped.  With
     y* < 0 it is the put integral P, and a put is P + S (X - 1), a call
     P + S X - K e^{-r tau}, X the mean factor of log_mean_factor.  A forward
-    S e^{(r + mu) tau} outside the float range, or then a mean factor beyond
-    it, raises NumericsError.
+    S e^{(r + mu) tau} outside the float range, then a mean factor beyond
+    it or a call payoff that overflows on the nodes, raises NumericsError.
     """
     if mu is None:
         from .model import risk_neutral  # deferred: model imports this module
@@ -559,8 +559,12 @@ def reference_price(params, inputs, mu=None):
         if yhi > ystar:
             ys, ws = _geometric_panels(ystar, yhi, ell)
             g = _density_batch(ys, alpha, gamma, ell)
-            pay = fwd * np.exp(ys) - K
-            c = disc * float((pay * g) @ ws)
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = disc * float(((fwd * np.exp(ys) - K) * g) @ ws)
+            if not math.isfinite(c):
+                raise NumericsError(
+                    f"call payoff S e^((r + mu) tau + y) overflows on the "
+                    f"quadrature nodes up to y = {yhi:.6g}")
         else:
             c = 0.0
         if K > 0.0 and ystar > 0.0 and c <= 1e-10 * fwd:

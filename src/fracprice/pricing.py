@@ -18,7 +18,12 @@ from .numerics import normal_cdf, reciprocal_gamma
 
 
 class SeriesDivergenceError(ValueError):
-    """The residue series is outside its numerical domain of validity."""
+    """The residue series is outside its numerical domain of validity; code
+    names the reason machine-readably."""
+
+    def __init__(self, code, message):
+        super().__init__(message)
+        self.code = code
 
 
 class ParityError(ValueError):
@@ -138,6 +143,7 @@ def _band_bounds(params, inputs, mu):
         upper = math.inf
     if not math.isfinite(upper):
         raise SeriesDivergenceError(
+            "mean_factor_overflow",
             f"mean factor e^{log_x:.6g} of the log-price overflows; the "
             "series is outside its validity domain")
     return _band_lower(upper, inputs), upper
@@ -180,8 +186,8 @@ def _series_chain(params, mu, chain, policy):
     with A = -log_fwd - mu*tau and B = -mu*tau^gamma > 0.  Terms whose Gamma
     argument sits on a pole contribute exactly 0; 0^0 is taken as 1 so the
     n=0 terms survive at ATM-forward (A=0).  A strike enters only through
-    the prefactor and A^n, so the Gamma and B-power factors of each (m, n)
-    block, and the band's mean factor, are computed once for the chain.
+    the prefactor and A^n; the Gamma and B-power factors are computed once
+    per chain on the diagonals n - m, and so is the band's mean factor.
 
     The terms are evaluated as (strike, m, n) blocks of the first m-slices,
     m being the monotone direction.  The block doubles from 16 slices up to
@@ -201,99 +207,101 @@ def _series_chain(params, mu, chain, policy):
         [(-inp.log_fwd - mu * tau, inp.strike * inp.discount / a,
           1e4 * (spot + inp.strike)) for inp in chain]).T
 
-    size = min(16, policy.m_max)
+    size, m_max = min(16, policy.m_max), policy.m_max
     n = np.arange(policy.n_max + 1)
+    d = np.arange(-m_max, policy.n_max)                 # the diagonals n - m
     sign, inv_fact = (-1.0) ** n, np.exp(-gammaln(n + 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
+        rg, bp = reciprocal_gamma(1.0 - g * d / a), np.exp(((-d) / a) * log_B)
         a_pow = np.where(n == 0, 1.0, A[:, None] ** n)     # 0^0 := 1
         coef = sign * a_pow * inv_fact
         pc = (pref[:, None] * coef)[:, None, :]
         terms = np.empty((len(chain), 0, n.size))
         while True:
-            m = np.arange(terms.shape[1] + 1, size + 1)[:, None]  # new slices
-            rg = reciprocal_gamma(1.0 - g * (n - m) / a)
-            terms = np.concatenate(
-                (terms, pc * rg * np.exp(((m - n) / a) * log_B)), axis=1)
+            idx = n - np.arange(terms.shape[1] + 1, size + 1)[:, None] + m_max
+            block = pc * rg[idx] * bp[idx]      # the added slices' terms
+            terms = np.concatenate((terms, block), 1) if terms.size else block
             s = terms.sum(axis=2)
             sums = np.cumsum(s, axis=1)
             abs_s = np.abs(s)
             # per strike, one past the event's slice; size + 1 for none
-            blow = numerics._run_end(~(abs_s <= blowup[:, None]), 1).tolist()
+            blow = numerics._run_end(~(abs_s <= blowup[:, None]), 1)
             small = abs_s < SERIES_TOLERANCE * np.maximum(np.abs(sums), 1e-300)
-            stop = numerics._run_end(small, 3).tolist()
+            stop = numerics._run_end(small, 3)
             # slice j + 1 grows past slice j
-            grows = abs_s[:, 1:] > abs_s[:, :-1]
-            grow = (numerics._run_end(grows, 5) + 1).tolist()
-            events = list(zip(blow, stop, grow))
-            if size == policy.m_max or max(map(min, events)) <= size:
+            grow = numerics._run_end(abs_s[:, 1:] > abs_s[:, :-1], 5) + 1
+            first = np.minimum(np.minimum(blow, stop), grow)
+            if size == m_max or first.max() <= size:
                 break
-            size = min(2 * size, policy.m_max)
-        m_used = [min(*ev, size) for ev in events]
+            size = min(2 * size, m_max)
+        mk = np.minimum(first, size)
+        at = (np.arange(len(chain)), mk - 1)        # each strike's last slice
+        noise = 2e-14 * np.maximum.accumulate(np.abs(terms).max(axis=2), 1)
+        n_tail = np.cumsum(np.abs(terms[:, :, -1]), axis=1)
+        total, noise, n_tail = (x[at].tolist() for x in (sums, noise, n_tail))
+        events = np.vstack((blow, stop, grow, mk)).T.tolist()
 
-    results, upper = [], None
-    sums = sums.tolist()
-    for k, inp in enumerate(chain):
-        (blow, stop, grow), mk = events[k], m_used[k]
-        used = terms[k, :mk]
+    results, band = [], None
+    for k, (inp, (blow, stop, grow, mk)) in enumerate(zip(chain, events)):
         try:
             if mk == blow:
                 if not np.isfinite(coef[k]).all():
-                    raise SeriesDivergenceError(
+                    raise SeriesDivergenceError("coef_overflow", (
                         f"series coefficients A^n/n! overflow at |A|="
                         f"{abs(A[k]):.3g}; the series is outside its "
-                        "validity domain")
-                raise SeriesDivergenceError(
+                        "validity domain"))
+                raise SeriesDivergenceError("blowup", (
                     f"series slice magnitude {s[k, blow - 1]:.3g} at m={blow} "
                     "exceeds any arbitrage bound; the series is outside its "
-                    "validity domain")
+                    "validity domain"))
             if min(stop, grow) > size:
-                raise SeriesDivergenceError(
-                    f"series slices did not settle within m_max={size}")
+                raise SeriesDivergenceError("unsettled", (
+                    f"series slices did not settle within m_max={size}"))
             if mk != stop:
-                raise SeriesDivergenceError(
+                raise SeriesDivergenceError("growth", (
                     f"series slices grew for 5 consecutive m (last |slice|="
-                    f"{abs_s[k, grow - 1]:.3g}); no convergence")
-            total = sums[k][mk - 1]
+                    f"{abs_s[k, grow - 1]:.3g}); no convergence"))
             # A converged m-recursion still leaves two silent failure modes:
             # alternating terms much larger than the sum (float cancellation
             # eats the result) and an n direction that had not decayed by
             # n_max.  Reject the value unless roundoff and the dropped n-tail
             # are both provably below ACCURACY_FLOOR of it.
-            floor = ACCURACY_FLOOR * max(abs(total), 1e-300)
-            noise = 2e-14 * float(np.abs(used).max())
-            n_tail = float(np.cumsum(np.abs(used[:, -1]))[-1])
-            if noise > floor or n_tail > floor:
-                raise SeriesDivergenceError(
-                    f"series sum {total:.6g} is not certifiable to "
+            floor = ACCURACY_FLOOR * max(abs(total[k]), 1e-300)
+            if noise[k] > floor or n_tail[k] > floor:
+                raise SeriesDivergenceError("uncertified", (
+                    f"series sum {total[k]:.6g} is not certifiable to "
                     f"{ACCURACY_FLOOR:g} relative accuracy (cancellation "
-                    f"noise ~{noise:.2g}, dropped n-tail ~{n_tail:.2g})")
+                    f"noise ~{noise[k]:.2g}, dropped n-tail ~{n_tail[k]:.2g})"))
             # The series can converge to a spurious branch outside its
             # validity region (e.g. when the effective log-moneyness A turns
             # negative at gamma != 1).  A converged value outside the hard
             # arbitrage band is therefore rejected rather than returned.  The
-            # band's upper edge is shared by the chain.
-            if upper is None:
-                upper = _band_bounds(params, inp, mu)[1]
-            lower = _band_lower(upper, inp)
+            # band's upper edge, or its error, is shared by the chain.
+            band = band or _attempt(_band_bounds, params, inp, mu)
+            if isinstance(band, Exception):
+                raise band
+            lower, upper = _band_lower(band[1], inp), band[1]
             pad = 1e-6 * (spot + inp.strike)
-            if not lower - pad <= total <= upper + pad:
-                raise SeriesDivergenceError(
-                    f"converged series value {total:.6g} lies outside the "
+            if not lower - pad <= total[k] <= upper + pad:
+                raise SeriesDivergenceError("band", (
+                    f"converged series value {total[k]:.6g} lies outside the "
                     f"arbitrage band [{lower:.6g}, {upper:.6g}]; the "
-                    "series is outside its validity domain")
+                    "series is outside its validity domain"))
         except _QUOTE_ERRORS as exc:
             # without its traceback, which holds this frame and its blocks
             results.append(exc.with_traceback(None))
             continue
-        results.append((total, partial(_diagnostics, sums[k][:mk], used)))
+        results.append((total[k], partial(_diagnostics, sums, terms, k, mk)))
     return results
 
 
-def _diagnostics(sums_m, used):
-    """SeriesDiagnostics of one strike's sum over the (m, n) block used."""
+def _diagnostics(sums, terms, k, mk):
+    """SeriesDiagnostics of strike k's sum over its first mk m-slices, from
+    the chain's partial sums over m and its (strike, m, n) terms."""
+    used = terms[k, :mk]
     # rows and slice sums are added in sequence, as the series runs in m
     return SeriesDiagnostics(
-        partial_sums_m=tuple(sums_m),
+        partial_sums_m=tuple(sums[k, :mk].tolist()),
         partial_sums_n=tuple(np.cumsum(np.cumsum(used, axis=0)[-1])),
         terms_used=used.size, converged=True)
 

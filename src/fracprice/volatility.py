@@ -162,7 +162,7 @@ def _fbs_call(inputs, gamma, sigma):
                   ).sum(axis=1)
     if not (np.abs(slices) <= 1e4 * (inputs.spot + inputs.strike)).all():
         raise SeriesDivergenceError(
-            "f-BS series slice beyond any arbitrage bound")
+            "blowup", "f-BS series slice beyond any arbitrage bound")
     return float(np.cumsum(slices)[-1])
 
 

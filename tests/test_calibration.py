@@ -115,13 +115,13 @@ FIXTURE_FITS = [
      (1.5987386423272198, 3.7094025628903182e-09, 1.2044960067758268,
       1.379487500019252, 0.7278406230436083, 8.448708399555471e-11,
       0.7111541339241825, 0.8135282561656725, 0.8665263020020162,
-      0.5630705169618755), {"SeriesDivergenceError": 10}),
+      0.5630705169618755), {"SeriesDivergenceError:uncertified": 10}),
     ("dfrac", (ModelParams.double_fractional(1.7, 0.8, 0.3),), 506,
      (1.519828230876886, 1.0692022034847368, 0.592376222348078),
      (0.3701435638741657, 1.624016476853285e-10, 0.5026134197280498,
       0.47631540805894446, 2.267425287527658e-07, 0.36939622028792485,
       0.6641938642971787, 0.6203803198791933, 0.612532502493619,
-      0.3883281800688396), {"SeriesDivergenceError": 77}),
+      0.3883281800688396), {"SeriesDivergenceError:uncertified": 77}),
 ]
 
 
@@ -137,7 +137,7 @@ def test_calibrate_fixture_frozen(monkeypatch, kind, seeds, evaluations,
 
     def spy(*args):
         out = real(*args)
-        returned.update(type(v).__name__ for v in out
+        returned.update(f"{type(v).__name__}:{v.code}" for v in out
                         if isinstance(v, Exception))
         return out
 

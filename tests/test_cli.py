@@ -265,6 +265,10 @@ BS_ATM = ("--spot", "100", "--strike", "100", "--rate", "0", "--tau", "1")
     (("--model", "fmls", "--alpha", "1.7", "--sigma", "5", "--spot", "100",
       "--strike", "100", "--tau", "100", "--fallback"),
      "forward S e^((r + mu) tau) = 100 e^-960.49 underflows"),
+    # the quadrature's call payoff overflows on its nodes (it gave NaN)
+    (("--model", "dfrac", "--alpha", "1.7", "--gamma", "0.6", "--sigma", "1",
+      "--spot", "100", "--strike", "100", "--rate", "1.5", "--tau", "30",
+      "--fallback"), "overflows on the quadrature nodes"),
 ])
 def test_price_rejected_inputs_exit_2(capsys, argv, reason):
     rc, out, err = run(capsys, "price", *argv)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracprice import numerics, pricing
+from fracprice import numerics, pricing, sampledata
 from fracprice.model import ModelParams, ValidationError, risk_neutral
 from fracprice.pricing import (DEFAULT_POLICY, OptionKind, ParityError,
                                PricingInputs, SeriesDivergenceError,
@@ -259,7 +259,7 @@ def _series_loop(params, inputs, mu, policy):
         n_tail += abs(float(col[-1]))
         s = float(col.sum())
         if not math.isfinite(s) or abs(s) > blowup:
-            raise SeriesDivergenceError("blow-up")
+            raise SeriesDivergenceError("blowup", "blow-up")
         total += s
         per_n += col
         sums_m.append(total)
@@ -274,18 +274,18 @@ def _series_loop(params, inputs, mu, policy):
         if abs(s) > prev_abs:
             grow += 1
             if grow >= 5:
-                raise SeriesDivergenceError("growth")
+                raise SeriesDivergenceError("growth", "growth")
         else:
             grow = 0
         prev_abs = abs(s)
     if converged:
         floor = pricing.ACCURACY_FLOOR * max(abs(total), 1e-300)
         if 2e-14 * peak_term > floor or n_tail > floor:
-            raise SeriesDivergenceError("not certifiable")
+            raise SeriesDivergenceError("uncertified", "not certifiable")
         lower, upper = _band_bounds(params, inputs, mu)
         pad = 1e-6 * (inputs.spot + inputs.strike)
         if not lower - pad <= total <= upper + pad:
-            raise SeriesDivergenceError("outside band")
+            raise SeriesDivergenceError("band", "outside band")
     return total, pricing.SeriesDiagnostics(
         tuple(sums_m), tuple(np.cumsum(per_n)),
         (policy.n_max + 1) * m_used, converged)
@@ -330,6 +330,79 @@ def test_series_blocks_match_slice_loop(policy):
                             assert d.converged == e.converged
                         else:
                             assert got is ref
+
+
+@pytest.mark.parametrize("params, strike, tau, code, reason", [
+    (ModelParams.fmls(1.7, 1e6), 100.0, 1.0, "coef_overflow",
+     "series coefficients"),
+    (ModelParams.double_fractional(1.82, 1.31, 0.24), 157.5, 0.05, "blowup",
+     "exceeds any arbitrage bound"),
+    (ModelParams.double_fractional(1.15, 0.22, 0.25), 69.4, 0.16,
+     "unsettled", "did not settle within m_max=60"),
+    (ModelParams.double_fractional(1.16, 0.54, 1.29), 132.8, 0.18, "growth",
+     "grew for 5 consecutive m"),
+    (ModelParams.double_fractional(1.94, 1.07, 0.08), 129.3, 0.71,
+     "uncertified", "not certifiable"),
+    # refused for its cancellation noise alone: the largest |term| of all
+    # the slices summed, not of the last one
+    (ModelParams.double_fractional(1.94, 0.55, 0.07), 128.7, 0.09,
+     "uncertified", "noise ~2.7e-12, dropped n-tail ~5.1e-18"),
+    (ModelParams.double_fractional(1.11, 1.11, 1.33), 140.1, 0.5, "band",
+     "outside the arbitrage band"),
+])
+def test_series_refusal_codes(params, strike, tau, code, reason):
+    """Every refusal of the series kernel carries its reason as a code, in
+    the chain entry as in the scalar price."""
+    inp = PricingInputs(100.0, strike, 0.01, tau)
+    with pytest.raises(SeriesDivergenceError, match=reason) as exc:
+        dfrac_call_series(params, inp)
+    assert exc.value.code == code
+    entry, = price_chain(params, [inp])
+    assert _entry(entry) == _entry(exc.value)
+
+
+def test_band_mean_factor_overflow_code():
+    # the mean factor e^773 of the band's upper edge overflows
+    params = ModelParams.double_fractional(1.7, 0.6, 1.0)
+    with pytest.raises(SeriesDivergenceError, match="mean factor") as exc:
+        _band_bounds(params, PricingInputs(100.0, 100.0, 2.0, 700.0),
+                     risk_neutral(params).mu)
+    assert exc.value.code == "mean_factor_overflow"
+
+
+def test_series_diagonal_factors_once_per_chain(monkeypatch):
+    """The kernel evaluates 1/Gamma once per chain, on its m_max + n_max
+    diagonals n - m (not per (m, n) term of each block), and each chain
+    entry's lazily built diagnostics equal its chain of one's."""
+    chain = list(sampledata.fixture_chain().inputs)
+    sizes = []
+    real = pricing.reciprocal_gamma
+
+    def spy(x):
+        sizes.append(np.size(x))
+        return real(x)
+
+    monkeypatch.setattr(pricing, "reciprocal_gamma", spy)
+    bound = DEFAULT_POLICY.m_max + DEFAULT_POLICY.n_max + 1
+    for params in (ModelParams.double_fractional(1.7, 0.8, 0.3),
+                   ModelParams.double_fractional(1.52, 1.07, 0.59),
+                   ModelParams.fmls(1.51, 0.46)):
+        sizes.clear()
+        values = price_chain(params, chain)
+        assert sizes and max(sizes) <= bound
+        mu = risk_neutral(params).mu
+        entries = pricing._series_chain(params, mu, chain, DEFAULT_POLICY)
+        assert any(isinstance(e, tuple) for e in entries)
+        for value, entry, inp in zip(values, entries, chain):
+            if isinstance(entry, Exception):
+                assert _entry(entry) == _entry(value)
+                continue
+            price_alone, alone = dfrac_call_series(params, inp)
+            d = entry[1]()
+            assert entry[0] == price_alone
+            assert d.partial_sums_m == alone.partial_sums_m
+            assert d.partial_sums_n == alone.partial_sums_n
+            assert d.terms_used == alone.terms_used
 
 
 def test_series_exhausted_m_max_raises(capsys):
@@ -386,7 +459,7 @@ def chain_params(draw):
 
 def _entry(value):
     if isinstance(value, Exception):
-        return type(value), str(value)
+        return type(value), getattr(value, "code", None), str(value)
     return value
 
 
@@ -514,6 +587,18 @@ def test_fallback_forward_overflow_is_typed():
         with pytest.raises(numerics.NumericsError,
                            match="forward .* overflows"):
             price(params, inp, fallback=True)
+
+
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_fallback_payoff_overflow_is_typed(kind):
+    """A call payoff S e^{(r + mu) tau + y} that overflows on the quadrature
+    nodes is refused, not integrated to NaN; a put, by parity from that call,
+    too."""
+    inp = PricingInputs(100.0, 100.0, 1.5, 30.0, kind)
+    with pytest.raises(numerics.NumericsError,
+                       match="overflows on the quadrature nodes"):
+        price(ModelParams.double_fractional(1.7, 0.6, 1.0), inp,
+              fallback=True)
 
 
 @pytest.mark.parametrize("params, tau", [
