@@ -8,16 +8,21 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .model import ModelKind, ModelParams, ValidationError, validate
+from .numerics import FracpriceError
 from .pricing import PricingInputs, price_chain
 
 
-class CalibrationError(ValueError):
-    pass
+class CalibrationError(FracpriceError):
+    """A chain that no fit can be found for."""
 
 
 ALPHA_LO, ALPHA_HI = 1.0 + 1e-6, 2.0
 SIGMA_LO, SIGMA_HI = 1e-4, 5.0
 GAMMA_MARGIN = 1e-3
+# the coordinates a descent moves, per model kind
+FREE_PARAMS = {ModelKind.BLACK_SCHOLES: ("sigma",),
+               ModelKind.FMLS: ("alpha", "sigma"),
+               ModelKind.DOUBLE_FRACTIONAL: ("alpha", "gamma", "sigma")}
 
 
 @dataclass(frozen=True)
@@ -56,9 +61,9 @@ class QuoteChain:
 class CalibrationResult:
     """The best fit over the seeds.  penalties counts the penalised quote
     evaluations of the whole calibration (every objective evaluation and the
-    final re-pricing), keyed by the refusing exception's class name and, for
-    one that has a code, ":code"; "non_finite" counts finite prices whose
-    error against the market is not finite."""
+    final re-pricing), keyed "class:code" by the refusing exception;
+    "non_finite" counts finite prices whose error against the market is not
+    finite."""
     params: ModelParams
     aggregated_error: float
     evaluations: int
@@ -76,8 +81,7 @@ def _quote_errors(params, chain, penalties):
     errs = []
     for value, (_, _, market) in zip(values, chain.quotes):
         if isinstance(value, Exception):
-            code = getattr(value, "code", None)
-            penalties[type(value).__name__ + (f":{code}" if code else "")] += 1
+            penalties[f"{type(value).__name__}:{value.code}"] += 1
             errs.append(penalty)
             continue
         err = abs(value - market)
@@ -92,17 +96,9 @@ def aggregated_error(params, chain):
     """Sum of |model - market| over the chain; failed evaluations contribute
     a large finite penalty (10x the summed market prices) instead of raising."""
     if not chain.quotes:
-        raise CalibrationError("empty quote chain")
+        raise CalibrationError("chain_empty", "empty quote chain")
     validate(params)
     return float(sum(_quote_errors(params, chain, Counter())))
-
-
-def _free_params(kind):
-    if kind is ModelKind.BLACK_SCHOLES:
-        return ("sigma",)
-    if kind is ModelKind.FMLS:
-        return ("alpha", "sigma")
-    return ("alpha", "gamma", "sigma")
 
 
 def _default_seeds(kind):
@@ -131,18 +127,13 @@ def _fold(x, lo, hi):
 
 
 def _vector_to_params(x, kind):
-    free = _free_params(kind)
-    d = dict(zip(free, x))
-    viol = 0.0
-    alpha, v = _fold(d.get("alpha", 2.0), ALPHA_LO, ALPHA_HI)
-    viol += v
+    d = dict(zip(FREE_PARAMS[kind], x))
+    alpha, v_alpha = _fold(d.get("alpha", 2.0), ALPHA_LO, ALPHA_HI)
     glo = max(1.0 - 1.0 / alpha + GAMMA_MARGIN, GAMMA_MARGIN)
-    gamma, v = _fold(d.get("gamma", 1.0), glo, alpha)
-    viol += v
-    sigma, v = _fold(d.get("sigma", 0.2), SIGMA_LO, SIGMA_HI)
-    viol += v
+    gamma, v_gamma = _fold(d.get("gamma", 1.0), glo, alpha)
+    sigma, v_sigma = _fold(d.get("sigma", 0.2), SIGMA_LO, SIGMA_HI)
     # the kind's fixed coordinates keep their defaults through the folding
-    return ModelParams(kind, alpha, gamma, sigma), viol
+    return ModelParams(kind, alpha, gamma, sigma), v_alpha + v_gamma + v_sigma
 
 
 def calibrate(chain, kind, seeds=None):
@@ -153,12 +144,12 @@ def calibrate(chain, kind, seeds=None):
     descent stepped outside the box."""
     from scipy.optimize import minimize  # deferred: slow to import
     if len(chain.quotes) < 3:
-        raise CalibrationError(
-            f"calibration needs at least 3 quotes, got {len(chain.quotes)}")
+        raise CalibrationError("chain_size", f"calibration needs at least "
+                               f"3 quotes, got {len(chain.quotes)}")
     kind = ModelKind(kind) if not isinstance(kind, ModelKind) else kind
     seeds = (tuple(validate(s) for s in seeds) if seeds is not None
              else _default_seeds(kind))
-    free = _free_params(kind)
+    free = FREE_PARAMS[kind]
     penalty = 10.0 * sum(p for _, _, p in chain.quotes)
     penalties = Counter()
 
@@ -168,7 +159,6 @@ def calibrate(chain, kind, seeds=None):
                 + penalty * viol)
 
     best = None
-    best_x = None
     evaluations = 0
     for seed in seeds:
         x0 = [getattr(seed, name) for name in free]
@@ -177,13 +167,13 @@ def calibrate(chain, kind, seeds=None):
                                 "maxiter": 400 * len(free) * 2})
         evaluations += int(res.nfev)
         if best is None or res.fun < best.fun:
-            best, best_x = res, res.x
-    params, viol = _vector_to_params(best_x, kind)
+            best = res
+    params, viol = _vector_to_params(best.x, kind)
     errs = _quote_errors(params, chain, penalties)
     ae = float(sum(errs))
     if viol > 0.0 or ae >= penalty:
         raise CalibrationError(
-            "every descent ended penalized; no admissible fit found")
+            "no_fit", "every descent ended penalized; no admissible fit found")
     return CalibrationResult(
         params=params,
         aggregated_error=ae,

@@ -1,7 +1,8 @@
 """Command-line surface: pricing, drift computation, smile construction,
 calibration, and figure-data CSV emission.
 
-Exit codes: 0 success, 2 parameter/validation problems, 3 I/O problems.
+Exit codes: 0 success, 2 a FracpriceError (a refused parameter, input or
+value), 3 an unreadable or malformed chain file.
 """
 from __future__ import annotations
 
@@ -10,15 +11,15 @@ import json
 import math
 import os
 import sys
+from itertools import zip_longest
 
 import numpy as np
 
-from .calibration import CalibrationError, QuoteChain, calibrate
+from .calibration import QuoteChain, calibrate
 from .model import (ModelKind, ModelParams, ValidationError, mu_gamma_approx,
                     mu_gamma_mb, mu_gamma_series)
-from .numerics import NumericsError
-from .pricing import (DEFAULT_POLICY, ParityError, PricingInputs,
-                      SeriesDivergenceError, TruncationPolicy,
+from .numerics import FracpriceError
+from .pricing import (DEFAULT_POLICY, PricingInputs, TruncationPolicy,
                       partial_sum_table, price)
 from .volatility import atm_fbs_implied, build_smile
 from . import sampledata
@@ -26,8 +27,8 @@ from . import sampledata
 CSV_HEADER = "kind,strike,price"
 
 
-class ChainFormatError(ValueError):
-    pass
+class ChainFormatError(FracpriceError):
+    """A chain file that cannot be read as quotes."""
 
 
 def _fmt(x):
@@ -41,23 +42,24 @@ def _read_chain_rows(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = [ln.rstrip("\n").rstrip("\r") for ln in f]
-    except OSError as e:
-        raise ChainFormatError(f"cannot read {path}: {e}")
+    except (OSError, UnicodeError) as e:
+        raise ChainFormatError("chain_unreadable", f"cannot read {path}: {e}")
     lines = [ln for ln in lines if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ChainFormatError(
+            "chain_header",
             f"chain file must start with header {CSV_HEADER!r}")
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 3 or parts[0] not in ("call", "put"):
-            raise ChainFormatError(f"malformed quote row: {ln!r}")
+            raise ChainFormatError("chain_row", f"malformed quote row: {ln!r}")
         try:
             rows.append((parts[0], float(parts[1]), float(parts[2])))
         except ValueError:
-            raise ChainFormatError(f"malformed quote row: {ln!r}")
+            raise ChainFormatError("chain_row", f"malformed quote row: {ln!r}")
     if not rows:
-        raise ChainFormatError("chain file has no quote rows")
+        raise ChainFormatError("chain_empty", "chain file has no quote rows")
     return rows
 
 
@@ -69,7 +71,8 @@ def _chain_from_args(args):
         base = sampledata.fixture_chain()
         return QuoteChain(spot=spot, rate=rate, tau=tau, quotes=base.quotes)
     if not args.chain:
-        raise ChainFormatError("either a chain file or --fixture is required")
+        raise ChainFormatError("chain_missing",
+                               "either a chain file or --fixture is required")
     rows = _read_chain_rows(args.chain)
     if args.spot is None or args.rate is None or args.tau is None:
         raise ValidationError(
@@ -96,12 +99,8 @@ def cmd_price(args):
 
 def cmd_mu(args):
     params = ModelParams.double_fractional(args.alpha, args.gamma, args.sigma)
-    if args.method == "series":
-        value = mu_gamma_series(params).mu
-    elif args.method == "mb":
-        value = mu_gamma_mb(params)
-    else:
-        value = mu_gamma_approx(params)
+    value = {"series": lambda p: mu_gamma_series(p).mu, "mb": mu_gamma_mb,
+             "approx": mu_gamma_approx}[args.method](params)
     if args.json:
         print(json.dumps({"mu": value, "method": args.method}))
     else:
@@ -196,12 +195,8 @@ def _fig3(out_dir):
     params = ModelParams.double_fractional(**FIG3_MODEL)
     inputs = PricingInputs(**FIG3_MARKET)
     diag = partial_sum_table(params, inputs)
-    n_rows = max(len(diag.partial_sums_m), len(diag.partial_sums_n))
-    rows = []
-    for i in range(n_rows):
-        m = diag.partial_sums_m[i] if i < len(diag.partial_sums_m) else None
-        n = diag.partial_sums_n[i] if i < len(diag.partial_sums_n) else None
-        rows.append([str(i + 1), m, n])
+    rows = [[str(i), m, n] for i, (m, n) in enumerate(
+        zip_longest(diag.partial_sums_m, diag.partial_sums_n), 1)]
     return [_write_csv(os.path.join(out_dir, "fig3.csv"),
                        ["index", "m_partial", "n_partial"], rows)]
 
@@ -216,7 +211,7 @@ def _fig4(out_dir):
                                market["tau"])
         try:
             return price(params, inputs, fallback=True)
-        except (ValidationError, SeriesDivergenceError, NumericsError):
+        except FracpriceError:
             return None
 
     def grid(name, values, label, columns, cell):
@@ -336,13 +331,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, CalibrationError, SeriesDivergenceError,
-            NumericsError, ParityError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ChainFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except FracpriceError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

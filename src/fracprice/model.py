@@ -11,8 +11,8 @@ from enum import Enum
 import numpy as np
 from scipy.special import gammaln, loggamma
 
-from .numerics import (ContourSpec, NonConvergenceError, log_gamma_series,
-                       mb_line_integral)
+from .numerics import (ContourSpec, FracpriceError, NonConvergenceError,
+                       log_gamma_series, mb_line_integral)
 
 MU_TOLERANCE = 1e-12
 # The moment series' term budget: MU_MAX_TERMS, extended where the terms are
@@ -29,12 +29,8 @@ class ModelKind(Enum):
     DOUBLE_FRACTIONAL = "dfrac"
 
 
-class ValidationError(ValueError):
-    """Parameter rejection with a machine-readable code."""
-
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
+class ValidationError(FracpriceError):
+    """Parameter rejection."""
 
 
 @dataclass(frozen=True)
@@ -177,10 +173,14 @@ def mu_gamma_mb(params):
                        - loggamma(g * s + 1.0 - g) + (s - 1.0) / a * log_q)
                 * np.cos(math.pi * (s - 1.0) / a))
 
-    bracket = mb_line_integral(integrand, MU_CONTOUR) / a
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = mb_line_integral(integrand, MU_CONTOUR) / a
+    if not 0.0 < bracket.real < math.inf:
+        raise NonConvergenceError("moment_float_range", f"moment integral "
+                                  f"{bracket.real:.6g} is not finite and > 0")
     if abs(bracket.imag) > 1e-10:
-        raise NonConvergenceError(
-            f"moment integral has spurious imaginary part {bracket.imag:.2e}")
+        raise NonConvergenceError("imaginary_part", f"moment integral has "
+                                  f"spurious imaginary part {bracket.imag:.2e}")
     return -math.log(bracket.real)
 
 

@@ -11,16 +11,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaln, gammasgn, loggamma
+from scipy.special import erfc, gammaln, loggamma
 from scipy.special import rgamma as _rgamma
 
 
-class NumericsError(ValueError):
+class FracpriceError(ValueError):
+    """A refusal: its class names the refusing layer, its code the reason."""
+
+    def __init__(self, code, message):
+        super().__init__(message)
+        self.code = code
+
+
+class NumericsError(FracpriceError):
     pass
-
-
-class PoleError(NumericsError):
-    """Evaluation exactly on a pole of Gamma."""
 
 
 class NonConvergenceError(NumericsError):
@@ -31,15 +35,17 @@ class NonConvergenceError(NumericsError):
 # special functions
 # ----------------------------------------------------------------------
 
-def log_gamma(x):
-    """Return (log|Gamma(x)|, sign of Gamma(x)).
-
-    Raises PoleError at nonpositive integers.
-    """
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"Gamma pole at x={x}")
-    return float(gammaln(x)), float(gammasgn(x))
+def green_scale(mu, tau, gamma):
+    """B = -mu tau^gamma, the scale of the Green function at maturity tau
+    (its width is B^(1/alpha)); NumericsError unless 0 < B < inf."""
+    try:
+        scale = -mu * tau ** gamma
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise NumericsError("scale_float_range", "Green-function scale "
+                            f"leaves the float range at tau={tau:.6g}")
+    return scale
 
 
 def reciprocal_gamma(x):
@@ -99,8 +105,8 @@ def log_gamma_series(z, a, b, tol, max_terms):
             return float(shift + math.log(partial[end])), end
         if size >= max_terms:
             raise NonConvergenceError(
-                f"Gamma-ratio series terms failed to decay within "
-                f"{max_terms} terms (z={z:.4g})")
+                "series_terms", f"Gamma-ratio series terms failed to decay "
+                f"within {max_terms} terms (z={z:.4g})")
         size = min(2 * size, max_terms)
 
 
@@ -131,7 +137,7 @@ def log_mean_factor(mu, tau, gamma):
     exponentiated log-price, e^{-r tau} E[S_T] = S X; X = 1 at gamma = 1.
     The Mittag-Leffler argument -mu tau^gamma is the combination that scales
     the Green density, so X reproduces the quadrature mean to rounding."""
-    return mu * tau + log_mittag_leffler(-mu * tau ** gamma, gamma)
+    return mu * tau + log_mittag_leffler(green_scale(mu, tau, gamma), gamma)
 
 
 # ----------------------------------------------------------------------
@@ -154,11 +160,11 @@ class ContourSpec:
 
     def __post_init__(self):
         if not self.half_length > 0.0:
-            raise NumericsError("half_length must be > 0")
+            raise NumericsError("half_length_range", "half_length must be > 0")
         if self.nodes < 16:
-            raise NumericsError("nodes must be >= 16")
+            raise NumericsError("nodes_range", "nodes must be >= 16")
         if not 0.0 <= self.tilt_deg < 90.0:
-            raise NumericsError("tilt_deg must be in [0, 90)")
+            raise NumericsError("tilt_range", "tilt_deg must be in [0, 90)")
 
 
 _GL16 = np.polynomial.legendre.leggauss(16)
@@ -200,6 +206,7 @@ def mb_line_integral(integrand, contour):
     v2 = evaluate(2.0 * contour.half_length, 2 * contour.nodes)
     if abs(v2 - v1) > 1e-9 * max(abs(v2), 1e-300):
         raise NonConvergenceError(
+            "line_unstable",
             f"line integral unstable under doubling: {v1} vs {v2}")
     return complex(v2)
 
@@ -233,13 +240,13 @@ class GreenDensityQuery:
 
     def __post_init__(self):
         if not 1.0 < self.alpha <= 2.0:
-            raise NumericsError("alpha must be in (1, 2]")
+            raise NumericsError("alpha_range", "alpha must be in (1, 2]")
         if not 0.0 < self.gamma <= self.alpha:
-            raise NumericsError("gamma must be in (0, alpha]")
+            raise NumericsError("gamma_range", "gamma must be in (0, alpha]")
         if not self.mu < 0.0:
-            raise NumericsError("mu must be < 0")
+            raise NumericsError("mu_negative", "mu must be < 0")
         if not self.tau > 0.0:
-            raise NumericsError("tau must be > 0")
+            raise NumericsError("tau_positive", "tau must be > 0")
 
 
 def _mellin_log_ratio(t, alpha, gamma, heavy):
@@ -312,6 +319,7 @@ def _line_nodes(c, alpha, gamma, heavy, env_cap, osc):
                             heavy).real < env_cap
     if not low.any():
         raise NonConvergenceError(
+            "envelope_decay",
             "integrand envelope does not decay within the line cap; "
             f"gamma={gamma} is too close to alpha={alpha} for the "
             "contour representation")
@@ -396,8 +404,9 @@ def green_density(query):
     the integrand's saddle for each point (see _density_batch).
     """
     if query.x == 0.0:
-        raise NumericsError("density evaluation requires x != 0")
-    ell = (-query.mu * query.tau ** query.gamma) ** (1.0 / query.alpha)
+        raise NumericsError("density_origin",
+                            "density evaluation requires x != 0")
+    ell = green_scale(query.mu, query.tau, query.gamma) ** (1.0 / query.alpha)
     return float(_density_batch(np.array([query.x]),
                                 query.alpha, query.gamma, ell)[0])
 
@@ -440,23 +449,16 @@ def _tail_mass(Y, alpha, gamma, ell, heavy):
 def _geometric_panels(a, b, scale):
     """Composite 32-point GL nodes/weights on [a, b], refined geometrically
     toward 0 (where the density peaks) and graded outward."""
-    bps = {a, b}
-    if a < 0.0 < b:
-        bps.add(0.0)
+    dists = [0.0]
     d = scale / 6.0
     while d > 1e-7 * scale:
-        if a < d < b:
-            bps.add(d)
-        if a < -d < b:
-            bps.add(-d)
+        dists.append(d)
         d /= 3.0
     y = scale / 6.0
     while y < max(abs(a), abs(b)):
-        if a < y < b:
-            bps.add(y)
-        if a < -y < b:
-            bps.add(-y)
+        dists.append(y)
         y *= 1.18
+    bps = {a, b} | {x for r in dists for x in (r, -r) if a < x < b}
     return _gauss_panels(sorted(bps), _GL32)
 
 
@@ -525,35 +527,38 @@ def reference_price(params, inputs, mu=None):
     of the residue series.
 
     Only the out-of-the-money side, where the value is small, is integrated.
-    With y* = -log_fwd - mu tau >= 0 (or K = 0) that is the call C, and a
-    put is C - S + K e^{-r tau}; a put cannot see a call whose deep-tail
-    integral is bounded below ulp(S)/4, so that tail is then skipped.  With
-    y* < 0 it is the put integral P, and a put is P + S (X - 1), a call
-    P + S X - K e^{-r tau}, X the mean factor of log_mean_factor.  A forward
-    S e^{(r + mu) tau} outside the float range, then a mean factor beyond
-    it or a call payoff that overflows on the nodes, raises NumericsError.
+    With y* = -log_fwd - mu tau >= 0 that is the call C, and a put is
+    C - S + K e^{-r tau}; a put cannot see a call whose deep-tail integral
+    is bounded below ulp(S)/4, so that tail is then skipped.  With y* < 0 it
+    is the put integral P, and a put is P + S (X - 1), a call
+    P + S X - K e^{-r tau}, X the mean factor of log_mean_factor; at K = 0,
+    y* = -inf and P = 0, so the call is S X exactly.  A forward
+    S e^{(r + mu) tau} outside the float range, a call payoff that overflows
+    on the nodes, a mean factor beyond the float range, and a call outside
+    the arbitrage band [max(S X - K e^{-r tau}, 0), S X] raise NumericsError.
     """
     if mu is None:
         from .model import risk_neutral  # deferred: model imports this module
         mu = risk_neutral(params).mu
     if not mu < 0.0:
-        raise NumericsError("mu must be < 0")
+        raise NumericsError("mu_negative", "mu must be < 0")
     alpha, gamma = params.alpha, params.gamma
     S, K, r, tau = inputs.spot, inputs.strike, inputs.rate, inputs.tau
-    ell = (-mu * tau ** gamma) ** (1.0 / alpha)
+    ell = green_scale(mu, tau, gamma) ** (1.0 / alpha)
     try:
         fwd = S * math.exp((r + mu) * tau)
     except OverflowError:
         fwd = math.inf
     if not 0.0 < fwd < math.inf:
         raise NumericsError(
+            "forward_float_range",
             f"forward S e^((r + mu) tau) = {S:.6g} e^{(r + mu) * tau:.6g} "
             f"{'overflows' if fwd else 'underflows'}")
     disc = inputs.discount
     call = inputs.kind.value == "call"
-    ystar = -60.0 if K <= 0.0 else -(math.log(S / K) + r * tau) - mu * tau
+    ystar = -inputs.log_fwd - mu * tau                  # -inf at K = 0
 
-    if K <= 0.0 or ystar >= 0.0:
+    if ystar >= 0.0:
         log_tol = math.log(1e-15 * max(K, fwd) / fwd)
         yhi = _payoff_upper_cutoff(ystar, alpha, gamma, ell, log_tol)
         if yhi > ystar:
@@ -563,28 +568,39 @@ def reference_price(params, inputs, mu=None):
                 c = disc * float(((fwd * np.exp(ys) - K) * g) @ ws)
             if not math.isfinite(c):
                 raise NumericsError(
+                    "payoff_float_range",
                     f"call payoff S e^((r + mu) tau + y) overflows on the "
                     f"quadrature nodes up to y = {yhi:.6g}")
         else:
             c = 0.0
-        if K > 0.0 and ystar > 0.0 and c <= 1e-10 * fwd:
+        if ystar > 0.0 and c <= 1e-10 * fwd:
             # so far out that the density values themselves are unreliable
             tail = _tilted_tail_call(ystar, alpha, gamma, ell, disc * fwd,
                                      0.0 if call else math.ulp(S) / 4.0)
             if tail is not None:
                 c = tail
-        return c if call else c - S + K * disc
 
     log_x = log_mean_factor(mu, tau, gamma)
     with np.errstate(over="ignore"):
         shift = S * float(np.expm1(log_x))          # S (X - 1)
     if not math.isfinite(shift):
         raise NumericsError(
+            "mean_factor_overflow",
             f"mean factor e^{log_x:.6g} of the log-price overflows")
-    ylo = 60.0 + abs(ystar)
-    ys, ws = _geometric_panels(-ylo, ystar, ell)
-    g = _density_batch(ys, alpha, gamma, ell)
-    pay = K - fwd * np.exp(ys)
-    body = float((pay * g) @ ws)
-    put = disc * (body + K * _tail_mass(ylo, alpha, gamma, ell, True))
-    return put + S * math.exp(log_x) - K * disc if call else put + shift
+    upper = S * math.exp(log_x)
+    if ystar < 0.0:
+        put = 0.0                               # at K = 0, (K - S_T)^+ = 0
+        if K > 0.0:
+            ylo = 60.0 + abs(ystar)
+            ys, ws = _geometric_panels(-ylo, ystar, ell)
+            g = _density_batch(ys, alpha, gamma, ell)
+            body = float(((K - fwd * np.exp(ys)) * g) @ ws)
+            put = disc * (body + K * _tail_mass(ylo, alpha, gamma, ell, True))
+        c = put + upper - K * disc
+    # outside the series' band, its pad widened by 1e-9 S X for values far
+    # above S, a call is quadrature noise
+    lower, pad = max(upper - K * disc, 0.0), 1e-6 * (S + K) + 1e-9 * upper
+    if not lower - pad <= c <= upper + pad:
+        raise NumericsError("band", f"quadrature call {c:.6g} outside the "
+                            f"arbitrage band [{lower:.6g}, {upper:.6g}]")
+    return c if call else (c - S + K * disc if ystar >= 0.0 else put + shift)

@@ -14,20 +14,15 @@ from scipy.special import gammaln
 
 from . import numerics
 from .model import ModelKind, ValidationError, risk_neutral, validate
-from .numerics import normal_cdf, reciprocal_gamma
+from .numerics import FracpriceError, normal_cdf, reciprocal_gamma
 
 
-class SeriesDivergenceError(ValueError):
-    """The residue series is outside its numerical domain of validity; code
-    names the reason machine-readably."""
-
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
+class SeriesDivergenceError(FracpriceError):
+    """The residue series is outside its numerical domain of validity."""
 
 
-class ParityError(ValueError):
-    """A call price violates the parity lower bound beyond tolerance."""
+class ParityError(FracpriceError):
+    """A put price violates the parity lower bound beyond tolerance."""
 
 
 class OptionKind(Enum):
@@ -155,23 +150,18 @@ def _band_lower(upper, inputs):
     return max(upper - inputs.strike * inputs.discount, 0.0)
 
 
-# What one quote's evaluation may raise while the rest of its chain is still
-# priced; price_chain returns these as the quote's entry.
-_QUOTE_ERRORS = (ValidationError, SeriesDivergenceError, ParityError,
-                 numerics.NumericsError, OverflowError)
-
-
 def _attempt(fn, *args):
-    """fn(*args), or the _QUOTE_ERRORS instance it raised."""
+    """fn(*args), or the FracpriceError it raised: what one quote's
+    evaluation may raise while the rest of its chain is still priced."""
     try:
         return fn(*args)
-    except _QUOTE_ERRORS as exc:
+    except FracpriceError as exc:
         return exc
 
 
 def _each(count, fn, *args):
     """Iterator over the count entries of the list fn(*args) returns, or
-    over count copies of the _QUOTE_ERRORS instance it raised."""
+    over count copies of the FracpriceError it raised."""
     out = _attempt(fn, *args)
     return iter([out] * count if isinstance(out, Exception) else out)
 
@@ -202,7 +192,7 @@ def _series_chain(params, mu, chain, policy):
         return []
     a, g = params.alpha, params.gamma
     spot, tau = chain[0].spot, chain[0].tau
-    log_B = math.log(-mu * tau ** g)
+    log_B = math.log(numerics.green_scale(mu, tau, g))
     A, pref, blowup = np.array(
         [(-inp.log_fwd - mu * tau, inp.strike * inp.discount / a,
           1e4 * (spot + inp.strike)) for inp in chain]).T
@@ -287,7 +277,7 @@ def _series_chain(params, mu, chain, policy):
                     f"converged series value {total[k]:.6g} lies outside the "
                     f"arbitrage band [{lower:.6g}, {upper:.6g}]; the "
                     "series is outside its validity domain"))
-        except _QUOTE_ERRORS as exc:
+        except FracpriceError as exc:
             # without its traceback, which holds this frame and its blocks
             results.append(exc.with_traceback(None))
             continue
@@ -327,7 +317,8 @@ def dfrac_call_series(params, inputs, policy=None):
 def _floor_put(put, inputs):
     """A put value floored at 0; one below -1e-8 S is refused."""
     if put < -1e-8 * inputs.spot:
-        raise ParityError(f"put {put:.3g} below the parity bound 0")
+        raise ParityError("parity_bound",
+                          f"put {put:.3g} below the parity bound 0")
     return max(put, 0.0)
 
 
@@ -339,7 +330,7 @@ def put_from_parity(call, inputs):
 
 def _price_inputs(params, chain, policy, fallback):
     """price() of each of the PricingInputs sharing spot, rate and tau: its
-    value, or the _QUOTE_ERRORS instance refusing it.  An error of the whole
+    value, or the FracpriceError refusing it.  An error of the whole
     chain (params, mu) is raised."""
     validate(params)
     bs = params.kind is ModelKind.BLACK_SCHOLES
@@ -372,8 +363,7 @@ def price_chain(params, chain):
     raise ValidationError (code chain_terms).
 
     Returns one entry per input: the float price() returns for it, or the
-    exception price() raises (a ValidationError, SeriesDivergenceError,
-    ParityError, NumericsError or OverflowError; any other propagates).
+    FracpriceError price() raises (any other exception propagates).
     The drift mu, the residue series' strike-independent factors and the
     band's mean factor are computed once for the chain.
     """

@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .calibration import QuoteChain
+from .numerics import FracpriceError
 from .pricing import PricingInputs, bs_call
-from .volatility import InversionError, implied_vol
+from .volatility import implied_vol
 
 SPOT = 966.3
 STRIKES = (900.0, 940.0, 980.0, 1020.0, 1060.0, 1100.0,
@@ -71,7 +72,7 @@ def fit_rate_tau():
         for k, p in zip(STRIKES, CALL_PRICES):
             try:
                 out.append(_bs_vol(p, SPOT, k, r, t))
-            except (InversionError, ValueError):
+            except FracpriceError:
                 return None
         return np.array(out)
 
@@ -85,13 +86,10 @@ def fit_rate_tau():
             return 1e6
         return float(np.sum((iv - vols) ** 2))
 
-    best = None
-    for seed in FIT_SEEDS:
-        res = minimize(sse, seed, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-14,
-                                "maxiter": 4000})
-        if best is None or res.fun < best.fun:
-            best = res
+    best = min((minimize(sse, seed, method="Nelder-Mead",
+                         options={"xatol": 1e-10, "fatol": 1e-14,
+                                  "maxiter": 4000})
+                for seed in FIT_SEEDS), key=lambda res: res.fun)
     r, t = (float(v) for v in best.x)
     iv = recompute(r, t)
     resid = iv - vols

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .model import ModelParams, mu_gamma_approx
-from .numerics import reciprocal_gamma
+from .numerics import FracpriceError, green_scale, reciprocal_gamma
 from .pricing import (OptionKind, SeriesDivergenceError, bs_call,
                       put_from_parity)
 
@@ -21,10 +21,8 @@ BRACKET = (1e-4, 5.0)
 MAX_ITER = 100
 
 
-class InversionError(ValueError):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
+class InversionError(FracpriceError):
+    """A quote whose implied volatility cannot be found."""
 
 
 @dataclass(frozen=True)
@@ -108,21 +106,28 @@ def implied_vol(pricer, market_price, x0=None):
                          f"no convergence in {MAX_ITER} iterations")
 
 
-def _check_atm_forward(spot, tau, strike, rate):
+def _check_atm_quote(call_price, spot, tau, strike, rate):
+    """Refuse a quote that is not ATM-forward or priced outside (0, spot)."""
     if strike is not None and rate is not None:
-        fwd_strike = strike * math.exp(-rate * tau)
+        try:
+            fwd_strike = strike * math.exp(-rate * tau)
+        except OverflowError:
+            raise InversionError(
+                "discount_float_range",
+                f"discount factor e^(-r*tau) overflows at r*tau = "
+                f"{rate * tau:.6g}") from None
         if abs(spot - fwd_strike) > 1e-6 * spot:
             raise InversionError(
                 "not_atm_forward",
                 f"spot {spot} != K e^(-r tau) = {fwd_strike}")
+    if not 0.0 < call_price < spot:
+        raise InversionError("out_of_band",
+                             f"ATM call price {call_price} outside (0, spot)")
 
 
 def atm_bs_implied(call_price, spot, tau, strike=None, rate=None):
     """ATM-forward first-order inversion: sigma = (C/S) sqrt(2 pi / tau)."""
-    _check_atm_forward(spot, tau, strike, rate)
-    if not 0.0 < call_price < spot:
-        raise InversionError("out_of_band",
-                             f"ATM call price {call_price} outside (0, spot)")
+    _check_atm_quote(call_price, spot, tau, strike, rate)
     return (call_price / spot) * math.sqrt(2.0 * math.pi / tau)
 
 
@@ -132,12 +137,17 @@ def atm_fbs_implied(call_price, spot, tau, gamma, strike=None, rate=None):
     if not 0.5 < gamma <= 2.0:
         raise InversionError("gamma_domain",
                              f"gamma={gamma} outside (1/2, 2]")
-    _check_atm_forward(spot, tau, strike, rate)
-    if not 0.0 < call_price < spot:
-        raise InversionError("out_of_band",
-                             f"ATM call price {call_price} outside (0, spot)")
-    return (2.0 * (call_price / spot) * math.exp(gammaln(1.0 + 0.5 * gamma))
-            * math.sqrt(math.exp(gammaln(1.0 + 2.0 * gamma)) / tau ** gamma))
+    _check_atm_quote(call_price, spot, tau, strike, rate)
+    try:
+        sigma = (2.0 * (call_price / spot)
+                 * math.exp(gammaln(1.0 + 0.5 * gamma)) * math.sqrt(
+                     math.exp(gammaln(1.0 + 2.0 * gamma)) / tau ** gamma))
+    except (OverflowError, ZeroDivisionError):          # tau^gamma is inf or 0
+        sigma = math.inf
+    if not sigma < math.inf:
+        raise InversionError("tau_float_range",
+                             f"tau^gamma leaves the float range at tau={tau}")
+    return sigma
 
 
 # the f-BS smile's fixed truncation of the residue series: n = 0..4, m = 1..4
@@ -158,7 +168,8 @@ def _fbs_call(inputs, gamma, sigma):
         coef = _SIGN * np.where(_N == 0, 1.0, A ** _N) * _INV_FACT  # 0^0 := 1
         slices = (inputs.strike * inputs.discount / 2.0 * coef
                   * reciprocal_gamma(1.0 - gamma * (_N - _M) / 2.0)
-                  * np.exp(((_M - _N) / 2.0) * math.log(-mu * tau ** gamma))
+                  * np.exp(((_M - _N) / 2.0)
+                           * math.log(green_scale(mu, tau, gamma)))
                   ).sum(axis=1)
     if not (np.abs(slices) <= 1e4 * (inputs.spot + inputs.strike)).all():
         raise SeriesDivergenceError(

@@ -78,6 +78,16 @@ def test_mu_methods_agree(capsys):
     assert vals["series"] == pytest.approx(vals["mb"], abs=1e-10)
 
 
+def test_mu_contour_float_range_exit_2(capsys):
+    """A moment integral beyond the float range is refused, not printed as
+    NaN."""
+    rc, out, err = run(capsys, "mu", "--alpha", "1.7", "--gamma", "0.9",
+                       "--sigma", "1e150", "--method", "mb", "--json")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: moment integral nan")
+
+
 def test_smile_fixture_header_and_rows(capsys):
     rc, out, _ = run(capsys, "smile", "--fixture")
     assert rc == 0
@@ -105,6 +115,15 @@ def test_smile_missing_file_exit_3(capsys):
     rc, _, err = run(capsys, "smile", "/nonexistent/chain.csv",
                      "--spot", "100", "--rate", "0", "--tau", "1")
     assert rc == 3
+
+
+def test_smile_undecodable_file_exit_3(tmp_path, capsys):
+    f = tmp_path / "chain.csv"
+    f.write_bytes(b"kind,strike,price\ncall,100,\xff8\n")
+    rc, _, err = run(capsys, "smile", str(f), "--spot", "100",
+                     "--rate", "0", "--tau", "1")
+    assert rc == 3
+    assert err.startswith("error: cannot read")
 
 
 def test_smile_bad_header_exit_3(tmp_path, capsys):
@@ -269,6 +288,13 @@ BS_ATM = ("--spot", "100", "--strike", "100", "--rate", "0", "--tau", "1")
     (("--model", "dfrac", "--alpha", "1.7", "--gamma", "0.6", "--sigma", "1",
       "--spot", "100", "--strike", "100", "--rate", "1.5", "--tau", "30",
       "--fallback"), "overflows on the quadrature nodes"),
+    # the Green-function scale -mu tau^gamma overflows, or underflows to 0
+    (("--model", "dfrac", "--alpha", "1.7", "--gamma", "1.5", "--sigma", "0.2",
+      "--spot", "100", "--strike", "100", "--rate", "0", "--tau", "1e300"),
+     "Green-function scale leaves the float range"),
+    (("--model", "dfrac", "--alpha", "1.7", "--gamma", "1.5", "--sigma", "0.2",
+      "--spot", "100", "--strike", "0", "--rate", "0", "--tau", "1e-300"),
+     "Green-function scale leaves the float range"),
 ])
 def test_price_rejected_inputs_exit_2(capsys, argv, reason):
     rc, out, err = run(capsys, "price", *argv)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -5,12 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracprice import cli
+from fracprice.calibration import QuoteChain, calibrate
 from fracprice.model import (MU_MAX_TERMS, MU_TERM_CAP, ModelKind,
                              ModelParams, ValidationError, _mu_term_budget,
                              mu_gamma_approx, mu_gamma_mb, mu_gamma_series,
                              mu_levy, risk_neutral, validate)
-from fracprice.numerics import NonConvergenceError
-from fracprice.pricing import PricingInputs
+from fracprice.numerics import (FracpriceError, NonConvergenceError,
+                                reference_price)
+from fracprice.pricing import (ACCURACY_FLOOR, OptionKind, PricingInputs,
+                               _band_bounds, dfrac_call_series, price,
+                               price_chain)
+from fracprice.volatility import build_smile
 
 
 def dfrac(a, g, s):
@@ -100,6 +108,16 @@ def test_mu_gamma_series_non_convergence():
     # q ~ 14.7 needs ~175 terms to turn over; the 64-term budget cannot
     with pytest.raises(NonConvergenceError):
         mu_gamma_series(dfrac(1.2, 0.6, 5.0))
+
+
+@pytest.mark.parametrize("alpha,gamma,sigma", [
+    (1.7, 0.9, 1e5), (1.3, 1.2, 1e10), (1.7, 0.9, 1e150)])
+def test_mu_gamma_mb_float_range(alpha, gamma, sigma):
+    """A moment integral that leaves the float range is refused, not
+    returned as NaN (the series route refuses these parameters too)."""
+    with pytest.raises(NonConvergenceError) as exc:
+        mu_gamma_mb(dfrac(alpha, gamma, sigma))
+    assert exc.value.code == "moment_float_range"
 
 
 def test_risk_neutral_dispatch():
@@ -193,10 +211,10 @@ EDGE_FLOATS = st.one_of(
 
 
 def _typed_rejection(thunk):
-    """thunk()'s result, or None if it raised a ValidationError with a code."""
+    """thunk()'s result, or None if it raised a FracpriceError with a code."""
     try:
         return thunk()
-    except ValidationError as exc:
+    except FracpriceError as exc:
         assert isinstance(exc.code, str) and exc.code
         return None
 
@@ -264,3 +282,96 @@ def test_validate_sigma_finite():
         with pytest.raises(ValidationError) as exc:
             validate(ModelParams.black_scholes(sigma))
         assert exc.value.code == "sigma_finite"
+
+
+# The package's contract: every entry point returns a finite price inside
+# the arbitrage band, or raises a FracpriceError with a code; the CLI exits
+# 0, 2 or 3.  tau is drawn log-uniformly across the float range.
+CONTRACT_PARAMS = [ModelParams.black_scholes(0.2), ModelParams.fmls(1.7, 0.2),
+                   dfrac(1.7, 0.9, 0.2), dfrac(1.7, 1.5, 0.2),
+                   dfrac(1.3, 1.2, 0.5)]
+CONTRACT_TAUS = st.one_of(st.floats(-323.0, 308.0).map(lambda e: 10.0 ** e),
+                          EDGE_FLOATS)
+
+
+def _in_band(params, inputs, value, floor):
+    """value is finite and inside _band_bounds, mapped to a put by parity
+    and, where the put is floored at 0, floored too.  The pad is the series
+    band guard's, plus the accuracy floor relative to the band's upper edge,
+    which a quadrature value far above S needs.  Black-Scholes prices need
+    no scale B, so at a tau where B underflows their band is refused."""
+    assert math.isfinite(value)
+    band = _typed_rejection(
+        lambda: _band_bounds(params, inputs, risk_neutral(params).mu))
+    if band is None:
+        assert params.kind is ModelKind.BLACK_SCHOLES
+        return
+    lower, upper = band
+    pad = 1e-6 * (inputs.spot + inputs.strike) + ACCURACY_FLOOR * upper
+    if inputs.kind is OptionKind.PUT:
+        shift = inputs.strike * inputs.discount - inputs.spot
+        lower, upper = lower + shift, upper + shift
+    if floor:
+        lower, upper = max(lower, 0.0), max(upper, 0.0)
+    assert lower - pad <= value <= upper + pad
+
+
+def _contract(params, inputs, thunk, floor=True):
+    value = _typed_rejection(thunk)
+    if value is not None:
+        _in_band(params, inputs, value, floor)
+
+
+def _raised(entry):
+    """A price_chain entry as price() gives it: the float, or raised."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(CONTRACT_PARAMS), CONTRACT_TAUS,
+       st.sampled_from([0.0, 50.0, 90.0, 100.0, 110.0, 200.0]),
+       st.sampled_from([0.0, 0.05, -0.05]),
+       st.sampled_from(["call", "put"]), st.booleans())
+def test_entry_points_price_in_band_or_typed_error(params, tau, strike, rate,
+                                                  kind, fallback):
+    argv = ["price", f"--model={params.kind.value}", f"--alpha={params.alpha}",
+            f"--gamma={params.gamma}", f"--sigma={params.sigma}", "--spot=100",
+            f"--strike={strike}", f"--rate={rate}", f"--tau={tau!r}",
+            f"--kind={kind}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 2, 3)
+    assert (rc == 0) == (err.getvalue() == "")
+    inputs = _typed_rejection(
+        lambda: PricingInputs(100.0, strike, rate, tau, kind))
+    if inputs is None:
+        return
+    _contract(params, inputs, lambda: price(params, inputs, fallback=fallback))
+    chain = [inputs, PricingInputs(100.0, 100.0, rate, tau)]
+    for inp, entry in zip(chain, price_chain(params, chain)):
+        _contract(params, inp, lambda: _raised(entry))
+    if not fallback:        # price(fallback=True) integrates the refusals
+        _contract(params, inputs, lambda: reference_price(params, inputs),
+                  False)
+    call = PricingInputs(100.0, strike, rate, tau)
+    _contract(params, call, lambda: dfrac_call_series(params, call)[0])
+
+
+@pytest.mark.parametrize("tau", [1e300, 1e-300])
+def test_chain_entry_points_at_tau_edges(tau):
+    """At either end of the float range a smile's vols are finite or None,
+    and a calibration returns a finite fit or raises a coded refusal."""
+    chain = QuoteChain(100.0, 0.0, tau, (
+        ("call", 90.0, 12.0), ("call", 110.0, 2.0), ("put", 95.0, 3.0)))
+    for point in build_smile(chain, (0.8, 1.1)):
+        for vol in [point.sigma_bs, *point.sigma_fbs.values()]:
+            assert vol is None or math.isfinite(vol)
+    for seed in CONTRACT_PARAMS[:4]:
+        fit = _typed_rejection(lambda: calibrate(chain, seed.kind, (seed,)))
+        if fit is not None:
+            assert math.isfinite(fit.aggregated_error)
+            assert all(":" in key or key == "non_finite"
+                       for key in fit.penalties)

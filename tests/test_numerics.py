@@ -7,35 +7,17 @@ from hypothesis import strategies as st
 from scipy.special import erfc, loggamma
 
 from fracprice.numerics import (ContourSpec, GreenDensityQuery,
-                                NonConvergenceError, NumericsError, PoleError,
+                                NonConvergenceError, NumericsError,
                                 _analytic_strip, _density_batch,
                                 _geometric_panels, _line_nodes,
                                 _mellin_log_ratio, _payoff_upper_cutoff,
                                 _run_end, _saddle_scans, _tail_masses,
-                                green_density, log_gamma, log_gamma_series,
-                                log_mittag_leffler, mb_line_integral,
-                                normal_cdf, reciprocal_gamma, reference_price)
+                                green_density, log_gamma_series,
+                                log_mean_factor, log_mittag_leffler,
+                                mb_line_integral, normal_cdf,
+                                reciprocal_gamma, reference_price)
 from fracprice.model import ModelParams, risk_neutral
 from fracprice.pricing import PricingInputs, OptionKind, bs_call
-
-
-def test_log_gamma_values():
-    lg, sign = log_gamma(11.0)
-    assert sign == 1.0
-    assert abs(lg - 15.104412573075516) < 1e-12   # log(10!)
-    lg, sign = log_gamma(0.5)
-    assert abs(lg - 0.5 * math.log(math.pi)) < 1e-14
-    # Gamma(-1.5) = 4 sqrt(pi) / 3 > 0, Gamma(-0.5) = -2 sqrt(pi) < 0
-    lg, sign = log_gamma(-1.5)
-    assert sign == 1.0 and abs(math.exp(lg) - 4 * math.sqrt(math.pi) / 3) < 1e-12
-    lg, sign = log_gamma(-0.5)
-    assert sign == -1.0 and abs(math.exp(lg) - 2 * math.sqrt(math.pi)) < 1e-12
-
-
-@pytest.mark.parametrize("x", [0.0, -1.0, -7.0, -42.0])
-def test_log_gamma_poles(x):
-    with pytest.raises(PoleError):
-        log_gamma(x)
 
 
 def test_reciprocal_gamma_total():
@@ -165,6 +147,35 @@ def test_reference_price_zero_strike_gamma1():
     params = ModelParams.double_fractional(1.6, 1.0, 0.3)
     inputs = PricingInputs(250.0, 0.0, 0.02, 1.5, OptionKind.CALL)
     assert reference_price(params, inputs) == pytest.approx(250.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("params,tau", [
+    (ModelParams.black_scholes(0.2), 1e-150),
+    (ModelParams.black_scholes(0.2), 1e-318),
+    (ModelParams.double_fractional(1.3, 1.2, 0.5), 100.0),
+])
+def test_reference_price_zero_strike_is_mean_factor(params, tau):
+    """At K = 0 the call is S X and the put S (X - 1) exactly, also where a
+    payoff integral goes wrong: at tau 1e-150 its nodes span ~200 units of
+    log X (it gave 161 S), at tau 100 e^y moves the payoff's mass deep into
+    the thin tail (it gave 1.4e-7 above S X)."""
+    mu = risk_neutral(params).mu
+    log_x = log_mean_factor(mu, tau, params.gamma)
+    for kind, value in (("call", 100.0 * math.exp(log_x)),
+                        ("put", 100.0 * float(np.expm1(log_x)))):
+        inputs = PricingInputs(100.0, 0.0, 0.0, tau, kind)
+        assert reference_price(params, inputs) == value
+
+
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_reference_price_outside_band_is_refused(kind):
+    """Where e^y amplifies density noise deep in the thin tail (ell ~ 320,
+    y* ~ 454 here) the call integral is 9.7e72 against S X = 4.4e29; a value
+    outside the arbitrage band is refused, not returned."""
+    params = ModelParams.double_fractional(1.3, 1.2, 0.5)
+    with pytest.raises(NumericsError) as exc:
+        reference_price(params, PricingInputs(100.0, 50.0, 0.0, 1000.0, kind))
+    assert exc.value.code == "band"
 
 
 def _direct_call(params, inputs, mu):

@@ -468,14 +468,14 @@ def _chain_of(params, chain, policy, fallback):
     an error of the whole chain fills every entry."""
     try:
         return pricing._price_inputs(params, chain, policy, fallback)
-    except pricing._QUOTE_ERRORS as exc:
+    except numerics.FracpriceError as exc:
         return [exc] * len(chain)
 
 
 def _alone(params, inputs, policy=None, fallback=False):
     try:
         return price(params, inputs, policy, fallback)
-    except pricing._QUOTE_ERRORS as exc:
+    except numerics.FracpriceError as exc:
         return exc
 
 
@@ -686,3 +686,43 @@ def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
     assert max(sizes) == 176                    # the call is integrated
     assert max(put_sizes) == (1 if c < math.ulp(100.0) / 4.0 else 176)
     assert value == put_from_parity(c, put)
+
+
+SCALE_PARAMS = ModelParams.double_fractional(1.7, 1.5, 0.2)
+
+
+def _chain_entry(inputs):
+    """price_chain's entry for the quote, raised if it is an exception; the
+    chain itself must return."""
+    entry, = price_chain(SCALE_PARAMS, [inputs])
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
+def _density(tau):
+    mu = risk_neutral(SCALE_PARAMS).mu
+    return numerics.green_density(
+        numerics.GreenDensityQuery(1.7, 1.5, mu, 0.1, tau))
+
+
+@pytest.mark.parametrize("tau", [1e300, 1e-300])
+@pytest.mark.parametrize("entry", [
+    lambda tau: price(SCALE_PARAMS, PricingInputs(100.0, 100.0, 0.0, tau)),
+    lambda tau: price(SCALE_PARAMS, PricingInputs(100.0, 100.0, 0.0, tau),
+                      fallback=True),
+    lambda tau: _chain_entry(PricingInputs(100.0, 100.0, 0.0, tau)),
+    # K 110 is on the call side of y*, K 90 on the put side
+    lambda tau: numerics.reference_price(
+        SCALE_PARAMS, PricingInputs(100.0, 110.0, 0.0, tau)),
+    lambda tau: numerics.reference_price(
+        SCALE_PARAMS, PricingInputs(100.0, 90.0, 0.0, tau)),
+    _density,
+], ids=["price", "price_fallback", "price_chain", "reference_call_side",
+        "reference_put_side", "green_density"])
+def test_green_scale_float_range_is_typed(entry, tau):
+    """A Green-function scale -mu tau^gamma that overflows, or underflows to
+    0, is refused with its code on every route."""
+    with pytest.raises(numerics.FracpriceError) as exc:
+        entry(tau)
+    assert exc.value.code == "scale_float_range"

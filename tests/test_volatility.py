@@ -96,6 +96,17 @@ def test_atm_fbs_gamma_domain():
     assert exc.value.code == "gamma_domain"
 
 
+@pytest.mark.parametrize("tau,gamma,strike,rate,code", [
+    (1e300, 1.5, None, None, "tau_float_range"),        # tau^gamma overflows
+    (1e-300, 1.5, None, None, "tau_float_range"),       # ... underflows to 0
+    (1.0, 1.0, 100.0, -1e3, "discount_float_range"),    # e^(-r tau) overflows
+])
+def test_atm_fbs_float_range(tau, gamma, strike, rate, code):
+    with pytest.raises(InversionError) as exc:
+        atm_fbs_implied(10.0, 100.0, tau, gamma, strike=strike, rate=rate)
+    assert exc.value.code == code
+
+
 def test_atm_band_guard():
     with pytest.raises(InversionError):
         atm_bs_implied(120.0, 100.0, 1.0)   # call above spot
