@@ -299,11 +299,14 @@ def _saddle_scans(logX, alpha, gamma, heavy, deep=False):
 
 
 def _line_nodes(c, alpha, gamma, heavy, env_cap, osc):
-    """Nodes/weights on the upper half-line Im t in (0, L].
+    """Nodes/weights on the upper half-line Im t in (0, L], and its panels.
 
     L grows until the integrand envelope drops below env_cap (the tail beyond
     contributes less than the accuracy target).  Panel width is capped by the
-    oscillation rate osc = max |log X| of the points sharing this line.
+    oscillation rate osc = max |log X| of the points sharing this line.  The
+    panels are (mids, half, head): panel p holds the GL24 nodes
+    c + i (mid_p + half_p x_j), and every panel from index head on has the
+    one half-width half.
     """
     # Beyond the asymptotic decay rate (pi/2)(1 - gamma/alpha) there is a
     # quadratic regime: along a deep line the envelope first falls like
@@ -324,28 +327,53 @@ def _line_nodes(c, alpha, gamma, heavy, env_cap, osc):
             f"gamma={gamma} is too close to alpha={alpha} for the "
             "contour representation")
     L = Ls[low.argmax()]
-    # panel widths grow x1.7 from 0.085 up to wcap; the edges are their
-    # running sum (a sequential accumulate), up to the first edge >= L
+    # panel widths grow x1.7 from 0.085 while below wcap (the head), then
+    # stay at wcap up to the first edge >= L
     wcap = max(0.25, 6.0 / max(osc, 1.0))
-    steps = [0.085]
-    while steps[-1] < wcap:
-        steps.append(min(steps[-1] * 1.7, wcap))
-    steps += [wcap] * (int((L - sum(steps)) / wcap) + 2)
-    edges = np.cumsum([0.0] + steps)
-    ys, ws = _gauss_panels(edges[:np.argmax(edges >= L) + 1], _GL24)
-    return c + 1j * ys, ws
+    graded = [0.085]
+    while graded[-1] * 1.7 < wcap:
+        graded.append(graded[-1] * 1.7)
+    edges = np.cumsum([0.0] + graded)
+    head = min(int((edges < L).sum()), len(graded))
+    nu = max(math.ceil((L - edges[-1]) / wcap), 0)
+    half = np.concatenate([0.5 * np.array(graded[:head]),
+                           np.full(nu, 0.5 * wcap)])
+    mids = np.concatenate([edges[:head],
+                           edges[-1] + wcap * np.arange(nu)]) + half
+    xg, wg = _GL24
+    ys = (mids[:, None] + half[:, None] * xg).ravel()
+    return c + 1j * ys, (half[:, None] * wg).ravel(), (mids, 0.5 * wcap, head)
 
 
-def _line_sums(logX, t, v):
-    """Re sum_k v_k X^(t_k - c) at each log X, for line nodes t_k = c + i y_k.
+def _line_sums(logX, t, v, panels):
+    """Re sum_k v_k X^(t_k - c) at each log X, for the nodes t_k = c + i y_k
+    of a line with the given panels (see _line_nodes).
 
-    t_k - c = i y_k exactly, so each factor is the rotation e^(i y_k log X);
-    the rows are summed in blocks of 64 to bound the work matrix."""
-    y = t.imag
+    t_k - c = i y_k exactly, so each factor is the rotation e^(i y_k log X).
+    The graded head panels are summed node by node.  On the uniform panels
+    y = mid_p + half x_j, so the rotation is e^(i mid_p log X) times
+    e^(i half x_j log X): the points' panel phases times the (panels x 24)
+    values are matrix products, weighted by the 24 offset phases.  Trig
+    work per point is one per head node, per uniform panel and per offset.
+    The products are real, cos and sin against the values' real and
+    imaginary parts: a complex product pages in complex BLAS kernels (~0.6 MB
+    resident in a fresh process) that nothing else here uses.  The rows are
+    summed in blocks of 256 to bound the work matrices."""
+    mids, half, head = panels
+    k = 24 * head
+    y, vh, vu = t.imag[:k], v[:k], v[k:].reshape(-1, 24)
+    a, b = np.ascontiguousarray(vu.real), np.ascontiguousarray(vu.imag)
+    off = half * _GL24[0]
     out = np.empty(logX.size)
-    for i0 in range(0, logX.size, 64):
-        ph = np.multiply.outer(logX[i0:i0 + 64], y)
-        out[i0:i0 + 64] = np.cos(ph) @ v.real - np.sin(ph) @ v.imag
+    for i0 in range(0, logX.size, 256):
+        lx = logX[i0:i0 + 256]
+        ph = np.multiply.outer(lx, y)
+        s = np.cos(ph) @ vh.real - np.sin(ph) @ vh.imag
+        ph = np.multiply.outer(lx, mids[head:])
+        cp, sp = np.cos(ph), np.sin(ph)
+        ph = np.multiply.outer(lx, off)
+        out[i0:i0 + 256] = s + ((cp @ a - sp @ b) * np.cos(ph)
+                                - (cp @ b + sp @ a) * np.sin(ph)).sum(axis=1)
     return out
 
 
@@ -365,8 +393,11 @@ def _density_batch(xs, alpha, gamma, ell):
             continue
         logX = np.log(np.abs(xs[m]) / ell)
         lo, hi = _analytic_strip(alpha, heavy)
-        kn = np.linspace(logX.min() - 1e-9, logX.max() + 1e-9,
-                         min(33, 2 + len(logX)))
+        # saddle knots: 2 more than the points, up to 33, and at least one
+        # per unit of log X
+        lo_x, hi_x = logX.min() - 1e-9, logX.max() + 1e-9
+        kn = np.linspace(lo_x, hi_x, max(min(33, 2 + len(logX)),
+                                         math.ceil(hi_x - lo_x) + 1))
         ck, sk = _saddle_scans(kn, alpha, gamma, heavy)
         sk -= ck * kn
         cpt = np.clip(np.interp(logX, kn, ck), lo, hi)
@@ -382,12 +413,12 @@ def _density_batch(xs, alpha, gamma, ell):
             c = float(np.clip(g * 0.25, lo, hi))
             env_cap = float((np.maximum(sad[sel] - 34.0, floor)
                              - c * logX[sel]).min())
-            t, w = _line_nodes(c, alpha, gamma, heavy, env_cap,
-                               float(np.abs(logX[sel]).max()))
+            t, w, panels = _line_nodes(c, alpha, gamma, heavy, env_cap,
+                                       float(np.abs(logX[sel]).max()))
             lr = _mellin_log_ratio(t, alpha, gamma, heavy)
             lrmax = lr.real.max()
             sel &= live
-            res = _line_sums(logX[sel], t, w * np.exp(lr - lrmax))
+            res = _line_sums(logX[sel], t, w * np.exp(lr - lrmax), panels)
             vals[sel] = res / math.pi * np.exp(lrmax + c * logX[sel])
         # live values near the floor can come back as signed noise
         # ~ envelope*eps; the density is nonnegative, so clip to 0
@@ -427,12 +458,12 @@ def _tail_masses(Ys, alpha, gamma, ell, heavy):
     for c in np.unique(cs[live]):
         sel = live & (cs == c)
         lx = logX[sel]
-        t, w = _line_nodes(c, alpha, gamma, heavy,
-                           float((sad[sel] - c * lx).min()) - 34.0,
-                           float(np.abs(lx).max()))
+        t, w, panels = _line_nodes(c, alpha, gamma, heavy,
+                                   float((sad[sel] - c * lx).min()) - 34.0,
+                                   float(np.abs(lx).max()))
         lr = _mellin_log_ratio(t, alpha, gamma, heavy)
         lrmax = lr.real.max()
-        res = _line_sums(lx, t, w * np.exp(lr - lrmax) / t)
+        res = _line_sums(lx, t, w * np.exp(lr - lrmax) / t, panels)
         out[sel] = -res / math.pi / alpha * np.exp(lrmax + c * lx)
     return out
 

@@ -120,6 +120,8 @@ def bs_call(inputs, sigma):
     if K == 0.0:
         return S
     st = sigma * math.sqrt(inputs.tau)
+    if st == 0.0:           # sigma sqrt(tau) underflows: the no-spread limit
+        return max(S - K * inputs.discount, 0.0)
     d_plus = inputs.log_fwd / st + 0.5 * st
     return float(S * normal_cdf(d_plus)
                  - K * inputs.discount * normal_cdf(d_plus - st))

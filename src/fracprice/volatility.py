@@ -107,7 +107,10 @@ def implied_vol(pricer, market_price, x0=None):
 
 
 def _check_atm_quote(call_price, spot, tau, strike, rate):
-    """Refuse a quote that is not ATM-forward or priced outside (0, spot)."""
+    """Refuse a quote that is not ATM-forward or priced outside (0, spot),
+    and a tau that is not finite and positive."""
+    if not 0.0 < tau < math.inf:
+        raise InversionError("tau_range", f"tau={tau} must be finite and > 0")
     if strike is not None and rate is not None:
         try:
             fwd_strike = strike * math.exp(-rate * tau)
@@ -116,7 +119,7 @@ def _check_atm_quote(call_price, spot, tau, strike, rate):
                 "discount_float_range",
                 f"discount factor e^(-r*tau) overflows at r*tau = "
                 f"{rate * tau:.6g}") from None
-        if abs(spot - fwd_strike) > 1e-6 * spot:
+        if not abs(spot - fwd_strike) <= 1e-6 * spot:
             raise InversionError(
                 "not_atm_forward",
                 f"spot {spot} != K e^(-r tau) = {fwd_strike}")
@@ -128,7 +131,11 @@ def _check_atm_quote(call_price, spot, tau, strike, rate):
 def atm_bs_implied(call_price, spot, tau, strike=None, rate=None):
     """ATM-forward first-order inversion: sigma = (C/S) sqrt(2 pi / tau)."""
     _check_atm_quote(call_price, spot, tau, strike, rate)
-    return (call_price / spot) * math.sqrt(2.0 * math.pi / tau)
+    sigma = (call_price / spot) * math.sqrt(2.0 * math.pi / tau)
+    if not sigma < math.inf:                    # 2 pi / tau overflows
+        raise InversionError("tau_float_range",
+                             f"2 pi / tau leaves the float range at tau={tau}")
+    return sigma
 
 
 def atm_fbs_implied(call_price, spot, tau, gamma, strike=None, rate=None):

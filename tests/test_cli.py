@@ -41,6 +41,14 @@ def test_price_put(capsys):
     assert float(out) > 0.0
 
 
+def test_price_bs_where_sigma_sqrt_tau_underflows(capsys):
+    # sigma sqrt(tau) underflows to 0: the intrinsic value, not a traceback
+    rc, out, err = run(capsys, "price", "--model", "bs", "--sigma", "1e-300",
+                       "--spot", "100", "--strike", "90", "--tau", "1e-300")
+    assert rc == 0 and err == ""
+    assert out == "10\n"
+
+
 def test_price_validation_exit_code(capsys):
     rc, _, err = run(capsys, "price", "--model", "dfrac", "--spot", "100",
                      "--strike", "100", "--sigma", "0.2", "--tau", "1",

@@ -16,9 +16,10 @@ from fracprice.model import (MU_MAX_TERMS, MU_TERM_CAP, ModelKind,
 from fracprice.numerics import (FracpriceError, NonConvergenceError,
                                 reference_price)
 from fracprice.pricing import (ACCURACY_FLOOR, OptionKind, PricingInputs,
-                               _band_bounds, dfrac_call_series, price,
-                               price_chain)
-from fracprice.volatility import build_smile
+                               _band_bounds, bs_call, dfrac_call_series,
+                               price, price_chain)
+from fracprice.volatility import (_fbs_call, atm_bs_implied, atm_fbs_implied,
+                                  build_smile, implied_vol)
 
 
 def dfrac(a, g, s):
@@ -358,6 +359,40 @@ def test_entry_points_price_in_band_or_typed_error(params, tau, strike, rate,
                   False)
     call = PricingInputs(100.0, strike, rate, tau)
     _contract(params, call, lambda: dfrac_call_series(params, call)[0])
+
+
+def _vol_contract(thunk):
+    """thunk() returns a finite vol, or raises a FracpriceError with a code."""
+    sigma = _typed_rejection(thunk)
+    if sigma is not None:
+        assert math.isfinite(sigma)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS,
+       st.sampled_from([None, 0.0, 0.05]), st.sampled_from([0.4, 0.8, 1.1]))
+def test_atm_inversions_finite_or_typed_error(call, spot, tau, strike, rate,
+                                               gamma):
+    for strike_, rate_ in ((None, None), (strike, rate)):
+        _vol_contract(lambda: atm_bs_implied(call, spot, tau, strike_, rate_))
+        _vol_contract(lambda: atm_fbs_implied(call, spot, tau, gamma,
+                                              strike_, rate_))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(CONTRACT_TAUS, EDGE_FLOATS,
+       st.sampled_from([0.0, 50.0, 90.0, 100.0, 110.0, 200.0]),
+       st.sampled_from([0.0, 0.05, -0.05]), st.sampled_from([None, 0.8, 1.1]))
+def test_implied_vol_finite_or_typed_error(tau, market, strike, rate, gamma):
+    """Black-Scholes (gamma None) and the f-BS smile's call as pricers."""
+    inputs = _typed_rejection(lambda: PricingInputs(100.0, strike, rate, tau))
+    if inputs is None:
+        return
+    if gamma is None:
+        pricer = lambda sigma: bs_call(inputs, sigma)
+    else:
+        pricer = lambda sigma: _fbs_call(inputs, gamma, sigma)
+    _vol_contract(lambda: implied_vol(pricer, market).sigma_I)
 
 
 @pytest.mark.parametrize("tau", [1e300, 1e-300])

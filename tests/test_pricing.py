@@ -32,6 +32,18 @@ def test_bs_call_rejects_bad_sigma():
         bs_call(PricingInputs(100.0, 100.0, 0.0, 1.0), 0.0)
 
 
+@pytest.mark.parametrize("strike, rate, kind, value", [
+    (100.0, 0.0, "call", 0.0), (100.0, 0.0, "put", 0.0),
+    (90.0, 0.0, "call", 10.0), (90.0, 0.0, "put", 0.0),
+    (110.0, 0.05, "put", 10.0)])
+def test_bs_price_where_sigma_sqrt_tau_underflows(strike, rate, kind, value):
+    """sigma sqrt(tau) = 1e-300 * 1e-150 underflows to 0: the price is the
+    limit max(S - K e^{-r tau}, 0) (a put by parity), not a
+    ZeroDivisionError."""
+    inp = PricingInputs(100.0, strike, rate, 1e-300, kind)
+    assert price(ModelParams.black_scholes(1e-300), inp) == value
+
+
 def test_pricing_inputs_validation():
     with pytest.raises(ValidationError):
         PricingInputs(0.0, 100.0, 0.0, 1.0)

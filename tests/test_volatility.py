@@ -107,6 +107,19 @@ def test_atm_fbs_float_range(tau, gamma, strike, rate, code):
     assert exc.value.code == code
 
 
+@pytest.mark.parametrize("tau,strike,code", [
+    (0.0, None, "tau_range"), (-1.0, None, "tau_range"),
+    (math.nan, None, "tau_range"), (math.inf, None, "tau_range"),
+    (1e-320, None, "tau_float_range"),  # 2 pi / tau overflows (it gave inf)
+    (1.0, math.nan, "not_atm_forward"),  # a NaN forward strike is not ATM
+])
+def test_atm_bs_inputs_are_checked(tau, strike, code):
+    with pytest.raises(InversionError) as exc:
+        atm_bs_implied(10.0, 100.0, tau, strike=strike,
+                       rate=None if strike is None else 0.0)
+    assert exc.value.code == code
+
+
 def test_atm_band_guard():
     with pytest.raises(InversionError):
         atm_bs_implied(120.0, 100.0, 1.0)   # call above spot
