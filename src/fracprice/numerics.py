@@ -509,6 +509,20 @@ def _payoff_upper_cutoff(ystar, alpha, gamma, ell, log_tol):
     return y
 
 
+def _chebyshev_values(f, theta):
+    """Values at x = cos(theta) of the polynomial through f[j] at the
+    Chebyshev-Lobatto points x_j = cos(pi j / n), n = len(f) - 1: its
+    Chebyshev coefficients by a DCT-I, as an (n + 1)^2 cosine matrix."""
+    n = len(f) - 1
+    k = np.arange(n + 1)
+    g = np.array(f, float)
+    g[[0, n]] *= 0.5
+    # j k reduced mod 2n, so that every angle is exact
+    c = np.cos(np.pi / n * (np.outer(k, k) % (2 * n))) @ g * (2.0 / n)
+    c[[0, n]] *= 0.5
+    return np.cos(np.outer(theta, k)) @ c
+
+
 def _tilted_tail_call(ystar, alpha, gamma, ell, scale, negligible):
     """scale * E[(e^y - e^{ystar})^+] deep in the thin tail, where pointwise
     density values sink below the contour quadrature's cancellation floor.
@@ -517,11 +531,26 @@ def _tilted_tail_call(ystar, alpha, gamma, ell, scale, negligible):
     int_{ystar}^inf e^y P[y' > y] dy, a product of positive factors in which
     each tail probability is evaluated on a contour through its own saddle,
     in log space, so relative accuracy survives even when the result is
-    dozens of orders of magnitude below the forward.  The quadrature nodes'
-    tail probabilities are one _tail_masses batch.  The integrand falls
-    from its maximum at ystar, so the integral up to the cutoff is at most
-    that maximum times the cutoff's distance; when twice this bound, times
-    scale, is below `negligible`, 0.0 is returned without the batch.
+    dozens of orders of magnitude below the forward.  The integrand falls
+    from its maximum at ystar; a search steps a cutoff ycut out until the
+    integrand there is below e^-40 times that maximum.  The integral up to
+    the cutoff is at most the maximum times the cutoff's distance; when
+    twice this bound, times scale, is below `negligible`, 0.0 is returned
+    without further work.  A cutoff step that lands where the tail
+    probability is 0 is bisected back in log y to an end where the
+    integrand is between e^-80 and e^-40 times its maximum, so that no
+    panel is spent on zeros.
+
+    The integral is a fixed rule, 12 geometric panels of GL16 (176 nodes)
+    on [ystar, ycut].  The log-integrand is analytic there, so the rule is
+    fed from Chebyshev interpolants in u = log y on nested
+    Chebyshev-Lobatto sets of 9, 17 and 33 points, whose two ends are the
+    values the search already has; each set adds its new points as one
+    _tail_masses batch.  The value is accepted once the rule's integrals of
+    two successive interpolants agree to 1e-11 relative (17 points against
+    9 at the earliest).  Where a value is not finite, or 33 points do not
+    settle (a far end whose tail probability is subnormal), the rule takes
+    the tail probabilities at its own 176 nodes.
 
     Returns None when the tail cannot be resolved in double precision."""
     sad = _saddle_scans([math.log(ystar / ell)], alpha, gamma, False, True)[1]
@@ -538,12 +567,50 @@ def _tilted_tail_call(ystar, alpha, gamma, ell, scale, negligible):
         return None
     ycut = ystar
     for _ in range(400):
-        ycut = ycut * 1.25 + 0.25 * ell
-        if log_integrand([ycut])[0] < top - 40.0:
+        ylo, ycut = ycut, ycut * 1.25 + 0.25 * ell
+        fcut = log_integrand([ycut])[0]
+        if fcut < top - 40.0:
             break
     if 2.0 * scale * math.exp(top) * (ycut - ystar) < negligible:
         return 0.0
+    if fcut == -math.inf:
+        # bisect in log y between the last probe at or above top - 40 and
+        # the first at 0; the first finite value below top - 40 can be a
+        # subnormal tail probability, too coarse to interpolate, so the end
+        # is kept above top - 80
+        yhi = ycut
+        for _ in range(60):
+            ycut = math.sqrt(ylo * yhi)
+            fcut = log_integrand([ycut])[0]
+            if top - 80.0 < fcut < top - 40.0:
+                break
+            if fcut < top - 40.0:
+                yhi = ycut
+            else:
+                ylo = ycut
+        else:
+            ycut, fcut = yhi, -math.inf
     ys, ws = _gauss_panels(np.geomspace(ystar, ycut, 12), _GL16)
+    # u = log y on [log ystar, log ycut] is x = cos(theta) on [-1, 1]; the
+    # Lobatto point j of n is theta = pi j / n, so j = 0 is ycut, j = n ystar
+    mid, half = 0.5 * math.log(ycut * ystar), 0.5 * math.log(ycut / ystar)
+    theta = np.arccos(np.clip((np.log(ys) - mid) / half, -1.0, 1.0))
+    f, m, last = np.array([fcut - top, 0.0]), 1, None
+    for n in (8, 16, 32) if math.isfinite(fcut) else ():
+        j = np.arange(n + 1)
+        new = j % (n // m) != 0
+        fn = np.empty(n + 1)
+        fn[~new] = f
+        fn[new] = log_integrand(
+            np.exp(mid + half * np.cos(np.pi / n * j[new]))) - top
+        f, m = fn, n
+        if not np.isfinite(f).all():
+            break
+        with np.errstate(over="ignore"):
+            val = float(np.exp(_chebyshev_values(f, theta)) @ ws)
+        if last is not None and abs(val - last) <= 1e-11 * val < math.inf:
+            return scale * (val * math.exp(top))
+        last = val
     return scale * (float(np.exp(log_integrand(ys) - top) @ ws)
                     * math.exp(top))
 

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, loggamma
 
-from fracprice.numerics import (ContourSpec, GreenDensityQuery,
+from fracprice import numerics
+from fracprice.numerics import (_GL32, ContourSpec, GreenDensityQuery,
                                 NonConvergenceError, NumericsError,
                                 _analytic_strip, _density_batch,
-                                _geometric_panels, _line_nodes, _line_sums,
-                                _mellin_log_ratio, _payoff_upper_cutoff,
-                                _run_end, _saddle_scans, _tail_masses,
+                                _gauss_panels, _geometric_panels,
+                                _line_nodes, _line_sums, _mellin_log_ratio,
+                                _payoff_upper_cutoff, _run_end,
+                                _saddle_scans, _tail_masses,
                                 green_density, green_scale, log_gamma_series,
                                 log_mean_factor, log_mittag_leffler,
                                 mb_line_integral, normal_cdf,
@@ -314,6 +316,64 @@ def test_heavy_tail_masses_at_alpha_2_are_the_thin_side():
     heavy = _tail_masses(Ys, 2.0, 1.0, 0.1, True)
     assert np.all(heavy >= 0.0)
     assert heavy.tolist() == _tail_masses(Ys, 2.0, 1.0, 0.1, False).tolist()
+
+
+def _tilted_tail_fine(ystar, alpha, gamma, ell, scale):
+    """Reference: the deep-tail call integral on 48 geometric panels of GL32
+    over the cutoff search's interval, y* to the first probe below the
+    integrand's maximum less 40, zeros included."""
+    def log_integrand(ys):
+        ys = np.asarray(ys, float)
+        t = _tail_masses(ys, alpha, gamma, ell, False)
+        with np.errstate(divide="ignore"):
+            return ys + np.log(np.maximum(t, 0.0))
+
+    top = log_integrand([ystar])[0]
+    ycut = ystar * 1.25 + 0.25 * ell
+    while log_integrand([ycut])[0] >= top - 40.0:
+        ycut = ycut * 1.25 + 0.25 * ell
+    ys, ws = _gauss_panels(np.geomspace(ystar, ycut, 49), _GL32)
+    return scale * float(np.exp(log_integrand(ys) - top) @ ws) * math.exp(top)
+
+
+@pytest.mark.parametrize("params, inputs, certified", [
+    (ModelParams.double_fractional(1.8, 1.15, 0.2),
+     PricingInputs(100.0, K, 0.01, 0.05), True)
+    for K in (110.0, 115.0, 130.0)] + [
+    (ModelParams.double_fractional(1.795786, 1.154312, 0.2010512),
+     PricingInputs(100.0, 140.048, 0.0087573, 0.049821), True),
+    # the cutoff step overshoots to where every tail probability is 0, and
+    # the interval's far end is subnormal: no interpolant settles there
+    (ModelParams.double_fractional(1.95, 1.3, 0.2),
+     PricingInputs(100.0, 300.0, 0.01, 0.5), False)])
+def test_tilted_tail_matches_fine_rule(monkeypatch, params, inputs,
+                                       certified):
+    """A deep out-of-the-money call by parts over tail probabilities matches
+    a fine rule on its interval to 1e-11.  A certified call takes at most
+    31 tail probabilities besides the cutoff search's single probes (a
+    Chebyshev set of 33 less its two ends, which the search has); the rest
+    take the rule's 176."""
+    tilted, tail_masses = numerics._tilted_tail_call, numerics._tail_masses
+    seen, sizes = [], []
+
+    def spy_call(*args):
+        seen.append((args, tilted(*args)))
+        return seen[-1][1]
+
+    def spy_masses(Ys, *args):
+        sizes.append(len(Ys))
+        return tail_masses(Ys, *args)
+
+    monkeypatch.setattr(numerics, "_tilted_tail_call", spy_call)
+    monkeypatch.setattr(numerics, "_tail_masses", spy_masses)
+    c = reference_price(params, inputs)
+    (args, value), = seen
+    assert c == value > 0.0
+    ystar, alpha, gamma, ell, scale, _ = args
+    ref = _tilted_tail_fine(ystar, alpha, gamma, ell, scale)
+    assert abs(value - ref) <= 1e-11 * ref
+    batches = [n for n in sizes if n > 1]
+    assert (sum(batches) <= 31) if certified else (batches[-1] == 176)
 
 
 def _floor_margins(xs, alpha, gamma, ell):

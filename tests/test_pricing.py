@@ -674,8 +674,9 @@ def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
                                                     call_size):
     """An in-the-money put the series refuses is parity from the quadrature
     call.  Where that call is below ulp(S)/4, C - S rounds to -S whatever
-    it is, so the put skips the call's deep-tail batch (its tail
-    probabilities come one point at a time); elsewhere it integrates it.
+    it is, so the put skips the call's deep-tail integral (its cutoff
+    search takes tail probabilities one point at a time); elsewhere it
+    does the call's work.
     Either way the put is bitwise parity from reference_price's call."""
     params = (ModelParams.fmls(alpha, sigma) if gamma == 1.0 and alpha < 2.0
               else ModelParams.double_fractional(alpha, gamma, sigma))
@@ -695,8 +696,11 @@ def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
     put_sizes, sizes[:] = sizes[:], []
     c = numerics.reference_price(params, call)
     assert c == pytest.approx(call_size, rel=0.05)
-    assert max(sizes) == 176                    # the call is integrated
-    assert max(put_sizes) == (1 if c < math.ulp(100.0) / 4.0 else 176)
+    assert max(sizes) > 1                   # the call is integrated
+    # the put takes the call's single probes only, or all of its work
+    skipped = max(put_sizes) == 1
+    assert skipped == (c < math.ulp(100.0) / 4.0)
+    assert skipped or put_sizes == sizes
     assert value == put_from_parity(c, put)
 
 
