@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaln, loggamma
+from scipy.special import erfc, gammaln, loggamma, psi
 from scipy.special import rgamma as _rgamma
 
 
@@ -259,6 +259,18 @@ def _mellin_log_ratio(t, alpha, gamma, heavy):
     return loggamma(1.0 - t) - loggamma(1.0 - (gamma / alpha) * t)
 
 
+def _mellin_log_slope(t, alpha, gamma, heavy):
+    """d/dt of _mellin_log_ratio, a sum of digamma terms.  For t off the
+    real axis: digamma has its poles there (psi(rho t) at t = 0 is NaN)."""
+    ga = gamma / alpha
+    s = ga * psi(1.0 - ga * t) - psi(1.0 - t)
+    if heavy and alpha < 2.0:
+        rho = (alpha - 1.0) / alpha
+        s = s + ((psi(t / alpha) - psi(1.0 - t / alpha)) / alpha
+                 - rho * (psi(rho * t) - psi(1.0 - rho * t)))
+    return s
+
+
 def _analytic_strip(alpha, heavy):
     # right edge 0.6 keeps the line nodes clear of the Gamma(1-t) pole at t=1
     if heavy and alpha < 2.0:
@@ -298,12 +310,17 @@ def _saddle_scans(logX, alpha, gamma, heavy, deep=False):
     return c, env
 
 
-def _line_nodes(c, alpha, gamma, heavy, env_cap, osc):
+def _line_nodes(c, alpha, gamma, heavy, env_cap, logX):
     """Nodes/weights on the upper half-line Im t in (0, L], and its panels.
 
     L grows until the integrand envelope drops below env_cap (the tail beyond
-    contributes less than the accuracy target).  Panel width is capped by the
-    oscillation rate osc = max |log X| of the points sharing this line.  The
+    contributes less than the accuracy target).  The uniform panel width
+    allows 6 radians of change of the integrand's logarithm per panel: it is
+    6 over the largest |slope(t) + log X| at the candidate lengths up to L
+    and the smallest and largest of logX, the log X of the points sharing
+    this line (slope = d/dt _mellin_log_ratio), clipped to [0.25, L].  The
+    rotation X^t alone turns at |log X|, but near a saddle the Gamma ratio's
+    phase cancels it, so a deep line carries a slowly turning envelope.  The
     panels are (mids, half, head): panel p holds the GL24 nodes
     c + i (mid_p + half_p x_j), and every panel from index head on has the
     one half-width half.
@@ -326,10 +343,16 @@ def _line_nodes(c, alpha, gamma, heavy, env_cap, osc):
             "integrand envelope does not decay within the line cap; "
             f"gamma={gamma} is too close to alpha={alpha} for the "
             "contour representation")
-    L = Ls[low.argmax()]
+    k = int(low.argmax())
+    L = Ls[k]
+    # |slope + log X| is convex in log X, so the extremes bound every point;
+    # the candidate lengths start at 4, clear of digamma's real-axis poles
+    slope = _mellin_log_slope(c + 1j * np.array(Ls[:k + 1]), alpha, gamma,
+                              heavy)
+    rate = float(np.abs(slope[:, None] + [np.min(logX), np.max(logX)]).max())
     # panel widths grow x1.7 from 0.085 while below wcap (the head), then
     # stay at wcap up to the first edge >= L
-    wcap = max(0.25, 6.0 / max(osc, 1.0))
+    wcap = max(0.25, 6.0 / max(rate, 6.0 / L))
     graded = [0.085]
     while graded[-1] * 1.7 < wcap:
         graded.append(graded[-1] * 1.7)
@@ -414,7 +437,7 @@ def _density_batch(xs, alpha, gamma, ell):
             env_cap = float((np.maximum(sad[sel] - 34.0, floor)
                              - c * logX[sel]).min())
             t, w, panels = _line_nodes(c, alpha, gamma, heavy, env_cap,
-                                       float(np.abs(logX[sel]).max()))
+                                       logX[sel])
             lr = _mellin_log_ratio(t, alpha, gamma, heavy)
             lrmax = lr.real.max()
             sel &= live
@@ -460,7 +483,7 @@ def _tail_masses(Ys, alpha, gamma, ell, heavy):
         lx = logX[sel]
         t, w, panels = _line_nodes(c, alpha, gamma, heavy,
                                    float((sad[sel] - c * lx).min()) - 34.0,
-                                   float(np.abs(lx).max()))
+                                   lx)
         lr = _mellin_log_ratio(t, alpha, gamma, heavy)
         lrmax = lr.real.max()
         res = _line_sums(lx, t, w * np.exp(lr - lrmax) / t, panels)

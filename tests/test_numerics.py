@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.special import erfc, loggamma
 
 from fracprice import numerics
-from fracprice.numerics import (_GL32, ContourSpec, GreenDensityQuery,
-                                NonConvergenceError, NumericsError,
-                                _analytic_strip, _density_batch,
-                                _gauss_panels, _geometric_panels,
-                                _line_nodes, _line_sums, _mellin_log_ratio,
+from fracprice.numerics import (_GL24, _GL32, ContourSpec,
+                                GreenDensityQuery, NonConvergenceError,
+                                NumericsError, _analytic_strip,
+                                _density_batch, _gauss_panels,
+                                _geometric_panels, _line_nodes, _line_sums,
+                                _mellin_log_ratio, _mellin_log_slope,
                                 _payoff_upper_cutoff, _run_end,
                                 _saddle_scans, _tail_masses,
                                 green_density, green_scale, log_gamma_series,
@@ -266,7 +267,8 @@ def test_line_sums_match_node_by_node(alpha, gamma, heavy, c, osc):
     """The factored sum (panel phases times offset phases on the uniform
     panels) is the node-by-node sum to rounding, on lines with a graded head
     and a uniform run, from one point to 600 spread over +-osc."""
-    t, w, panels = _line_nodes(c, alpha, gamma, heavy, -40.0, osc)
+    t, w, panels = _line_nodes(c, alpha, gamma, heavy, -40.0,
+                               np.array([-osc, osc]))
     mids, half, head = panels
     assert 0 < head < len(mids) and t.size == 24 * len(mids)
     lr = _mellin_log_ratio(t, alpha, gamma, heavy)
@@ -278,13 +280,64 @@ def test_line_sums_match_node_by_node(alpha, gamma, heavy, c, osc):
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(v).sum())
 
 
+def _finer(line, n=8):
+    """The same line (nodes, weights, panels) with every panel cut into n
+    equal GL24 panels."""
+    t, w, (mids, half, head) = line
+    xg, wg = _GL24
+    hp = w.reshape(-1, 24)[:, 0] / wg[0]           # each panel's half-width
+    mids = (mids[:, None]
+            + hp[:, None] * ((2.0 * np.arange(n) + 1.0) / n - 1.0)).ravel()
+    hp = np.repeat(hp / n, n)
+    ys = (mids[:, None] + hp[:, None] * xg).ravel()
+    return (t.real[0] + 1j * ys, (hp[:, None] * wg).ravel(),
+            (mids, half / n, n * head))
+
+
+def test_deep_tail_mass_line_is_sized_by_its_slope():
+    """A thin-side tail-mass line of a wings round (seed 1, the
+    dfrac(1.7976, 1.1534) chain) through its point's deep saddle: the
+    integrand is a slowly turning envelope there, so its panels are wide.
+    Sized by |log X| alone it had 6864 nodes."""
+    t, _, (_, half, _) = _line_nodes(-1407.73, 1.797601, 1.153399, False,
+                                     3519.92, np.array([2.8828]))
+    assert t.size <= 6864 // 5 and 2.0 * half > 6.0
+
+
+@pytest.mark.parametrize("alpha, gamma, heavy, c", [
+    (1.797601, 1.153399, False, -400.0), (1.7, 0.9, False, -400.0),
+    (2.0, 1.0, False, -200.0),                          # deep thin lines
+    (1.7, 0.9, False, -4.0), (1.8, 1.15, False, -0.3),   # shallow thin
+    # heavy lines 0.2 off the Gamma(t/alpha) pole
+    (1.7, 0.9, True, -1.5), (1.6, 1.0, True, -1.4), (1.8, 1.15, True, -1.6)])
+@pytest.mark.parametrize("osc", [0.5, 4.0, 20.0])
+def test_slope_sized_panels_match_finer_panels(alpha, gamma, heavy, c, osc):
+    """Panels sized from the integrand's slope resolve the line: its sums
+    (density and tail-mass weights) at points spread +-osc around the log X
+    whose saddle is c match the same line with panels 8x narrower, summed
+    node by node."""
+    x0 = -_mellin_log_slope(complex(c), alpha, gamma, heavy).real
+    env_cap = _mellin_log_ratio(complex(c), alpha, gamma, heavy).real - 34.0
+    logX = np.linspace(x0 - osc, x0 + osc, 37)
+    line = _line_nodes(c, alpha, gamma, heavy, env_cap, logX)
+    fine = _finer(line)
+    lr = _mellin_log_ratio(line[0], alpha, gamma, heavy)
+    lrf = _mellin_log_ratio(fine[0], alpha, gamma, heavy)
+    for div in (False, True):
+        v = line[1] * np.exp(lr - lr.real.max()) / (line[0] if div else 1.0)
+        vf = fine[1] * np.exp(lrf - lr.real.max()) / (fine[0] if div else 1.0)
+        got = _line_sums(logX, line[0], v, line[2])
+        ref = _line_sums_loop(logX, fine[0], vf)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(v).sum())
+
+
 def _tail_mass_loop(Y, alpha, gamma, ell, heavy):
     """Reference: one tail probability on a line of its own."""
     logX = math.log(Y / ell)
     c, sad = _scan_loop(logX, alpha, gamma, heavy, True)
     c = min(c, -0.3)
     t, w, _ = _line_nodes(c, alpha, gamma, heavy, sad - c * logX - 34.0,
-                          abs(logX))
+                          np.array([logX]))
     lr = _mellin_log_ratio(t, alpha, gamma, heavy)
     off = lr.real.max() + c * logX
     ex = np.exp(lr + logX * (t - c) - (off - c * logX)) / t
@@ -390,40 +443,50 @@ def _floor_margins(xs, alpha, gamma, ell):
     return sad - (sad.max() - 42.0)
 
 
-# Densities at ell = 0.1 as computed before below-floor points were
-# skipped, at indices into xs; the highest lie e^3 to e^15 above the floor.
+# Densities at ell = 0.1, at indices into xs.  Those 25 or more above the
+# floor in log envelope (indices up to 60 at alpha 2, 64 at 1.7) are as
+# computed before below-floor points were skipped.  Nearer the floor a value
+# carries its line's truncation at the envelope target (1e-2 relative at e^3
+# above the floor, against a line run 30 further down): those are as
+# computed with panels sized from the integrand's slope.
 DENSITY_PINS = [
     (2.0, 1.0, -np.geomspace(0.01, 61.0, 120), {
         0: 2.8139043560650503, 20: 2.691947748937935, 40: 1.1743075262642528,
         56: 0.0003048425440020687, 58: 1.3611213962742867e-05,
-        60: 2.1091257829877e-07, 62: 7.911051590771462e-10,
-        63: 2.461919868285032e-11, 64: 4.431734806092199e-13,
-        65: 4.23280084458972e-15, 66: 1.9409281834357995e-17,
-        67: 3.8059198096040795e-20, 68: 2.818482821057343e-23}),
+        60: 2.1091257829877e-07, 62: 7.911051590770889e-10,
+        63: 2.461919868268734e-11, 64: 4.431734809372861e-13,
+        65: 4.2328013880847485e-15, 66: 1.940924890182015e-17,
+        67: 3.8059805580376335e-20, 68: 2.8230041483737923e-23}),
     (1.7, 0.9, np.geomspace(0.01, 30.0, 120), {
         0: 3.1508260963738133, 20: 3.1308368022711526, 40: 2.008037460874019,
         60: 0.00038153431128569936, 62: 1.8482961696071146e-05,
-        64: 3.278206844712765e-07, 66: 1.5264142710208725e-09,
-        67: 5.5215832452794036e-11, 68: 1.1984207930531033e-12,
-        69: 1.4428198944500774e-14, 70: 8.801039741724704e-17,
-        71: 2.450139497993841e-19, 72: 2.7594617403812577e-22}),
+        64: 3.278206844712765e-07, 66: 1.5264142710310173e-09,
+        67: 5.521583245291094e-11, 68: 1.198420793039642e-12,
+        69: 1.4428198943788467e-14, 70: 8.801039745849413e-17,
+        71: 2.4501395340578262e-19, 72: 2.7594607329373157e-22}),
 ]
 
 
 @pytest.mark.parametrize("alpha, gamma, xs, pins", DENSITY_PINS)
-def test_density_batch_is_zero_below_floor(alpha, gamma, xs, pins):
+def test_density_batch_is_zero_below_floor(monkeypatch, alpha, gamma, xs,
+                                           pins):
     """A point enveloped below the batch floor (e^-42 of the batch's largest
     envelope) is exactly 0.0; before, lines built to that floor returned
-    noise there (up to 3e-29), clipped at 0.  The lines of the points left
-    are unchanged: their values keep 1e-13 relative, or 1e-30 of the
-    batch's largest where cancelling terms within e^-8 of the floor round
-    differently."""
+    noise there (up to 3e-29), clipped at 0.  The points left keep their
+    pins to 1e-13 relative, or 1e-30 of the batch's largest where cancelling
+    terms within e^-8 of the floor round differently, and each matches the
+    batch on the same lines with panels 8x narrower to the same tolerance."""
     g = _density_batch(xs, alpha, gamma, 0.1)
     margin = _floor_margins(xs, alpha, gamma, 0.1)
     assert (margin < 0.0).sum() >= 40 and np.all(g[margin < 0.0] == 0.0)
     for i, v in pins.items():
         assert margin[i] >= 0.0
         assert abs(g[i] - v) <= 1e-13 * v + 1e-30 * g.max()
+    line_nodes = numerics._line_nodes
+    monkeypatch.setattr(numerics, "_line_nodes",
+                        lambda *args: _finer(line_nodes(*args)))
+    ref = _density_batch(xs, alpha, gamma, 0.1)
+    assert np.all(np.abs(g - ref) <= 1e-13 * ref + 1e-30 * g.max())
 
 
 @pytest.mark.parametrize("alpha, gamma", [(1.7, 0.9), (2.0, 1.0),
