@@ -24,7 +24,7 @@ for alpha, gamma in PAIRS:
             print(f"  log-moneyness {x:+.2f}: skipped (A={A:.4f} < 0)")
             continue
         series, _ = dfrac_call_series(params, inputs)
-        ref = reference_price(params, inputs, mu=mu)
+        ref = reference_price(params, inputs)
         rel = abs(series - ref) / abs(ref)
         print(f"  log-moneyness {x:+.2f}: series={series:.10g} "
               f"quadrature={ref:.10g} rel={rel:.2e}")

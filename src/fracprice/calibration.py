@@ -7,7 +7,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .model import ModelKind, ModelParams, ValidationError, validate
+from .model import ModelKind, ModelParams, ValidationError
 from .numerics import FracpriceError
 from .pricing import PricingInputs, price_chain
 
@@ -97,7 +97,6 @@ def aggregated_error(params, chain):
     a large finite penalty (10x the summed market prices) instead of raising."""
     if not chain.quotes:
         raise CalibrationError("chain_empty", "empty quote chain")
-    validate(params)
     return float(sum(_quote_errors(params, chain, Counter())))
 
 
@@ -138,17 +137,17 @@ def _vector_to_params(x, kind):
 
 def calibrate(chain, kind, seeds=None):
     """Nelder-Mead from each seed over the kind's free parameters; returns
-    the best CalibrationResult across seeds.  Deterministic given seeds,
-    which must be admissible.  Folding keeps every trial point admissible,
-    so the objective prices each one and adds a penalty for how far the
-    descent stepped outside the box."""
+    the best CalibrationResult across seeds.  Deterministic given seeds.
+    Folding keeps every trial point admissible, so the objective prices each
+    one and adds a penalty for how far the descent stepped outside the box.
+    """
     from scipy.optimize import minimize  # deferred: slow to import
     if len(chain.quotes) < 3:
         raise CalibrationError("chain_size", f"calibration needs at least "
                                f"3 quotes, got {len(chain.quotes)}")
     kind = ModelKind(kind) if not isinstance(kind, ModelKind) else kind
-    seeds = (tuple(validate(s) for s in seeds) if seeds is not None
-             else _default_seeds(kind))
+    if seeds is None:
+        seeds = _default_seeds(kind)
     free = FREE_PARAMS[kind]
     penalty = 10.0 * sum(p for _, _, p in chain.quotes)
     penalties = Counter()

@@ -206,10 +206,10 @@ def _fig4(out_dir):
     spot = market["spot"]
 
     def price_at(alpha, gamma, sigma, spot):
-        params = ModelParams.double_fractional(alpha, gamma, sigma)
         inputs = PricingInputs(spot, market["strike"], market["rate"],
                                market["tau"])
         try:
+            params = ModelParams.double_fractional(alpha, gamma, sigma)
             return price(params, inputs, fallback=True)
         except FracpriceError:
             return None
@@ -224,7 +224,7 @@ def _fig4(out_dir):
              (1.5, 1.6, 1.7, 1.8, 1.9, 2.0),
              lambda g, a: price_at(a, g, 0.2, spot)),
         grid("alpha", np.arange(1.10, 2.0001, 0.05), "price_gamma", g_curves,
-             lambda a, g: price_at(a, g, 0.2, spot) if g <= a else None),
+             lambda a, g: price_at(a, g, 0.2, spot)),
         grid("spot", np.arange(2800.0, 4000.01, 100.0), "price_gamma",
              g_curves, lambda s, g: price_at(1.7, g, 0.2, s)),
         grid("sigma", np.arange(0.05, 0.6001, 0.05), "price_gamma", g_curves,

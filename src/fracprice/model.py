@@ -39,7 +39,8 @@ class ModelParams:
 
     The asymmetry theta is pinned to alpha - 2 (maximal negative skew), the
     only choice under which the exponential moment needed for pricing exists;
-    it is derived, never supplied.
+    it is derived, never supplied.  Construction validates the parameters, so
+    every ModelParams is admissible.
     """
     kind: ModelKind
     alpha: float
@@ -49,6 +50,7 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", self.alpha - 2.0)
+        validate(self)
 
     @staticmethod
     def black_scholes(sigma):
@@ -64,7 +66,8 @@ class ModelParams:
 
 
 def validate(params):
-    """Return params unchanged if admissible, else raise ValidationError.
+    """Return params unchanged if admissible, else raise ValidationError;
+    ModelParams runs it on construction.
 
     Distinct codes: alpha_range, gamma_range, gamma_condition, sigma_finite,
     sigma_positive, kind_constraint.
@@ -130,7 +133,6 @@ def mu_gamma_series(params):
     contribute less than MU_TOLERANCE * partial sum, and NonConvergenceError
     is raised if that does not happen within _mu_term_budget terms.
     """
-    validate(params)
     a, b = params.alpha, params.gamma * params.alpha
     q = -mu_levy(a, params.sigma)
     log_sum, n = log_gamma_series(q, a, b, MU_TOLERANCE,
@@ -163,7 +165,6 @@ def mu_gamma_mb(params):
     contour MU_CONTOUR tilts both half-lines 60 degrees into the right
     half-plane, which restores superexponential decay without crossing poles.
     """
-    validate(params)
     a, g = params.alpha, params.gamma
     q = -mu_levy(a, params.sigma)
     log_q = math.log(q)
@@ -186,7 +187,6 @@ def mu_gamma_mb(params):
 
 def mu_gamma_approx(params):
     """First-order approximation Gamma(1+alpha)/Gamma(1+gamma alpha) * mu_levy."""
-    validate(params)
     a, g = params.alpha, params.gamma
     m1 = mu_levy(a, params.sigma)
     return math.exp(gammaln(1.0 + a) - gammaln(1.0 + g * a)) * m1

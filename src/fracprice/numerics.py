@@ -638,12 +638,12 @@ def _tilted_tail_call(ystar, alpha, gamma, ell, scale, negligible):
                     * math.exp(top))
 
 
-def reference_price(params, inputs, mu=None):
+def reference_price(params, inputs):
     """Discounted expected payoff under the Green density, by quadrature.
 
-    e^{-r tau} * E[(S e^{(r+mu) tau + y} - K)^+] for calls, with the drift
-    correction mu of the model (computed from params when not supplied), and
-    for puts the package's parity P = C - S + K e^{-r tau}, not floored.
+    e^{-r tau} * E[(S e^{(r+mu) tau + y} - K)^+] for calls, under the model's
+    drift correction mu = risk_neutral(params).mu, and for puts the
+    package's parity P = C - S + K e^{-r tau}, not floored.
     This is the oracle the series engine is checked against; it makes no use
     of the residue series.
 
@@ -658,11 +658,8 @@ def reference_price(params, inputs, mu=None):
     on the nodes, a mean factor beyond the float range, and a call outside
     the arbitrage band [max(S X - K e^{-r tau}, 0), S X] raise NumericsError.
     """
-    if mu is None:
-        from .model import risk_neutral  # deferred: model imports this module
-        mu = risk_neutral(params).mu
-    if not mu < 0.0:
-        raise NumericsError("mu_negative", "mu must be < 0")
+    from .model import risk_neutral  # deferred: model imports this module
+    mu = risk_neutral(params).mu
     alpha, gamma = params.alpha, params.gamma
     S, K, r, tau = inputs.spot, inputs.strike, inputs.rate, inputs.tau
     ell = green_scale(mu, tau, gamma) ** (1.0 / alpha)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import numerics
-from .model import ModelKind, ValidationError, risk_neutral, validate
+from .model import ModelKind, ValidationError, risk_neutral
 from .numerics import FracpriceError, normal_cdf, reciprocal_gamma
 
 
@@ -304,7 +304,6 @@ def dfrac_call_series(params, inputs, policy=None):
 
     The series kernel (see _series_chain) on a chain of one.
     """
-    validate(params)
     if inputs.strike <= 0.0:
         raise ValidationError("strike_positive",
                               "series price requires strike > 0")
@@ -330,19 +329,36 @@ def put_from_parity(call, inputs):
                       inputs)
 
 
-def _price_inputs(params, chain, policy, fallback):
-    """price() of each of the PricingInputs sharing spot, rate and tau: its
-    value, or the FracpriceError refusing it.  An error of the whole
-    chain (params, mu) is raised."""
-    validate(params)
+def price_chain(params, chain, policy=None, fallback=False):
+    """Price PricingInputs sharing (spot, rate, tau): the closed form or the
+    residue series by model kind, under policy (DEFAULT_POLICY if None).
+    Inputs that do not share them raise ValidationError (code chain_terms).
+
+    Returns one entry per input: its price, or the FracpriceError refusing
+    it (any other exception propagates).  A quote the model refuses leaves
+    the rest of the chain priced; an error of the whole chain (a drift that
+    does not converge) fills every entry.  The drift mu, the residue
+    series' strike-independent factors and the band's mean factor are
+    computed once for the chain's series; the quadrature takes mu from the
+    model per quote.
+
+    Puts are priced by parity, P = C - S + K e^{-r tau}, floored at 0.
+    The series needs K > 0: a quote at K = 0 is priced by the quadrature
+    reference pricer, and with fallback=True so is a quote the series
+    refuses with SeriesDivergenceError; that pricer prices the put itself.
+    """
+    terms = {(inp.spot, inp.rate, inp.tau) for inp in chain}
+    if len(terms) > 1:
+        raise ValidationError(
+            "chain_terms", f"chain inputs must share (spot, rate, tau); "
+            f"got {len(terms)} different")
     bs = params.kind is ModelKind.BLACK_SCHOLES
     if not bs:
-        mu = risk_neutral(params).mu
         series = [inp for inp in chain if inp.strike > 0.0]
-        found = _each(len(series), _series_chain, params, mu, series, policy)
+        found = _each(len(series), lambda: _series_chain(
+            params, risk_neutral(params).mu, series, policy or DEFAULT_POLICY))
     values = []
     for inp in chain:
-        # the series needs K > 0; at K = 0 the quote is integrated
         value = (_attempt(bs_call, inp, params.sigma) if bs
                  else next(found) if inp.strike > 0.0 else None)
         floor = put_from_parity
@@ -350,8 +366,7 @@ def _price_inputs(params, chain, policy, fallback):
             value = value[0]
         elif value is None or (fallback and
                                isinstance(value, SeriesDivergenceError)):
-            # the quadrature prices the quote as given, a put by parity
-            value = _attempt(numerics.reference_price, params, inp, mu)
+            value = _attempt(numerics.reference_price, params, inp)
             floor = _floor_put
         if inp.kind is OptionKind.PUT and not isinstance(value, Exception):
             value = _attempt(floor, value, inp)
@@ -359,35 +374,10 @@ def _price_inputs(params, chain, policy, fallback):
     return values
 
 
-def price_chain(params, chain):
-    """Price PricingInputs sharing (spot, rate, tau) under the default
-    truncation policy, without fallback; inputs that do not share them
-    raise ValidationError (code chain_terms).
-
-    Returns one entry per input: the float price() returns for it, or the
-    FracpriceError price() raises (any other exception propagates).
-    The drift mu, the residue series' strike-independent factors and the
-    band's mean factor are computed once for the chain.
-    """
-    terms = {(inp.spot, inp.rate, inp.tau) for inp in chain}
-    if len(terms) > 1:
-        raise ValidationError(
-            "chain_terms", f"chain inputs must share (spot, rate, tau); "
-            f"got {len(terms)} different")
-    return list(_each(len(chain), _price_inputs, params, chain,
-                      DEFAULT_POLICY, False))
-
-
 def price(params, inputs, policy=None, fallback=False):
-    """Dispatch to the closed form or the series by model kind; a scalar
-    price is a chain of one (see price_chain).
-
-    Puts are priced by parity, P = C - S + K e^{-r tau}, floored at 0.
-    With fallback=True a series divergence is resolved by the quadrature
-    reference pricer instead of raising, which prices the put itself.
-    """
-    value, = _price_inputs(params, [inputs], policy or DEFAULT_POLICY,
-                           fallback)
+    """The price of one quote: price_chain of a chain of one, its refusal
+    raised."""
+    value, = price_chain(params, [inputs], policy, fallback)
     if isinstance(value, Exception):
         raise value
     return value

@@ -158,9 +158,13 @@ def test_penalties_keyed_by_code():
                     seeds=(ModelParams.black_scholes(0.2),))
     assert res.penalties == {}
     counts = Counter()
-    # inadmissible parameters refuse every quote of the chain
-    _quote_errors(ModelParams.double_fractional(1.5, 0.2, 0.2), chain, counts)
-    assert counts == {"ValidationError:gamma_condition": 3}
+    # inadmissible parameters cannot be built
+    with pytest.raises(ValidationError) as err:
+        ModelParams.double_fractional(1.5, 0.2, 0.2)
+    assert err.value.code == "gamma_condition"
+    # a refusal of the whole chain penalises every quote
+    _quote_errors(ModelParams.double_fractional(1.2, 0.6, 5.0), chain, counts)
+    assert counts == {"NonConvergenceError:series_terms": 3}
 
 
 @pytest.mark.parametrize("spot,rate,strike,code", [

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -218,6 +219,72 @@ def test_figures_fig5_grid(tmp_path, capsys):
     for ln in lines[1:]:
         cells = ln.split(",")
         assert all(float(c) > 0.0 for c in cells[1:])
+
+
+def test_figures_fig4_na_exactly_where_inadmissible(tmp_path, capsys):
+    """fig4 prices every admissible grid cell (the quadrature takes what the
+    series refuses) and writes NA exactly where gamma <= 1 - 1/alpha."""
+    rc, out, _ = run(capsys, "figures", "fig4", "--out", str(tmp_path))
+    assert rc == 0
+    paths = out.split()
+    assert [os.path.basename(p) for p in paths] == [
+        f"fig4_{name}.csv" for name in ("gamma", "alpha", "spot", "sigma")]
+    na_rows = set()
+    for path in paths:
+        header, *rows = [ln.split(",") for ln in
+                         Path(path).read_text(encoding="utf-8").split()]
+        axis = header[0]
+        for row in rows:
+            for column, cell in zip(header[1:], row[1:]):
+                # columns are labelled price_alpha<a> or price_gamma<g>
+                params = {"alpha": 1.7, column[6:11]: float(column[11:])}
+                if axis in ("alpha", "gamma"):
+                    params[axis] = float(row[0])
+                a, g = params["alpha"], params["gamma"]
+                if g <= 1.0 - 1.0 / a:
+                    assert cell == "NA"
+                    na_rows.add((os.path.basename(path), row[0]))
+                else:
+                    assert math.isfinite(float(cell)), (path, row, column)
+    assert len(na_rows) == 6
+    assert {name for name, _ in na_rows} == {"fig4_gamma.csv"}
+
+
+def test_figures_fig6_is_the_fixture_smile(tmp_path, capsys):
+    rc, out, _ = run(capsys, "figures", "fig6", "--out", str(tmp_path))
+    assert rc == 0
+    fig6 = Path(out.strip()).read_text(encoding="utf-8").splitlines()
+    rc, smile, _ = run(capsys, "smile", "--fixture",
+                       "--gammas", "0.8,0.9,1.0,1.1")
+    assert rc == 0
+    assert fig6 == smile.splitlines()
+
+
+@pytest.mark.parametrize("argv", [("smile",),
+                                  ("calibrate", "--model", "bs")])
+def test_chain_missing_exit_3(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--spot", "100", "--rate", "0",
+                       "--tau", "1")
+    assert (rc, out) == (3, "")
+    assert err == "error: either a chain file or --fixture is required\n"
+
+
+@pytest.mark.parametrize("command,missing", [
+    ("smile", "--spot"), ("smile", "--rate"), ("calibrate", "--tau")])
+def test_chain_file_without_market_data_exit_2(tmp_path, capsys, command,
+                                               missing):
+    f = tmp_path / "chain.csv"
+    f.write_text("kind,strike,price\ncall,100.0,8.0\nput,95.0,3.1\n",
+                 encoding="utf-8")
+    market = {"--spot": "100", "--rate": "0.01", "--tau": "1"}
+    del market[missing]
+    argv = [command, str(f), *(x for kv in market.items() for x in kv)]
+    if command == "calibrate":
+        argv += ["--model", "bs"]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == ("error: --spot, --rate and --tau are required with a "
+                   "chain file\n")
 
 
 FIG3_ARGV = ("price", "--model", "dfrac", "--spot", "3800", "--strike", "4000",

@@ -51,11 +51,21 @@ def test_validate_rejections(a, g, s, code):
 
 
 def test_validate_kind_constraint():
-    p = ModelParams(kind=ModelKind.BLACK_SCHOLES, alpha=1.7, gamma=1.0,
-                    sigma=0.2)
     with pytest.raises(ValidationError) as exc:
-        validate(p)
+        ModelParams(kind=ModelKind.BLACK_SCHOLES, alpha=1.7, gamma=1.0,
+                    sigma=0.2)
     assert exc.value.code == "kind_constraint"
+
+
+@pytest.mark.parametrize("a,g,code", [(2.5, 1.0, "alpha_range"),
+                                      (1.5, 0.2, "gamma_condition")])
+def test_inadmissible_params_cannot_be_built(a, g, code):
+    """Admissibility is checked on construction, so no pricer can be handed
+    parameters outside it (given a mu of -0.02, the quadrature priced both
+    of these)."""
+    with pytest.raises(ValidationError) as exc:
+        dfrac(a, g, 0.2)
+    assert exc.value.code == code
 
 
 def test_mu_levy_values():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, loggamma
 
-from fracprice import numerics
+from fracprice import model, numerics
 from fracprice.numerics import (_GL24, _GL32, ContourSpec,
                                 GreenDensityQuery, NonConvergenceError,
                                 NumericsError, _analytic_strip,
@@ -19,7 +19,7 @@ from fracprice.numerics import (_GL24, _GL32, ContourSpec,
                                 log_mean_factor, log_mittag_leffler,
                                 mb_line_integral, normal_cdf,
                                 reciprocal_gamma, reference_price)
-from fracprice.model import ModelParams, risk_neutral
+from fracprice.model import ModelParams, RiskNeutralParam, risk_neutral
 from fracprice.pricing import PricingInputs, OptionKind, bs_call
 
 
@@ -136,12 +136,11 @@ def test_reference_price_put_parity():
     K = 0; the direct put integral differs from it by S (1 - X)."""
     for gamma in (0.8, 0.9, 1.0, 1.1, 1.2):
         params = ModelParams.double_fractional(1.7, gamma, 0.2)
-        mu = risk_neutral(params).mu
         for strike in (0.0, 70.0, 90.0, 110.0, 130.0):
             call_in = PricingInputs(100.0, strike, 0.02, 0.5, OptionKind.CALL)
             put_in = PricingInputs(100.0, strike, 0.02, 0.5, OptionKind.PUT)
-            c = reference_price(params, call_in, mu)
-            p = reference_price(params, put_in, mu)
+            c = reference_price(params, call_in)
+            p = reference_price(params, put_in)
             k_disc = strike * math.exp(-0.02 * 0.5)
             assert abs(c - p - (100.0 - k_disc)) <= 1e-12 * 100.0
 
@@ -206,7 +205,7 @@ def test_in_the_money_call_matches_direct_integral(alpha, gamma):
     mu = risk_neutral(params).mu
     for strike, tau in ((80.0, 0.25), (90.0, 1.0)):
         inputs = PricingInputs(100.0, strike, 0.01, tau)
-        assert reference_price(params, inputs, mu) == pytest.approx(
+        assert reference_price(params, inputs) == pytest.approx(
             _direct_call(params, inputs, mu), rel=1e-12)
 
 
@@ -218,12 +217,14 @@ def test_deep_in_the_money_short_maturity_call(strike):
         bs_call(inputs, 0.2), rel=1e-10)
 
 
-def test_in_the_money_call_mean_factor_overflow():
+def test_in_the_money_call_mean_factor_overflow(monkeypatch):
     # E_0.4(15.07) ~ exp(882): the mean factor S X is beyond the float range
     params = ModelParams.double_fractional(1.5, 0.4, 0.3)
     inputs = PricingInputs(100.0, 90.0, 0.01, 1e-4)
+    monkeypatch.setattr(model, "risk_neutral",
+                        lambda params: RiskNeutralParam(-600.0, 0))
     with pytest.raises(NumericsError, match="mean factor"):
-        reference_price(params, inputs, mu=-600.0)
+        reference_price(params, inputs)
 
 
 def _scan_loop(logX, alpha, gamma, heavy, deep):

@@ -478,10 +478,7 @@ def _entry(value):
 def _chain_of(params, chain, policy, fallback):
     """The pricer's entries for PricingInputs sharing spot, rate and tau;
     an error of the whole chain fills every entry."""
-    try:
-        return pricing._price_inputs(params, chain, policy, fallback)
-    except numerics.FracpriceError as exc:
-        return [exc] * len(chain)
+    return price_chain(params, chain, policy, fallback)
 
 
 def _alone(params, inputs, policy=None, fallback=False):
@@ -532,9 +529,12 @@ def test_price_chain_per_quote_routes():
     assert all(isinstance(v, float) for v in routed)
     assert routed == [price(params, inp, fallback=True) for inp in inputs]
     assert routed[1] == chain[1]
-    # an error of the whole chain fills every entry
-    bad = ModelParams(params.kind, params.alpha, params.gamma, -1.0)
-    assert all(isinstance(v, ValidationError)
+    # inadmissible parameters cannot be built; an error of the whole
+    # chain (a drift that does not converge) fills every entry
+    with pytest.raises(ValidationError):
+        ModelParams(params.kind, params.alpha, params.gamma, -1.0)
+    bad = ModelParams.double_fractional(1.2, 0.6, 5.0)
+    assert all(isinstance(v, numerics.NonConvergenceError)
                for v in price_chain(bad, inputs))
 
 
@@ -646,13 +646,12 @@ def test_fallback_put_is_the_floored_reference_put(params, tau, strikes):
     """A put the series refuses (or cannot take, at K = 0) is
     max(reference_price(put), 0.0), bitwise, or a ParityError where the
     reference put is below -1e-8 S: one floor for both routes."""
-    mu = risk_neutral(params).mu
     for strike in strikes:
         inp = PricingInputs(100.0, strike, 0.01, tau, OptionKind.PUT)
         if strike > 0.0:
             with pytest.raises(SeriesDivergenceError):
                 price(params, inp)
-        ref = numerics.reference_price(params, inp, mu)
+        ref = numerics.reference_price(params, inp)
         if ref < -1e-8 * inp.spot:
             with pytest.raises(ParityError, match="below the parity bound 0"):
                 price(params, inp, fallback=True)
