@@ -4,6 +4,8 @@ Green-function quadrature pricer used as the independent cross-check for the
 series engine.
 
 Everything here is a pure function of its arguments; no shared mutable state.
+The one object with state, a _GreenContext, is built by a reference_price or
+green_density call, passed down explicitly, and dropped when the call returns.
 """
 from __future__ import annotations
 
@@ -247,6 +249,8 @@ class GreenDensityQuery:
             raise NumericsError("mu_negative", "mu must be < 0")
         if not self.tau > 0.0:
             raise NumericsError("tau_positive", "tau must be > 0")
+        if not math.isfinite(self.x):
+            raise NumericsError("x_finite", "x must be finite")
 
 
 def _mellin_log_ratio(t, alpha, gamma, heavy):
@@ -278,7 +282,31 @@ def _analytic_strip(alpha, heavy):
     return (-40.0, 0.6)
 
 
-def _saddle_scans(logX, alpha, gamma, heavy, deep=False):
+class _GreenContext:
+    """(alpha, gamma) for the span of one reference_price or green_density
+    call, and the saddle-scan windows of that call, each built when first
+    needed.  Window k of a side holds 321 abscissae from the strip's left
+    edge times 4^k to its right edge and the Gamma ratio's log-modulus at
+    Im t = 0.5 on them; only the cs * log X term of a scan depends on the
+    point, so every scan of the call shares one evaluation per window.  At
+    alpha = 2 the heavy ratio is the thin one, and the two sides share
+    their windows.  Nothing outlives the call that built the context."""
+
+    def __init__(self, alpha, gamma):
+        self.alpha, self.gamma = alpha, gamma
+        self._windows = {}
+
+    def window(self, heavy, k):
+        key = (heavy and self.alpha < 2.0, k)
+        if key not in self._windows:
+            lo, hi = _analytic_strip(self.alpha, heavy)
+            cs = np.linspace(lo * 4.0 ** k, hi, 321)
+            self._windows[key] = cs, _mellin_log_ratio(
+                cs + 0.5j, self.alpha, self.gamma, heavy).real
+        return self._windows[key]
+
+
+def _saddle_scans(logX, ctx, heavy, deep=False):
     """Abscissae minimizing the integrand envelope at each log X, and the
     envelopes there.
 
@@ -286,91 +314,107 @@ def _saddle_scans(logX, alpha, gamma, heavy, deep=False):
     ratio (the heavy side's too at alpha = 2) is analytic arbitrarily far
     left and its superexponential tails put the saddle deeper than any fixed
     window (~ -X^2/2 in the Gaussian limit).  With deep=True the window is
-    widened until the minimum is interior, which keeps relative accuracy at
-    any tail depth; the default stays inside the fixed strip that
-    the shared-line batch evaluator is built around.  Only the cs * log X
-    term depends on the point, so each window's Gamma ratio is evaluated once
-    for every point still scanning."""
+    widened (ctx.window's k = 1, 2, ...) until the minimum is interior,
+    which keeps relative accuracy at any tail depth; the default stays
+    inside the fixed strip that the shared-line batch evaluator is built
+    around."""
     logX = np.asarray(logX, float)
     c, env = np.empty_like(logX), np.empty_like(logX)
     todo = np.arange(logX.size)
-    lo, hi = _analytic_strip(alpha, heavy)
+    pole = heavy and ctx.alpha < 2.0
+    k = 0
     while todo.size:
-        cs = np.linspace(lo, hi, 321)
-        strip = _mellin_log_ratio(cs + 0.5j, alpha, gamma, heavy).real
+        cs, strip = ctx.window(heavy, k)
         i = np.empty(todo.size, int)
         for i0 in range(0, todo.size, 64):            # bound the work matrix
             obj = strip + cs * logX[todo[i0:i0 + 64], None]
             i[i0:i0 + 64] = obj.argmin(axis=1)
-        done = (i > 4) | ((heavy and alpha < 2.0) or not deep or lo < -1e5)
+        done = (i > 4) | (pole or not deep or cs[0] < -1e5)
         c[todo[done]] = cs[i[done]]
         env[todo[done]] = strip[i[done]] + cs[i[done]] * logX[todo[done]]
         todo = todo[~done]
-        lo *= 4.0
+        k += 1
     return c, env
 
 
-def _line_nodes(c, alpha, gamma, heavy, env_cap, logX):
-    """Nodes/weights on the upper half-line Im t in (0, L], and its panels.
+def _line_set(cs, ctx, heavy, env_caps, lx_lo, lx_hi):
+    """Nodes/weights on the upper half-lines Im t in (0, L] through the
+    abscissae cs, and their panels: one (t, w, panels) per line.
 
-    L grows until the integrand envelope drops below env_cap (the tail beyond
-    contributes less than the accuracy target).  The uniform panel width
-    allows 6 radians of change of the integrand's logarithm per panel: it is
-    6 over the largest |slope(t) + log X| at the candidate lengths up to L
-    and the smallest and largest of logX, the log X of the points sharing
-    this line (slope = d/dt _mellin_log_ratio), clipped to [0.25, L].  The
-    rotation X^t alone turns at |log X|, but near a saddle the Gamma ratio's
-    phase cancels it, so a deep line carries a slowly turning envelope.  The
-    panels are (mids, half, head): panel p holds the GL24 nodes
-    c + i (mid_p + half_p x_j), and every panel from index head on has the
-    one half-width half.
+    A line's L grows until the integrand envelope drops below its env_cap
+    (the tail beyond contributes less than the accuracy target).  The
+    uniform panel width allows 6 radians of change of the integrand's
+    logarithm per panel: it is 6 over the largest |slope(t) + log X| at the
+    candidate lengths up to L and log X = lx_lo and lx_hi, the extremes of
+    the points sharing this line (slope = d/dt _mellin_log_ratio), clipped
+    to [0.25, L].  The rotation X^t alone turns at |log X|, but near a
+    saddle the Gamma ratio's phase cancels it, so a deep line carries a
+    slowly turning envelope.  The panels are (mids, half, head): panel p
+    holds the GL24 nodes c + i (mid_p + half_p x_j), and every panel from
+    index head on has the one half-width half.
+
+    Every line's candidate lengths are a prefix of one sequence 4 * 1.3^k,
+    so the envelopes and the slopes of all lines are each one
+    (lines x lengths) evaluation; a line's values are those of the same
+    line set up alone.
     """
+    alpha, gamma = ctx.alpha, ctx.gamma
+    cs = np.asarray(cs, float)
     # Beyond the asymptotic decay rate (pi/2)(1 - gamma/alpha) there is a
     # quadratic regime: along a deep line the envelope first falls like
     # (1 - gamma/alpha) y^2 / (2|c|) until y ~ |c|, so the admissible length
     # scales with sqrt(|c|).  The cap still catches gamma -> alpha, where no
     # affordable line reaches the target.
-    cap = max(1500.0, 3.0 * math.sqrt(68.0 * max(-c, 1.0)
-                                      / max(1.0 - gamma / alpha, 1e-12)))
+    caps = np.maximum(1500.0, 3.0 * np.sqrt(68.0 * np.maximum(-cs, 1.0)
+                                            / max(1.0 - gamma / alpha, 1e-12)))
     Ls = [4.0]                                  # candidate lengths, x1.3
-    while Ls[-1] * 1.3 < cap:
+    while Ls[-1] * 1.3 < caps.max():
         Ls.append(Ls[-1] * 1.3)
-    low = _mellin_log_ratio(c + 1j * np.array(Ls), alpha, gamma,
-                            heavy).real < env_cap
-    if not low.any():
+    Ls = np.array(Ls)
+    # a line's candidate lengths are those below its cap (caps >= 1500)
+    low = ((_mellin_log_ratio(cs[:, None] + 1j * Ls, alpha, gamma,
+                              heavy).real < np.asarray(env_caps)[:, None])
+           & (Ls < caps[:, None]))
+    if not low.any(axis=1).all():
         raise NonConvergenceError(
             "envelope_decay",
             "integrand envelope does not decay within the line cap; "
             f"gamma={gamma} is too close to alpha={alpha} for the "
             "contour representation")
-    k = int(low.argmax())
-    L = Ls[k]
+    ks = low.argmax(axis=1)
     # |slope + log X| is convex in log X, so the extremes bound every point;
     # the candidate lengths start at 4, clear of digamma's real-axis poles
-    slope = _mellin_log_slope(c + 1j * np.array(Ls[:k + 1]), alpha, gamma,
-                              heavy)
-    rate = float(np.abs(slope[:, None] + [np.min(logX), np.max(logX)]).max())
-    # panel widths grow x1.7 from 0.085 while below wcap (the head), then
-    # stay at wcap up to the first edge >= L
-    wcap = max(0.25, 6.0 / max(rate, 6.0 / L))
-    graded = [0.085]
-    while graded[-1] * 1.7 < wcap:
-        graded.append(graded[-1] * 1.7)
-    edges = np.cumsum([0.0] + graded)
-    head = min(int((edges < L).sum()), len(graded))
-    nu = max(math.ceil((L - edges[-1]) / wcap), 0)
-    half = np.concatenate([0.5 * np.array(graded[:head]),
-                           np.full(nu, 0.5 * wcap)])
-    mids = np.concatenate([edges[:head],
-                           edges[-1] + wcap * np.arange(nu)]) + half
+    upto = Ls[:ks.max() + 1]
+    slope = _mellin_log_slope(cs[:, None] + 1j * upto, alpha, gamma, heavy)
+    ext = np.stack([lx_lo, lx_hi], axis=1)
+    rates = np.where(np.arange(upto.size)[:, None] <= ks[:, None, None],
+                     np.abs(slope[:, :, None] + ext[:, None, :]),
+                     0.0).max(axis=(1, 2))
     xg, wg = _GL24
-    ys = (mids[:, None] + half[:, None] * xg).ravel()
-    return c + 1j * ys, (half[:, None] * wg).ravel(), (mids, 0.5 * wcap, head)
+    lines = []
+    for c, L, rate in zip(cs.tolist(), Ls[ks].tolist(), rates.tolist()):
+        # panel widths grow x1.7 from 0.085 while below wcap (the head),
+        # then stay at wcap up to the first edge >= L
+        wcap = max(0.25, 6.0 / max(rate, 6.0 / L))
+        graded = [0.085]
+        while graded[-1] * 1.7 < wcap:
+            graded.append(graded[-1] * 1.7)
+        edges = np.cumsum([0.0] + graded)
+        head = min(int((edges < L).sum()), len(graded))
+        nu = max(math.ceil((L - edges[-1]) / wcap), 0)
+        half = np.concatenate([0.5 * np.array(graded[:head]),
+                               np.full(nu, 0.5 * wcap)])
+        mids = np.concatenate([edges[:head],
+                               edges[-1] + wcap * np.arange(nu)]) + half
+        ys = (mids[:, None] + half[:, None] * xg).ravel()
+        lines.append((c + 1j * ys, (half[:, None] * wg).ravel(),
+                      (mids, 0.5 * wcap, head)))
+    return lines
 
 
 def _line_sums(logX, t, v, panels):
     """Re sum_k v_k X^(t_k - c) at each log X, for the nodes t_k = c + i y_k
-    of a line with the given panels (see _line_nodes).
+    of a line with the given panels (see _line_set).
 
     t_k - c = i y_k exactly, so each factor is the rotation e^(i y_k log X).
     The graded head panels are summed node by node.  On the uniform panels
@@ -400,14 +444,15 @@ def _line_sums(logX, t, v, panels):
     return out
 
 
-def _density_batch(xs, alpha, gamma, ell):
+def _density_batch(xs, ctx, ell):
     """Green density at an array of points xs (in log-price units), scale ell.
 
     Each point gets an abscissa interpolated from saddle scans at knot values
     of log X; points are grouped onto shared lines 0.25 apart in abscissa so
     that no point is evaluated far from its own saddle (which would lose the
-    result to cancellation).
+    result to cancellation).  The lines of a side are set up together.
     """
+    alpha, gamma = ctx.alpha, ctx.gamma
     xs = np.asarray(xs, float)
     out = np.zeros_like(xs)
     for heavy in (False, True):
@@ -421,7 +466,7 @@ def _density_batch(xs, alpha, gamma, ell):
         lo_x, hi_x = logX.min() - 1e-9, logX.max() + 1e-9
         kn = np.linspace(lo_x, hi_x, max(min(33, 2 + len(logX)),
                                          math.ceil(hi_x - lo_x) + 1))
-        ck, sk = _saddle_scans(kn, alpha, gamma, heavy)
+        ck, sk = _saddle_scans(kn, ctx, heavy)
         sk -= ck * kn
         cpt = np.clip(np.interp(logX, kn, ck), lo, hi)
         sad = np.interp(logX, kn, sk) + cpt * logX    # per-point log-envelope
@@ -430,14 +475,17 @@ def _density_batch(xs, alpha, gamma, ell):
         # floor could only return noise for it
         live = sad >= floor
         grp = np.round(cpt / 0.25).astype(int)
+        gs = np.unique(grp[live])
+        sels = [grp == g for g in gs]
+        cs = [float(np.clip(g * 0.25, lo, hi)) for g in gs]
+        lines = _line_set(
+            cs, ctx, heavy,
+            [float((np.maximum(sad[sel] - 34.0, floor) - c * logX[sel]).min())
+             for c, sel in zip(cs, sels)],
+            [logX[sel].min() for sel in sels],
+            [logX[sel].max() for sel in sels])
         vals = np.zeros_like(logX)
-        for g in np.unique(grp[live]):
-            sel = grp == g
-            c = float(np.clip(g * 0.25, lo, hi))
-            env_cap = float((np.maximum(sad[sel] - 34.0, floor)
-                             - c * logX[sel]).min())
-            t, w, panels = _line_nodes(c, alpha, gamma, heavy, env_cap,
-                                       logX[sel])
+        for c, sel, (t, w, panels) in zip(cs, sels, lines):
             lr = _mellin_log_ratio(t, alpha, gamma, heavy)
             lrmax = lr.real.max()
             sel &= live
@@ -455,45 +503,60 @@ def green_density(query):
     Negative x is handled by the reflection rule: the value at -x equals the
     density with mirrored asymmetry evaluated at +x, which is what the heavy
     branch of the Mellin ratio computes.  The integration line is placed on
-    the integrand's saddle for each point (see _density_batch).
+    the integrand's saddle for each point (see _density_batch).  Below
+    |x| = 1e-12 ell the line at Re t = 0.6 cancels against the density's
+    finite value at the origin (the error is ~3e-10 there and grows without
+    bound as x -> 0), so such a point is refused.
     """
     if query.x == 0.0:
         raise NumericsError("density_origin",
                             "density evaluation requires x != 0")
     ell = green_scale(query.mu, query.tau, query.gamma) ** (1.0 / query.alpha)
+    if abs(query.x) < 1e-12 * ell:
+        raise NumericsError(
+            "density_near_origin",
+            f"density at |x| = {abs(query.x):.3g} below 1e-12 times the "
+            f"scale {ell:.6g} is lost to cancellation")
     return float(_density_batch(np.array([query.x]),
-                                query.alpha, query.gamma, ell)[0])
+                                _GreenContext(query.alpha, query.gamma),
+                                ell)[0])
 
 
-def _tail_masses(Ys, alpha, gamma, ell, heavy):
+def _tail_masses(Ys, ctx, ell, heavy):
     """P[y < -Y] (heavy side) or P[y > Y] (thin side) at each Y > 0.
 
     Each point is integrated on the line through its own (deep) saddle.
     Points whose saddles share an abscissa share one line, long enough for
-    the lowest envelope target among them, and one Gamma-ratio evaluation.
-    A point whose saddle envelope is below e^-800 gets no line: its mass,
-    at most that envelope times the line's length, underflows to 0.0."""
+    the lowest envelope target among them, and one Gamma-ratio evaluation;
+    the lines are set up together.  A point whose saddle envelope is below
+    e^-800 gets no line: its mass, at most that envelope times the line's
+    length, underflows to 0.0."""
     logX = np.log(np.asarray(Ys, float) / ell)
-    cs, sad = _saddle_scans(logX, alpha, gamma, heavy, deep=True)
+    cs, sad = _saddle_scans(logX, ctx, heavy, deep=True)
     cs = np.minimum(cs, -0.3)
     live = sad >= -800.0
     out = np.zeros_like(logX)
-    for c in np.unique(cs[live]):
-        sel = live & (cs == c)
+    if not live.any():
+        return out
+    cl = np.unique(cs[live])
+    sels = [live & (cs == c) for c in cl]
+    lines = _line_set(cl, ctx, heavy,
+                      [float((sad[sel] - c * logX[sel]).min()) - 34.0
+                       for c, sel in zip(cl, sels)],
+                      [logX[sel].min() for sel in sels],
+                      [logX[sel].max() for sel in sels])
+    for c, sel, (t, w, panels) in zip(cl, sels, lines):
         lx = logX[sel]
-        t, w, panels = _line_nodes(c, alpha, gamma, heavy,
-                                   float((sad[sel] - c * lx).min()) - 34.0,
-                                   lx)
-        lr = _mellin_log_ratio(t, alpha, gamma, heavy)
+        lr = _mellin_log_ratio(t, ctx.alpha, ctx.gamma, heavy)
         lrmax = lr.real.max()
         res = _line_sums(lx, t, w * np.exp(lr - lrmax) / t, panels)
-        out[sel] = -res / math.pi / alpha * np.exp(lrmax + c * lx)
+        out[sel] = -res / math.pi / ctx.alpha * np.exp(lrmax + c * lx)
     return out
 
 
-def _tail_mass(Y, alpha, gamma, ell, heavy):
+def _tail_mass(Y, ctx, ell, heavy):
     """_tail_masses at a single Y, as a float."""
-    return float(_tail_masses([Y], alpha, gamma, ell, heavy)[0])
+    return float(_tail_masses([Y], ctx, ell, heavy)[0])
 
 
 # ----------------------------------------------------------------------
@@ -516,7 +579,7 @@ def _geometric_panels(a, b, scale):
     return _gauss_panels(sorted(bps), _GL32)
 
 
-def _payoff_upper_cutoff(ystar, alpha, gamma, ell, log_tol):
+def _payoff_upper_cutoff(ystar, ctx, ell, log_tol):
     """Smallest y >= max(ystar, ell) beyond which the call integrand tail is
     below the accuracy target (log scale).
 
@@ -525,8 +588,8 @@ def _payoff_upper_cutoff(ystar, alpha, gamma, ell, log_tol):
     exp overflow threshold instead of terminating."""
     y = max(ystar, ell)
     for _ in range(400):
-        sad = _saddle_scans([math.log(y / ell)], alpha, gamma, False, True)[1]
-        if y + sad[0] - math.log(alpha * y) < log_tol:
+        sad = _saddle_scans([math.log(y / ell)], ctx, False, True)[1]
+        if y + sad[0] - math.log(ctx.alpha * y) < log_tol:
             return y
         y *= 1.22
     return y
@@ -546,7 +609,7 @@ def _chebyshev_values(f, theta):
     return np.cos(np.outer(theta, k)) @ c
 
 
-def _tilted_tail_call(ystar, alpha, gamma, ell, scale, negligible):
+def _tilted_tail_call(ystar, ctx, ell, scale, negligible):
     """scale * E[(e^y - e^{ystar})^+] deep in the thin tail, where pointwise
     density values sink below the contour quadrature's cancellation floor.
 
@@ -576,12 +639,12 @@ def _tilted_tail_call(ystar, alpha, gamma, ell, scale, negligible):
     the tail probabilities at its own 176 nodes.
 
     Returns None when the tail cannot be resolved in double precision."""
-    sad = _saddle_scans([math.log(ystar / ell)], alpha, gamma, False, True)[1]
+    sad = _saddle_scans([math.log(ystar / ell)], ctx, False, True)[1]
     if sad[0] + ystar < -700.0:
         return 0.0  # below the smallest representable double
 
     def log_integrand(ys):
-        t = _tail_masses(ys, alpha, gamma, ell, False)
+        t = _tail_masses(ys, ctx, ell, False)
         with np.errstate(divide="ignore"):
             return ys + np.log(np.maximum(t, 0.0))
 
@@ -661,6 +724,7 @@ def reference_price(params, inputs):
     from .model import risk_neutral  # deferred: model imports this module
     mu = risk_neutral(params).mu
     alpha, gamma = params.alpha, params.gamma
+    ctx = _GreenContext(alpha, gamma)
     S, K, r, tau = inputs.spot, inputs.strike, inputs.rate, inputs.tau
     ell = green_scale(mu, tau, gamma) ** (1.0 / alpha)
     try:
@@ -678,10 +742,10 @@ def reference_price(params, inputs):
 
     if ystar >= 0.0:
         log_tol = math.log(1e-15 * max(K, fwd) / fwd)
-        yhi = _payoff_upper_cutoff(ystar, alpha, gamma, ell, log_tol)
+        yhi = _payoff_upper_cutoff(ystar, ctx, ell, log_tol)
         if yhi > ystar:
             ys, ws = _geometric_panels(ystar, yhi, ell)
-            g = _density_batch(ys, alpha, gamma, ell)
+            g = _density_batch(ys, ctx, ell)
             with np.errstate(over="ignore", invalid="ignore"):
                 c = disc * float(((fwd * np.exp(ys) - K) * g) @ ws)
             if not math.isfinite(c):
@@ -693,7 +757,7 @@ def reference_price(params, inputs):
             c = 0.0
         if ystar > 0.0 and c <= 1e-10 * fwd:
             # so far out that the density values themselves are unreliable
-            tail = _tilted_tail_call(ystar, alpha, gamma, ell, disc * fwd,
+            tail = _tilted_tail_call(ystar, ctx, ell, disc * fwd,
                                      0.0 if call else math.ulp(S) / 4.0)
             if tail is not None:
                 c = tail
@@ -711,9 +775,9 @@ def reference_price(params, inputs):
         if K > 0.0:
             ylo = 60.0 + abs(ystar)
             ys, ws = _geometric_panels(-ylo, ystar, ell)
-            g = _density_batch(ys, alpha, gamma, ell)
+            g = _density_batch(ys, ctx, ell)
             body = float(((K - fwd * np.exp(ys)) * g) @ ws)
-            put = disc * (body + K * _tail_mass(ylo, alpha, gamma, ell, True))
+            put = disc * (body + K * _tail_mass(ylo, ctx, ell, True))
         c = put + upper - K * disc
     # outside the series' band, its pad widened by 1e-9 S X for values far
     # above S, a call is quadrature noise

@@ -15,8 +15,9 @@ from fracprice.calibration import QuoteChain, calibrate
 from fracprice.model import (ModelKind, ModelParams, ValidationError, mu_levy,
                              mu_gamma_mb, mu_gamma_series, validate)
 from fracprice.numerics import (GreenDensityQuery, NumericsError,
-                                _density_batch, _geometric_panels, _tail_mass,
-                                reciprocal_gamma, reference_price)
+                                _density_batch, _geometric_panels,
+                                _GreenContext, _tail_mass, reciprocal_gamma,
+                                reference_price)
 from fracprice.pricing import (OptionKind, PricingInputs, TruncationPolicy,
                                bs_call, partial_sum_table, price,
                                put_from_parity)
@@ -254,6 +255,7 @@ def _direct_put(params, inputs):
     of how reference_price routes a quote."""
     mu = mu_gamma_series(params).mu
     alpha, gamma = params.alpha, params.gamma
+    ctx = _GreenContext(alpha, gamma)
     S, K, r, tau = inputs.spot, inputs.strike, inputs.rate, inputs.tau
     ell = (-mu * tau ** gamma) ** (1.0 / alpha)
     fwd = S * math.exp((r + mu) * tau)
@@ -261,9 +263,8 @@ def _direct_put(params, inputs):
     ylo = 60.0 + abs(ystar)
     ys, ws = _geometric_panels(-ylo, ystar, ell)
     body = float(((K - fwd * np.exp(ys))
-                  * _density_batch(ys, alpha, gamma, ell)) @ ws)
-    return inputs.discount * (body
-                              + K * _tail_mass(ylo, alpha, gamma, ell, True))
+                  * _density_batch(ys, ctx, ell)) @ ws)
+    return inputs.discount * (body + K * _tail_mass(ylo, ctx, ell, True))
 
 
 def _band_holds(params, inputs, X):
@@ -329,11 +330,12 @@ def test_criterion_9_property_suite():
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
         xs = (mid + half * nodes[None, :]).ravel()
         ws = (half * weights[None, :]).ravel()
-        total = float(_density_batch(xs, alpha, gamma, ell) @ ws
-                      + _density_batch(-xs, alpha, gamma, ell) @ ws)
+        ctx = _GreenContext(alpha, gamma)
+        total = float(_density_batch(xs, ctx, ell) @ ws
+                      + _density_batch(-xs, ctx, ell) @ ws)
         Y = float(edges[-1])
-        total += (_tail_mass(Y, alpha, gamma, ell, True)
-                  + _tail_mass(Y, alpha, gamma, ell, False))
+        total += (_tail_mass(Y, ctx, ell, True)
+                  + _tail_mass(Y, ctx, ell, False))
         norm_gap = max(norm_gap, abs(total - 1.0))
     norm_ok = norm_gap <= 1e-6
 

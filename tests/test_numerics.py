@@ -11,8 +11,9 @@ from fracprice.numerics import (_GL24, _GL32, ContourSpec,
                                 GreenDensityQuery, NonConvergenceError,
                                 NumericsError, _analytic_strip,
                                 _density_batch, _gauss_panels,
-                                _geometric_panels, _line_nodes, _line_sums,
-                                _mellin_log_ratio, _mellin_log_slope,
+                                _geometric_panels, _GreenContext, _line_set,
+                                _line_sums, _mellin_log_ratio,
+                                _mellin_log_slope,
                                 _payoff_upper_cutoff, _run_end,
                                 _saddle_scans, _tail_masses,
                                 green_density, green_scale, log_gamma_series,
@@ -113,12 +114,47 @@ def test_green_density_rejects_gamma_near_alpha():
         green_density(GreenDensityQuery(1.5, 1.5, -0.05, 0.3, 1.0))
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_green_density_query_refuses_non_finite_x(x):
+    """x = +-inf raised a bare ValueError inside the batch, and x = nan
+    returned 0.0."""
+    with pytest.raises(NumericsError) as exc:
+        GreenDensityQuery(2.0, 1.0, -0.1, x, 1.0)
+    assert exc.value.code == "x_finite"
+
+
+ELL_01 = math.sqrt(0.1)      # the scale at mu = -0.1, tau = 1, alpha = 2
+
+
+@pytest.mark.parametrize("x", [0.999e-12 * ELL_01, 1e-20 * ELL_01, 1e-40,
+                               1e-100 * ELL_01, 5e-324])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_green_density_refuses_points_near_the_origin(x, sign):
+    """At (2, 1), mu = -0.1, tau = 1 the true density near 0 is 0.8921; the
+    line at Re t = 0.6 cancelled to 9231.77 at x = 1e-40, 0.0 at
+    1e-100 ell and 1.1e160 at 5e-324.  Below |x| = 1e-12 ell it is
+    refused."""
+    with pytest.raises(NumericsError) as exc:
+        green_density(GreenDensityQuery(2.0, 1.0, -0.1, sign * x, 1.0))
+    assert exc.value.code == "density_near_origin"
+
+
+@pytest.mark.parametrize("ratio", [1.000001e-12, 2e-12, 1e-10, 1e-8])
+def test_green_density_near_the_origin_is_accurate(ratio):
+    """Down to |x| = 1e-12 ell the Gaussian limit holds to 5e-10 (3.3e-10
+    measured at the threshold itself)."""
+    for x in (ratio * ELL_01, -ratio * ELL_01):
+        g = green_density(GreenDensityQuery(2.0, 1.0, -0.1, x, 1.0))
+        ref = math.exp(-x * x / 0.4) / math.sqrt(2.0 * math.pi * 0.2)
+        assert abs(g - ref) <= 5e-10 * ref
+
+
 def test_density_batch_norm():
     """Coarse normalization sanity; the tight check lives in acceptance."""
     for alpha, gamma in ((1.7, 0.9), (1.3, 1.1)):
         ys = np.concatenate([np.linspace(-25, -1e-3, 4000),
                              np.linspace(1e-3, 25, 4000)])
-        g = _density_batch(ys, alpha, gamma, 0.2)
+        g = _density_batch(ys, _GreenContext(alpha, gamma), 0.2)
         assert np.trapezoid(g, ys) == pytest.approx(1.0, abs=2e-3)
 
 
@@ -184,15 +220,16 @@ def _direct_call(params, inputs, mu):
     """The call payoff integrated against the density from y* up, the way
     reference_price integrates an out-of-the-money call."""
     alpha, gamma = params.alpha, params.gamma
+    ctx = _GreenContext(alpha, gamma)
     S, K, r, tau = inputs.spot, inputs.strike, inputs.rate, inputs.tau
     ell = (-mu * tau ** gamma) ** (1.0 / alpha)
     fwd = S * math.exp((r + mu) * tau)
     ystar = -(math.log(S / K) + r * tau) - mu * tau
     assert ystar < 0.0                      # in the money
-    yhi = _payoff_upper_cutoff(ystar, alpha, gamma, ell,
+    yhi = _payoff_upper_cutoff(ystar, ctx, ell,
                                math.log(1e-15 * max(K, fwd) / fwd))
     ys, ws = _geometric_panels(ystar, yhi, ell)
-    g = _density_batch(ys, alpha, gamma, ell)
+    g = _density_batch(ys, ctx, ell)
     return inputs.discount * float(((fwd * np.exp(ys) - K) * g) @ ws)
 
 
@@ -227,6 +264,82 @@ def test_in_the_money_call_mean_factor_overflow(monkeypatch):
         reference_price(params, inputs)
 
 
+WINGS_1 = ModelParams.double_fractional(1.797601, 1.153399,
+                                        0.20003798352608604)
+
+
+@pytest.mark.parametrize("params, inputs, pin", [
+    # seed-1 wings quotes whose calls run through _tilted_tail_call
+    (WINGS_1, PricingInputs(100.0, 115.04215598838073, 0.011012120830808712,
+                            0.05001088888446653), "0x1.395de0d9452a3p-75"),
+    (WINGS_1, PricingInputs(100.0, 129.91982022734524, 0.011012120830808712,
+                            0.05001088888446653), "0x1.ad2603fea547cp-392"),
+    # y* < 0: the heavy-side put integral and its tail mass
+    (ModelParams.double_fractional(1.7, 0.9, 0.2),
+     PricingInputs(100.0, 90.0, 0.02, 0.5, OptionKind.PUT),
+     "0x1.984329c2a95d8p+1"),
+    (ModelParams.double_fractional(2.0, 1.0, 0.25),
+     PricingInputs(100.0, 125.0, 0.03, 0.75), "0x1.23d8decb907d8p+1"),
+    (ModelParams.fmls(1.6, 0.25), PricingInputs(100.0, 102.0, 0.01, 0.05),
+     "0x1.00eaa6c5388bdp+0"),
+    # the wings workload's fault call at gamma != 1, A < 0
+    (ModelParams.double_fractional(2.0, 0.8, 0.2),
+     PricingInputs(100.0, 80.0, 0.01, 0.02), "0x1.4179b1874c798p+4"),
+])
+def test_reference_price_pins(params, inputs, pin):
+    """Bitwise pins, one quote per quadrature branch, as priced before the
+    Green-function context and the batched line set-up."""
+    assert reference_price(params, inputs).hex() == pin
+
+
+def test_density_batch_and_tail_masses_pins():
+    """Bitwise pins of a mixed-sign density batch and of tail masses on
+    both sides, at (alpha, gamma) = (1.7, 0.9), ell = 0.1."""
+    xs = 0.1 * np.array([-30.0, -4.0, -1.0, -0.2, -0.01,
+                         0.01, 0.2, 1.0, 4.0, 12.0])
+    Ys = 0.1 * np.array([0.5, 3.0, 20.0])
+    ctx = _GreenContext(1.7, 0.9)
+    g = _density_batch(xs, ctx, 0.1)
+    assert [float(v).hex() for v in g] == [
+        "0x1.c3b7a59291d07p-12", "0x1.0851e72dd3654p-3",
+        "0x1.7dae22967354ap+0", "0x1.551f6f7213f20p+1",
+        "0x1.89bf9be88f4ddp+1", "0x1.907ef434d894ap+1",
+        "0x1.946735f85bf5fp+1", "0x1.532363bc41b01p+1",
+        "0x1.7114f474ea31ap-5", "0x1.a937fafac7457p-64"]
+    thin = _tail_masses(Ys, ctx, 0.1, False)
+    assert [float(v).hex() for v in thin] == [
+        "0x1.b999bfe7144fbp-2", "0x1.12b8224a3c350p-6",
+        "0x1.a9f21b212a3bfp-199"]
+    heavy = _tail_masses(Ys, ctx, 0.1, True)
+    assert [float(v).hex() for v in heavy] == [
+        "0x1.20ebd2aaa5879p-2", "0x1.7d9eb5f7a7f26p-5",
+        "0x1.8d071d92f4c37p-10"]
+
+
+@pytest.mark.parametrize("params, inputs", [
+    (WINGS_1, PricingInputs(100.0, 129.91982022734524, 0.011012120830808712,
+                            0.05001088888446653)),
+    (ModelParams.double_fractional(1.7, 0.9, 0.2),
+     PricingInputs(100.0, 90.0, 0.02, 0.5, OptionKind.PUT)),
+    (ModelParams.double_fractional(2.0, 1.0, 0.25),
+     PricingInputs(100.0, 125.0, 0.03, 0.75))])
+def test_reference_price_scans_each_window_once(monkeypatch, params, inputs):
+    """The call's saddle scans (the payoff cutoff's, each density batch's,
+    each tail-mass batch's) share one Gamma-ratio evaluation per scan
+    window: no window is evaluated twice, and scans did run."""
+    ratio, windows = numerics._mellin_log_ratio, []
+
+    def spy(t, *args):
+        t = np.asarray(t)
+        if t.size == 321 and np.all(t.imag == 0.5):
+            windows.append((t.real.tobytes(), args))
+        return ratio(t, *args)
+
+    monkeypatch.setattr(numerics, "_mellin_log_ratio", spy)
+    reference_price(params, inputs)
+    assert windows and len(set(windows)) == len(windows)
+
+
 def _scan_loop(logX, alpha, gamma, heavy, deep):
     """Reference: one saddle scan, its strip evaluated for this point alone."""
     lo, hi = _analytic_strip(alpha, heavy)
@@ -246,10 +359,17 @@ def test_saddle_scans_match_scalar_scan(heavy, deep):
     Thin-side points deep in the tail widen the window several times."""
     logX = np.concatenate([np.linspace(-4.0, 9.0, 150), [2.5, 2.5]])
     for alpha, gamma in ((1.7, 0.9), (2.0, 1.0), (1.3, 1.1)):
-        c, env = _saddle_scans(logX, alpha, gamma, heavy, deep)
+        c, env = _saddle_scans(logX, _GreenContext(alpha, gamma), heavy,
+                               deep)
         ref = [_scan_loop(float(x), alpha, gamma, heavy, deep) for x in logX]
         assert c.tolist() == [r[0] for r in ref]
         assert env.tolist() == [r[1] for r in ref]
+
+
+def _line(c, alpha, gamma, heavy, env_cap, logX):
+    """One line through c, set up as a set of one."""
+    return _line_set([c], _GreenContext(alpha, gamma), heavy, [env_cap],
+                     [np.min(logX)], [np.max(logX)])[0]
 
 
 def _line_sums_loop(logX, t, v):
@@ -268,8 +388,8 @@ def test_line_sums_match_node_by_node(alpha, gamma, heavy, c, osc):
     """The factored sum (panel phases times offset phases on the uniform
     panels) is the node-by-node sum to rounding, on lines with a graded head
     and a uniform run, from one point to 600 spread over +-osc."""
-    t, w, panels = _line_nodes(c, alpha, gamma, heavy, -40.0,
-                               np.array([-osc, osc]))
+    t, w, panels = _line(c, alpha, gamma, heavy, -40.0,
+                         np.array([-osc, osc]))
     mids, half, head = panels
     assert 0 < head < len(mids) and t.size == 24 * len(mids)
     lr = _mellin_log_ratio(t, alpha, gamma, heavy)
@@ -295,13 +415,64 @@ def _finer(line, n=8):
             (mids, half / n, n * head))
 
 
+def _same_line(a, b):
+    (t, w, (mids, half, head)), (u, v, (nids, malf, nead)) = a, b
+    return (t.tobytes() == u.tobytes() and w.tobytes() == v.tobytes()
+            and mids.tobytes() == nids.tobytes() and half == malf
+            and head == nead)
+
+
+@pytest.mark.parametrize("alpha, gamma, heavy, cs, env_caps, lx", [
+    # deep thin (a wings tail-mass line), shallow thin, and at the strip edge
+    (1.797601, 1.153399, False, [-1407.73, -4.0, -0.3, 0.6],
+     [3519.92, -40.0, -30.0, -35.0], [(2.8828, 2.8828), (-1.0, 3.0),
+                                      (-4.0, 0.5), (-8.0, -2.0)]),
+    (2.0, 1.0, False, [-200.0, -12.5, -1.0], [500.0, -20.0, -38.0],
+     [(8.0, 9.0), (0.5, 2.0), (-3.0, 1.0)]),
+    # heavy lines, the first 0.2 off the Gamma(t/alpha) pole
+    (1.7, 0.9, True, [-1.5, -1.0, -0.25, 0.5], [-36.0, -40.0, -34.0, -42.0],
+     [(1.0, 1.5), (0.0, 1.0), (-2.0, 0.0), (-6.0, -5.0)])])
+def test_line_set_is_each_line_set_up_alone(alpha, gamma, heavy, cs,
+                                            env_caps, lx):
+    """Bitwise: lines set up together are each the line set up as a set of
+    one, however far apart their lengths, panel widths and heads are."""
+    ctx = _GreenContext(alpha, gamma)
+    lo, hi = zip(*lx)
+    lines = _line_set(cs, ctx, heavy, env_caps, lo, hi)
+    assert len({line[0].size for line in lines}) > 1
+    for i, line in enumerate(lines):
+        alone, = _line_set([cs[i]], ctx, heavy, [env_caps[i]], [lo[i]],
+                           [hi[i]])
+        assert _same_line(line, alone)
+
+
+def test_line_set_refuses_if_any_line_does_not_decay():
+    """A line whose envelope reaches its target only beyond its own cap
+    (1500 at c = -4; the target is met at length 4 * 1.3^23 = 1670) refuses
+    the whole set with envelope_decay, as it does alone, also beside a deep
+    line whose longer cap reaches that length; the deep line is fine
+    alone.  So is a line whose target is never met."""
+    alpha, gamma = 1.797601, 1.153399
+    ctx = _GreenContext(alpha, gamma)
+    beyond = _mellin_log_ratio(complex(-4.0, 4.0 * 1.3 ** 23), alpha, gamma,
+                               False).real + 1.0
+    deep = _mellin_log_ratio(complex(-20000.0), alpha, gamma,
+                             False).real - 34.0
+    _line_set([-20000.0], ctx, False, [deep], [0.0], [1.0])
+    for cs, caps in (([-4.0], [beyond]), ([-20000.0, -4.0], [deep, beyond]),
+                     ([-4.0, -2.0], [-40.0, -1e4])):
+        with pytest.raises(NonConvergenceError) as exc:
+            _line_set(cs, ctx, False, caps, [0.0] * len(cs), [1.0] * len(cs))
+        assert exc.value.code == "envelope_decay"
+
+
 def test_deep_tail_mass_line_is_sized_by_its_slope():
     """A thin-side tail-mass line of a wings round (seed 1, the
     dfrac(1.7976, 1.1534) chain) through its point's deep saddle: the
     integrand is a slowly turning envelope there, so its panels are wide.
     Sized by |log X| alone it had 6864 nodes."""
-    t, _, (_, half, _) = _line_nodes(-1407.73, 1.797601, 1.153399, False,
-                                     3519.92, np.array([2.8828]))
+    t, _, (_, half, _) = _line(-1407.73, 1.797601, 1.153399, False,
+                               3519.92, np.array([2.8828]))
     assert t.size <= 6864 // 5 and 2.0 * half > 6.0
 
 
@@ -320,7 +491,7 @@ def test_slope_sized_panels_match_finer_panels(alpha, gamma, heavy, c, osc):
     x0 = -_mellin_log_slope(complex(c), alpha, gamma, heavy).real
     env_cap = _mellin_log_ratio(complex(c), alpha, gamma, heavy).real - 34.0
     logX = np.linspace(x0 - osc, x0 + osc, 37)
-    line = _line_nodes(c, alpha, gamma, heavy, env_cap, logX)
+    line = _line(c, alpha, gamma, heavy, env_cap, logX)
     fine = _finer(line)
     lr = _mellin_log_ratio(line[0], alpha, gamma, heavy)
     lrf = _mellin_log_ratio(fine[0], alpha, gamma, heavy)
@@ -337,8 +508,8 @@ def _tail_mass_loop(Y, alpha, gamma, ell, heavy):
     logX = math.log(Y / ell)
     c, sad = _scan_loop(logX, alpha, gamma, heavy, True)
     c = min(c, -0.3)
-    t, w, _ = _line_nodes(c, alpha, gamma, heavy, sad - c * logX - 34.0,
-                          np.array([logX]))
+    t, w, _ = _line(c, alpha, gamma, heavy, sad - c * logX - 34.0,
+                    np.array([logX]))
     lr = _mellin_log_ratio(t, alpha, gamma, heavy)
     off = lr.real.max() + c * logX
     ex = np.exp(lr + logX * (t - c) - (off - c * logX)) / t
@@ -355,7 +526,7 @@ def test_tail_masses_match_per_point_lines(alpha, gamma, heavy):
     ell = 0.1
     Ys = ell * np.concatenate([np.geomspace(0.3, 60.0, 70),
                                np.linspace(20.0, 21.0, 16)])
-    got = _tail_masses(Ys, alpha, gamma, ell, heavy)
+    got = _tail_masses(Ys, _GreenContext(alpha, gamma), ell, heavy)
     ref = np.array([_tail_mass_loop(Y, alpha, gamma, ell, heavy)
                     for Y in Ys])
     assert np.all(ref >= 0.0) and (ref > 1e-300).sum() >= 60
@@ -367,18 +538,19 @@ def test_heavy_tail_masses_at_alpha_2_are_the_thin_side():
     one, so the heavy scan widens as the thin one does: the far tail is
     resolved, not signed noise (down to -2.5e-40) from the fixed strip."""
     Ys = 0.1 * np.geomspace(0.3, 60.0, 40)
-    heavy = _tail_masses(Ys, 2.0, 1.0, 0.1, True)
+    ctx = _GreenContext(2.0, 1.0)
+    heavy = _tail_masses(Ys, ctx, 0.1, True)
     assert np.all(heavy >= 0.0)
-    assert heavy.tolist() == _tail_masses(Ys, 2.0, 1.0, 0.1, False).tolist()
+    assert heavy.tolist() == _tail_masses(Ys, ctx, 0.1, False).tolist()
 
 
-def _tilted_tail_fine(ystar, alpha, gamma, ell, scale):
+def _tilted_tail_fine(ystar, ctx, ell, scale):
     """Reference: the deep-tail call integral on 48 geometric panels of GL32
     over the cutoff search's interval, y* to the first probe below the
     integrand's maximum less 40, zeros included."""
     def log_integrand(ys):
         ys = np.asarray(ys, float)
-        t = _tail_masses(ys, alpha, gamma, ell, False)
+        t = _tail_masses(ys, ctx, ell, False)
         with np.errstate(divide="ignore"):
             return ys + np.log(np.maximum(t, 0.0))
 
@@ -423,8 +595,8 @@ def test_tilted_tail_matches_fine_rule(monkeypatch, params, inputs,
     c = reference_price(params, inputs)
     (args, value), = seen
     assert c == value > 0.0
-    ystar, alpha, gamma, ell, scale, _ = args
-    ref = _tilted_tail_fine(ystar, alpha, gamma, ell, scale)
+    ystar, ctx, ell, scale, _ = args
+    ref = _tilted_tail_fine(ystar, ctx, ell, scale)
     assert abs(value - ref) <= 1e-11 * ref
     batches = [n for n in sizes if n > 1]
     assert (sum(batches) <= 31) if certified else (batches[-1] == 176)
@@ -438,7 +610,7 @@ def _floor_margins(xs, alpha, gamma, ell):
     lo_x, hi_x = logX.min() - 1e-9, logX.max() + 1e-9
     kn = np.linspace(lo_x, hi_x, max(min(33, 2 + len(logX)),
                                      math.ceil(hi_x - lo_x) + 1))
-    ck, sk = _saddle_scans(kn, alpha, gamma, heavy)
+    ck, sk = _saddle_scans(kn, _GreenContext(alpha, gamma), heavy)
     cpt = np.clip(np.interp(logX, kn, ck), *_analytic_strip(alpha, heavy))
     sad = np.interp(logX, kn, sk - ck * kn) + cpt * logX
     return sad - (sad.max() - 42.0)
@@ -477,16 +649,16 @@ def test_density_batch_is_zero_below_floor(monkeypatch, alpha, gamma, xs,
     pins to 1e-13 relative, or 1e-30 of the batch's largest where cancelling
     terms within e^-8 of the floor round differently, and each matches the
     batch on the same lines with panels 8x narrower to the same tolerance."""
-    g = _density_batch(xs, alpha, gamma, 0.1)
+    g = _density_batch(xs, _GreenContext(alpha, gamma), 0.1)
     margin = _floor_margins(xs, alpha, gamma, 0.1)
     assert (margin < 0.0).sum() >= 40 and np.all(g[margin < 0.0] == 0.0)
     for i, v in pins.items():
         assert margin[i] >= 0.0
         assert abs(g[i] - v) <= 1e-13 * v + 1e-30 * g.max()
-    line_nodes = numerics._line_nodes
-    monkeypatch.setattr(numerics, "_line_nodes",
-                        lambda *args: _finer(line_nodes(*args)))
-    ref = _density_batch(xs, alpha, gamma, 0.1)
+    line_set = numerics._line_set
+    monkeypatch.setattr(numerics, "_line_set",
+                        lambda *args: [_finer(l) for l in line_set(*args)])
+    ref = _density_batch(xs, _GreenContext(alpha, gamma), 0.1)
     assert np.all(np.abs(g - ref) <= 1e-13 * ref + 1e-30 * g.max())
 
 
@@ -503,12 +675,13 @@ def test_density_batch_over_210_units_of_log_x(alpha, gamma):
     ell = green_scale(mu, tau, gamma) ** (1.0 / alpha)
     logX = np.linspace(-9.0, 201.0, 120)
     xs = np.concatenate([-ell * np.exp(logX), ell * np.exp(logX)])
-    g = _density_batch(xs, alpha, gamma, ell)
+    ctx = _GreenContext(alpha, gamma)
+    g = _density_batch(xs, ctx, ell)
     ref = np.array([green_density(GreenDensityQuery(alpha, gamma, mu,
                                                     float(x), tau))
                     for x in xs])
     inside = np.concatenate([
-        _saddle_scans(logX, alpha, gamma, heavy)[0]
+        _saddle_scans(logX, ctx, heavy)[0]
         > _analytic_strip(alpha, heavy)[0] for heavy in (True, False)])
     keep = inside & (ref > 1e-300)
     assert keep.sum() >= 12
