@@ -444,13 +444,44 @@ def _line_sums(logX, t, v, panels):
     return out
 
 
+def _line_spacing(ctx, heavy):
+    """The first scan window's abscissae left of 0, with 0 appended, and
+    u at them: _density_batch's lines sit 0.25 apart in u left of c = 0,
+    and 0.25 apart in c itself right of it.
+
+    A point whose line sits delta off its saddle has its log-envelope
+    raised by about f''(c) delta^2 / 2, f the window's log-modulus (f'' is
+    its second difference: no Gamma ratio is evaluated).  With
+    u' = sqrt(min(|f''(c)| / f''(0), 1)) and u(0) = 0, equal steps in u
+    allow no more rise than 0.25 steps do at c = 0, and the lines widen
+    where the ratio flattens (~7x at the thin side's -40).  Where
+    f''(0) <= 0 (the thin ratio is identically 1 at gamma = alpha), u = c.
+    Right of 0 the Gamma(1 - t) pole makes f'' at Im t = 0.5 understate
+    the curvature, so the 0.25 grid is kept there."""
+    cw, f = ctx.window(heavy, 0)
+    d2 = np.diff(f, 2) / (cw[1] - cw[0]) ** 2
+    d2 = np.concatenate([d2[:1], d2, d2[-1:]])
+    k0 = float(np.interp(0.0, cw, d2))
+    left = cw < 0.0
+    c = np.append(cw[left], 0.0)
+    if not k0 > 0.0:
+        return c, c
+    du = np.append(np.sqrt(np.minimum(np.abs(d2[left]) / k0, 1.0)), 1.0)
+    seg = 0.5 * (du[1:] + du[:-1]) * np.diff(c)
+    return c, np.append(-np.cumsum(seg[::-1])[::-1], 0.0)
+
+
 def _density_batch(xs, ctx, ell):
     """Green density at an array of points xs (in log-price units), scale ell.
 
     Each point gets an abscissa interpolated from saddle scans at knot values
-    of log X; points are grouped onto shared lines 0.25 apart in abscissa so
-    that no point is evaluated far from its own saddle (which would lose the
-    result to cancellation).  The lines of a side are set up together.
+    of log X; points are grouped onto shared lines so that no point is
+    evaluated far from its own saddle (which would lose the result to
+    cancellation).  The lines are spaced by the Gamma ratio's curvature
+    (_line_spacing): 0.25 apart in abscissa near the money and right of
+    it, wider where the ratio flattens, so that a point's envelope on its
+    line rises no more than 0.25 steps allow at c = 0.  The lines of a side
+    are set up together.
     """
     alpha, gamma = ctx.alpha, ctx.gamma
     xs = np.asarray(xs, float)
@@ -474,10 +505,13 @@ def _density_batch(xs, ctx, ell):
         # a point enveloped below the floor is 0.0: lines built to that
         # floor could only return noise for it
         live = sad >= floor
-        grp = np.round(cpt / 0.25).astype(int)
+        cw, uw = _line_spacing(ctx, heavy)
+        grp = np.round(np.where(cpt < 0.0, np.interp(cpt, cw, uw), cpt)
+                       / 0.25).astype(int)
         gs = np.unique(grp[live])
         sels = [grp == g for g in gs]
-        cs = [float(np.clip(g * 0.25, lo, hi)) for g in gs]
+        cs = np.where(gs < 0, np.interp(gs * 0.25, uw, cw),
+                      np.clip(gs * 0.25, lo, hi)).tolist()
         lines = _line_set(
             cs, ctx, heavy,
             [float((np.maximum(sad[sel] - 34.0, floor) - c * logX[sel]).min())
@@ -716,10 +750,13 @@ def reference_price(params, inputs):
     is bounded below ulp(S)/4, so that tail is then skipped.  With y* < 0 it
     is the put integral P, and a put is P + S (X - 1), a call
     P + S X - K e^{-r tau}, X the mean factor of log_mean_factor; at K = 0,
-    y* = -inf and P = 0, so the call is S X exactly.  A forward
-    S e^{(r + mu) tau} outside the float range, a call payoff that overflows
-    on the nodes, a mean factor beyond the float range, and a call outside
-    the arbitrage band [max(S X - K e^{-r tau}, 0), S X] raise NumericsError.
+    y* = -inf and P = 0, so the call is S X exactly.  The payoffs are
+    K expm1(y - y*) and its negative, exact where y* and the scale are
+    below the rounding of 1.  A forward S e^{(r + mu) tau} outside the
+    float range, a call payoff that overflows on the nodes, a deep call
+    tail that the tilted integral cannot resolve, a mean factor beyond the
+    float range, and a call outside the arbitrage band
+    [max(S X - K e^{-r tau}, 0), S X] raise NumericsError.
     """
     from .model import risk_neutral  # deferred: model imports this module
     mu = risk_neutral(params).mu
@@ -747,7 +784,7 @@ def reference_price(params, inputs):
             ys, ws = _geometric_panels(ystar, yhi, ell)
             g = _density_batch(ys, ctx, ell)
             with np.errstate(over="ignore", invalid="ignore"):
-                c = disc * float(((fwd * np.exp(ys) - K) * g) @ ws)
+                c = disc * float((K * np.expm1(ys - ystar) * g) @ ws)
             if not math.isfinite(c):
                 raise NumericsError(
                     "payoff_float_range",
@@ -755,12 +792,22 @@ def reference_price(params, inputs):
                     f"quadrature nodes up to y = {yhi:.6g}")
         else:
             c = 0.0
-        if ystar > 0.0 and c <= 1e-10 * fwd:
-            # so far out that the density values themselves are unreliable
+        if ystar > ell and c <= 1e-10 * fwd:
+            # out in the tail, where the density values themselves are
+            # unreliable; within one scale of the money the body is the
+            # price however small it is against the forward (at tau 1e-200
+            # a near-the-money call is ~1e-100 S)
             tail = _tilted_tail_call(ystar, ctx, ell, disc * fwd,
                                      0.0 if call else math.ulp(S) / 4.0)
-            if tail is not None:
-                c = tail
+            if tail is None and call:
+                raise NumericsError(
+                    "tail_unresolved",
+                    f"call tail beyond y* = {ystar:.6g} ({ystar / ell:.4g} "
+                    "scales out) is not resolved in double precision")
+            # no tail: the tail probability at y* came back 0.0 (envelope
+            # below e^-800) or as rounding noise, so the call is far below
+            # a put's rounding
+            c = 0.0 if tail is None else tail
 
     log_x = log_mean_factor(mu, tau, gamma)
     with np.errstate(over="ignore"):
@@ -776,9 +823,9 @@ def reference_price(params, inputs):
             ylo = 60.0 + abs(ystar)
             ys, ws = _geometric_panels(-ylo, ystar, ell)
             g = _density_batch(ys, ctx, ell)
-            body = float(((K - fwd * np.exp(ys)) * g) @ ws)
+            body = float((-K * np.expm1(ys - ystar) * g) @ ws)
             put = disc * (body + K * _tail_mass(ylo, ctx, ell, True))
-        c = put + upper - K * disc
+        c = put + (upper - K * disc)
     # outside the series' band, its pad widened by 1e-9 S X for values far
     # above S, a call is quadrature noise
     lower, pad = max(upper - K * disc, 0.0), 1e-6 * (S + K) + 1e-9 * upper

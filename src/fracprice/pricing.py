@@ -113,7 +113,14 @@ class SeriesDiagnostics:
 
 
 def bs_call(inputs, sigma):
-    """Black-Scholes call price S N(d+) - K e^{-r tau} N(d-)."""
+    """Black-Scholes call price S N(d+) - K e^{-r tau} N(d-).
+
+    Where d- < 0 < d+ the two terms cancel as sigma sqrt(tau) -> 0 (at the
+    forward the price is S erf(sigma sqrt(tau) / 2 sqrt 2)), so there it is
+    S (N(d+) - N(d-)) + (S - K e^{-r tau}) N(d-): the CDF difference is a
+    sum of two erfs of opposite sign, and S - K e^{-r tau} is taken as
+    (S - K) - K expm1(-r tau), which keeps the gap of a quote near the
+    forward accurate to its own rounding."""
     if not sigma > 0.0:
         raise ValidationError("sigma_positive", f"sigma={sigma} must be > 0")
     S, K = inputs.spot, inputs.strike
@@ -123,8 +130,14 @@ def bs_call(inputs, sigma):
     if st == 0.0:           # sigma sqrt(tau) underflows: the no-spread limit
         return max(S - K * inputs.discount, 0.0)
     d_plus = inputs.log_fwd / st + 0.5 * st
+    d_minus = d_plus - st
+    if d_minus < 0.0 < d_plus:
+        r2 = math.sqrt(2.0)
+        gap = (S - K) - K * math.expm1(-inputs.rate * inputs.tau)
+        return (S * 0.5 * (math.erf(d_plus / r2) - math.erf(d_minus / r2))
+                + gap * float(normal_cdf(d_minus)))
     return float(S * normal_cdf(d_plus)
-                 - K * inputs.discount * normal_cdf(d_plus - st))
+                 - K * inputs.discount * normal_cdf(d_minus))
 
 
 def _band_bounds(params, inputs, mu):

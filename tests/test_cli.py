@@ -24,6 +24,18 @@ def test_price_bs_eight_significant_digits(capsys):
     assert out == "7.9655675\n"
 
 
+def test_price_fallback_at_tiny_scale(capsys):
+    """At tau 1e-250 the fallback's tilted tail raised a bare ValueError
+    (math domain error) and the command printed a traceback; the quote is
+    S erf(sigma sqrt(tau) / 2 sqrt 2) = 7.9788456e-125."""
+    rc, out, err = run(capsys, "price", "--model", "dfrac", "--alpha", "2",
+                       "--gamma", "1", "--sigma", "0.2", "--spot", "100",
+                       "--strike", "100", "--rate", "0", "--tau", "1e-250",
+                       "--fallback")
+    assert rc == 0 and err == ""
+    assert out == "7.9788456e-125\n"
+
+
 def test_price_json_full_precision(capsys):
     rc, out, _ = run(capsys, "price", "--model", "dfrac", "--spot", "3800",
                      "--strike", "4000", "--rate", "0.01", "--sigma", "0.2",

@@ -155,7 +155,8 @@ def test_density_batch_norm():
         ys = np.concatenate([np.linspace(-25, -1e-3, 4000),
                              np.linspace(1e-3, 25, 4000)])
         g = _density_batch(ys, _GreenContext(alpha, gamma), 0.2)
-        assert np.trapezoid(g, ys) == pytest.approx(1.0, abs=2e-3)
+        mass = float(0.5 * ((g[1:] + g[:-1]) * np.diff(ys)).sum())
+        assert mass == pytest.approx(1.0, abs=2e-3)
 
 
 def test_reference_price_matches_black_scholes():
@@ -277,18 +278,19 @@ WINGS_1 = ModelParams.double_fractional(1.797601, 1.153399,
     # y* < 0: the heavy-side put integral and its tail mass
     (ModelParams.double_fractional(1.7, 0.9, 0.2),
      PricingInputs(100.0, 90.0, 0.02, 0.5, OptionKind.PUT),
-     "0x1.984329c2a95d8p+1"),
+     "0x1.984329c2a95ddp+1"),
     (ModelParams.double_fractional(2.0, 1.0, 0.25),
-     PricingInputs(100.0, 125.0, 0.03, 0.75), "0x1.23d8decb907d8p+1"),
+     PricingInputs(100.0, 125.0, 0.03, 0.75), "0x1.23d8decb907d9p+1"),
     (ModelParams.fmls(1.6, 0.25), PricingInputs(100.0, 102.0, 0.01, 0.05),
-     "0x1.00eaa6c5388bdp+0"),
+     "0x1.00eaa6c5388b3p+0"),
     # the wings workload's fault call at gamma != 1, A < 0
     (ModelParams.double_fractional(2.0, 0.8, 0.2),
      PricingInputs(100.0, 80.0, 0.01, 0.02), "0x1.4179b1874c798p+4"),
 ])
 def test_reference_price_pins(params, inputs, pin):
-    """Bitwise pins, one quote per quadrature branch, as priced before the
-    Green-function context and the batched line set-up."""
+    """Bitwise pins, one quote per quadrature branch, as priced with the
+    density lines spaced by the Gamma ratio's curvature and the payoffs as
+    K expm1(y - y*)."""
     assert reference_price(params, inputs).hex() == pin
 
 
@@ -301,11 +303,11 @@ def test_density_batch_and_tail_masses_pins():
     ctx = _GreenContext(1.7, 0.9)
     g = _density_batch(xs, ctx, 0.1)
     assert [float(v).hex() for v in g] == [
-        "0x1.c3b7a59291d07p-12", "0x1.0851e72dd3654p-3",
+        "0x1.c3b7a59291d11p-12", "0x1.0851e72dd3654p-3",
         "0x1.7dae22967354ap+0", "0x1.551f6f7213f20p+1",
         "0x1.89bf9be88f4ddp+1", "0x1.907ef434d894ap+1",
-        "0x1.946735f85bf5fp+1", "0x1.532363bc41b01p+1",
-        "0x1.7114f474ea31ap-5", "0x1.a937fafac7457p-64"]
+        "0x1.946735f85bf5fp+1", "0x1.532363bc41b03p+1",
+        "0x1.7114f474ea31dp-5", "0x1.a937fafac7457p-64"]
     thin = _tail_masses(Ys, ctx, 0.1, False)
     assert [float(v).hex() for v in thin] == [
         "0x1.b999bfe7144fbp-2", "0x1.12b8224a3c350p-6",
@@ -620,16 +622,18 @@ def _floor_margins(xs, alpha, gamma, ell):
 # floor in log envelope (indices up to 60 at alpha 2, 64 at 1.7) are as
 # computed before below-floor points were skipped.  Nearer the floor a value
 # carries its line's truncation at the envelope target (1e-2 relative at e^3
-# above the floor, against a line run 30 further down): those are as
-# computed with panels sized from the integrand's slope.
+# above the floor, against a line run 30 further down): at alpha 1.7 those
+# are as computed with panels sized from the integrand's slope, at alpha 2
+# (indices 62 on) as computed with lines spaced by the Gamma ratio's
+# curvature, which share the -40 line from index 63 on.
 DENSITY_PINS = [
     (2.0, 1.0, -np.geomspace(0.01, 61.0, 120), {
         0: 2.8139043560650503, 20: 2.691947748937935, 40: 1.1743075262642528,
         56: 0.0003048425440020687, 58: 1.3611213962742867e-05,
-        60: 2.1091257829877e-07, 62: 7.911051590770889e-10,
-        63: 2.461919868268734e-11, 64: 4.431734809372861e-13,
-        65: 4.2328013880847485e-15, 66: 1.940924890182015e-17,
-        67: 3.8059805580376335e-20, 68: 2.8230041483737923e-23}),
+        60: 2.1091257829877e-07, 62: 7.911051590791405e-10,
+        63: 2.4619198682871158e-11, 64: 4.4317346848329625e-13,
+        65: 4.232798658794307e-15, 66: 1.940941085394481e-17,
+        67: 3.8058734642666083e-20, 68: 2.790925729716097e-23}),
     (1.7, 0.9, np.geomspace(0.01, 30.0, 120), {
         0: 3.1508260963738133, 20: 3.1308368022711526, 40: 2.008037460874019,
         60: 0.00038153431128569936, 62: 1.8482961696071146e-05,
@@ -660,6 +664,56 @@ def test_density_batch_is_zero_below_floor(monkeypatch, alpha, gamma, xs,
                         lambda *args: [_finer(l) for l in line_set(*args)])
     ref = _density_batch(xs, _GreenContext(alpha, gamma), 0.1)
     assert np.all(np.abs(g - ref) <= 1e-13 * ref + 1e-30 * g.max())
+
+
+def test_density_batch_matches_the_exact_gaussian():
+    """At (2, 1) the density is exp(-x^2 / 4 ell^2) / (2 ell sqrt(pi)).  On
+    DENSITY_PINS' alpha-2 batch every live point is within 1e-14 relative or
+    1e-21 of the batch's largest value: 1.1e-14 relative at most 25 or more
+    above the floor but 1.8e-14 at index 60 (26.1 above it), 1.6e-11 at
+    index 64 and 1.2e-6 at index 68 (3.0 above it).  On the 0.25 grid the
+    lines near the floor each served a few points, and the batch was
+    7.1e-14 off at index 60, 2.8e-8 at 64 and 1.1e-2 at 68."""
+    xs = DENSITY_PINS[0][2]
+    g = _density_batch(xs, _GreenContext(2.0, 1.0), 0.1)
+    ref = np.array([math.exp(-x * x / 0.04) / (0.2 * math.sqrt(math.pi))
+                    for x in xs])
+    live = _floor_margins(xs, 2.0, 1.0, 0.1) >= 0.0
+    assert live.sum() >= 60
+    err = np.abs(g - ref)[live]
+    assert np.all(err <= 1e-14 * ref[live] + 1e-21 * g.max())
+
+
+def test_density_lines_follow_the_ratio_curvature(monkeypatch):
+    """A thin-side call batch like the seed-1 wings call at (1.70, 0.85):
+    its saddles run to the strip's -40 edge, where the Gamma ratio is ~56x
+    flatter than at c = 0.  Its points share at most a quarter of the lines
+    of the 0.25 grid (19 against 102), and each live point's envelope on
+    its line is within 0.011 of the envelope at its own saddle (0.0052 at
+    most; 0.25 steps at c = 0 allow f''(0) / 128 = 0.0055)."""
+    alpha, gamma, ell = 1.701235, 0.852767, 0.0673502
+    xs = np.geomspace(0.3431, 0.9271, 224)
+    sums, lines = numerics._line_sums, []
+
+    def spy(logX, t, v, panels):
+        lines.append((t.real[0], logX))
+        return sums(logX, t, v, panels)
+
+    monkeypatch.setattr(numerics, "_line_sums", spy)
+    _density_batch(xs, _GreenContext(alpha, gamma), ell)
+    curved = list(lines)
+    lines.clear()
+    monkeypatch.setattr(numerics, "_line_spacing", lambda ctx, heavy: (
+        np.array([-40.0, 0.0]), np.array([-40.0, 0.0])))
+    _density_batch(xs, _GreenContext(alpha, gamma), ell)
+    assert 4 * len(curved) <= len(lines)
+    cs = np.linspace(-40.0, 0.6, 8001)
+    f = _mellin_log_ratio(cs + 0.5j, alpha, gamma, False).real
+    assert sum(lx.size for _, lx in curved) == sum(lx.size for _, lx in lines)
+    for c, lx in curved:
+        own = (f + cs * lx[:, None]).min(axis=1)
+        on = _mellin_log_ratio(c + 0.5j, alpha, gamma, False).real + c * lx
+        assert np.all(on - own <= 0.011)
 
 
 @pytest.mark.parametrize("alpha, gamma", [(1.7, 0.9), (2.0, 1.0),

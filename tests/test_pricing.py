@@ -22,6 +22,42 @@ def test_bs_call_atm_frozen():
     assert bs_call(inp, 0.2) == pytest.approx(7.965567455405754, rel=1e-12)
 
 
+@pytest.mark.parametrize("tau", [1.0, 0.01, 1e-8, 1e-14, 1e-20, 1e-40,
+                                 1e-100, 1e-200, 1e-300])
+def test_bs_call_at_the_forward(tau):
+    """At K = S e^{r tau} the price is S erf(sigma sqrt(tau) / 2 sqrt 2).
+    S N(d+) - K N(d-) cancelled: 9.7e-9 off at tau 1e-14, 6.5e-6 at 1e-20
+    and 0.0 at 1e-40."""
+    value = bs_call(PricingInputs(100.0, 100.0, 0.0, tau), 0.2)
+    exact = 100.0 * math.erf(0.2 * math.sqrt(tau) / (2.0 * math.sqrt(2.0)))
+    assert abs(value - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams.double_fractional(2.0, 1.0, 0.2), ModelParams.fmls(1.7, 0.2),
+    ModelParams.double_fractional(1.7, 0.9, 0.2)])
+def test_fallback_near_the_money_at_tiny_scale(params):
+    """At K = S, r = 0 the fallback gave 0.0 from tau 1e-200 on and raised a
+    bare ValueError at 1e-250: the payoff fwd e^y - K cancelled, the tilted
+    tail ran for a quote within one scale of the money, and a tail it could
+    not resolve left the cancelled body standing.  Now each quote is a
+    positive price, at (2, 1) within 1e-12 of S erf(sigma sqrt(tau) /
+    2 sqrt 2) (the Gaussian limit), or a coded NumericsError."""
+    for e in range(20, 301, 10):
+        tau = 10.0 ** -e
+        try:
+            value = price(params, PricingInputs(100.0, 100.0, 0.0, tau),
+                          fallback=True)
+        except numerics.NumericsError as exc:
+            assert exc.code
+            continue
+        assert value > 0.0
+        if params.alpha == 2.0:
+            exact = 100.0 * math.erf(0.2 * math.sqrt(tau)
+                                     / (2.0 * math.sqrt(2.0)))
+            assert abs(value - exact) <= 1e-12 * exact
+
+
 def test_bs_call_zero_strike():
     inp = PricingInputs(100.0, 0.0, 0.05, 2.0)
     assert bs_call(inp, 0.2) == 100.0
