@@ -444,44 +444,43 @@ def _line_sums(logX, t, v, panels):
     return out
 
 
-def _line_spacing(ctx, heavy):
-    """The first scan window's abscissae left of 0, with 0 appended, and
-    u at them: _density_batch's lines sit 0.25 apart in u left of c = 0,
-    and 0.25 apart in c itself right of it.
+def _share_lines(cands, f_at_cands, logX, sad):
+    """Abscissae of the lines that the points share, and each line's points
+    (boolean masks over the points).
 
-    A point whose line sits delta off its saddle has its log-envelope
-    raised by about f''(c) delta^2 / 2, f the window's log-modulus (f'' is
-    its second difference: no Gamma ratio is evaluated).  With
-    u' = sqrt(min(|f''(c)| / f''(0), 1)) and u(0) = 0, equal steps in u
-    allow no more rise than 0.25 steps do at c = 0, and the lines widen
-    where the ratio flattens (~7x at the thin side's -40).  Where
-    f''(0) <= 0 (the thin ratio is identically 1 at gamma = alpha), u = c.
-    Right of 0 the Gamma(1 - t) pole makes f'' at Im t = 0.5 understate
-    the curvature, so the 0.25 grid is kept there."""
-    cw, f = ctx.window(heavy, 0)
-    d2 = np.diff(f, 2) / (cw[1] - cw[0]) ** 2
-    d2 = np.concatenate([d2[:1], d2, d2[-1:]])
-    k0 = float(np.interp(0.0, cw, d2))
-    left = cw < 0.0
-    c = np.append(cw[left], 0.0)
-    if not k0 > 0.0:
-        return c, c
-    du = np.append(np.sqrt(np.minimum(np.abs(d2[left]) / k0, 1.0)), 1.0)
-    seg = 0.5 * (du[1:] + du[:-1]) * np.diff(c)
-    return c, np.append(-np.cumsum(seg[::-1])[::-1], 0.0)
+    A point may join the line at a candidate abscissa c when its envelope
+    there, f(c) + c log X (f the Gamma ratio's log-modulus at Im t = 0.5),
+    is at most its envelope at its own saddle, sad, plus 1: the line then
+    amplifies the point's rounding noise by at most a factor e.  The points
+    are covered greedily: the leftmost unassigned one (largest log X, its
+    saddle furthest left) takes, of the candidates within its budget, the
+    one that covers the most unassigned points, and every unassigned point
+    within that candidate's budget joins it.  Every point must have a
+    candidate within budget; its own saddle is one."""
+    fit = f_at_cands[:, None] + cands[:, None] * logX - sad <= 1.0
+    free = np.ones(logX.size, bool)
+    cs, sels = [], []
+    while free.any():
+        i = np.flatnonzero(free)[logX[free].argmax()]
+        j = int(np.where(fit[:, i], (fit & free).sum(axis=1), -1).argmax())
+        sels.append(fit[j] & free)
+        cs.append(float(cands[j]))
+        free &= ~sels[-1]
+    return cs, sels
 
 
 def _density_batch(xs, ctx, ell):
     """Green density at an array of points xs (in log-price units), scale ell.
 
     Each point gets an abscissa interpolated from saddle scans at knot values
-    of log X; points are grouped onto shared lines so that no point is
-    evaluated far from its own saddle (which would lose the result to
-    cancellation).  The lines are spaced by the Gamma ratio's curvature
-    (_line_spacing): 0.25 apart in abscissa near the money and right of
-    it, wider where the ratio flattens, so that a point's envelope on its
-    line rises no more than 0.25 steps allow at c = 0.  The lines of a side
-    are set up together.
+    of log X, and its envelope sad there.  The points share lines through
+    the knots' saddles (_share_lines): a point joins a line only where its
+    envelope on it is at most sad + 1, so no point is evaluated far enough
+    from its own saddle to lose its value to cancellation.  A point
+    enveloped below the batch floor is 0.0 and gets no row in any line sum;
+    it still shapes its line's length and panels, and a line none of whose
+    points is above the floor is not built.  The lines of a side are set up
+    together.
     """
     alpha, gamma = ctx.alpha, ctx.gamma
     xs = np.asarray(xs, float)
@@ -491,7 +490,6 @@ def _density_batch(xs, ctx, ell):
         if not m.any():
             continue
         logX = np.log(np.abs(xs[m]) / ell)
-        lo, hi = _analytic_strip(alpha, heavy)
         # saddle knots: 2 more than the points, up to 33, and at least one
         # per unit of log X
         lo_x, hi_x = logX.min() - 1e-9, logX.max() + 1e-9
@@ -499,19 +497,15 @@ def _density_batch(xs, ctx, ell):
                                          math.ceil(hi_x - lo_x) + 1))
         ck, sk = _saddle_scans(kn, ctx, heavy)
         sk -= ck * kn
-        cpt = np.clip(np.interp(logX, kn, ck), lo, hi)
-        sad = np.interp(logX, kn, sk) + cpt * logX    # per-point log-envelope
+        # per-point log-envelope: between two knots it is a mean of the
+        # envelopes on their saddles, so one of them is within budget
+        sad = np.interp(logX, kn, sk) + np.interp(logX, kn, ck) * logX
         floor = sad.max() - 42.0                      # batch absolute floor
         # a point enveloped below the floor is 0.0: lines built to that
         # floor could only return noise for it
         live = sad >= floor
-        cw, uw = _line_spacing(ctx, heavy)
-        grp = np.round(np.where(cpt < 0.0, np.interp(cpt, cw, uw), cpt)
-                       / 0.25).astype(int)
-        gs = np.unique(grp[live])
-        sels = [grp == g for g in gs]
-        cs = np.where(gs < 0, np.interp(gs * 0.25, uw, cw),
-                      np.clip(gs * 0.25, lo, hi)).tolist()
+        shared = zip(*_share_lines(ck, sk, logX, sad))
+        cs, sels = zip(*[(c, sel) for c, sel in shared if live[sel].any()])
         lines = _line_set(
             cs, ctx, heavy,
             [float((np.maximum(sad[sel] - 34.0, floor) - c * logX[sel]).min())

@@ -115,10 +115,11 @@ class SeriesDiagnostics:
 def bs_call(inputs, sigma):
     """Black-Scholes call price S N(d+) - K e^{-r tau} N(d-).
 
-    Where d- < 0 < d+ the two terms cancel as sigma sqrt(tau) -> 0 (at the
+    Where d+ > 0 the two terms cancel as sigma sqrt(tau) -> 0 (at the
     forward the price is S erf(sigma sqrt(tau) / 2 sqrt 2)), so there it is
     S (N(d+) - N(d-)) + (S - K e^{-r tau}) N(d-): the CDF difference is a
-    sum of two erfs of opposite sign, and S - K e^{-r tau} is taken as
+    difference of two erfs, exact where d+ and d- are small (a sum where
+    they differ in sign), and S - K e^{-r tau} is taken as
     (S - K) - K expm1(-r tau), which keeps the gap of a quote near the
     forward accurate to its own rounding."""
     if not sigma > 0.0:
@@ -131,7 +132,7 @@ def bs_call(inputs, sigma):
         return max(S - K * inputs.discount, 0.0)
     d_plus = inputs.log_fwd / st + 0.5 * st
     d_minus = d_plus - st
-    if d_minus < 0.0 < d_plus:
+    if d_plus > 0.0:
         r2 = math.sqrt(2.0)
         gap = (S - K) - K * math.expm1(-inputs.rate * inputs.tau)
         return (S * 0.5 * (math.erf(d_plus / r2) - math.erf(d_minus / r2))

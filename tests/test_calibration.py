@@ -106,7 +106,7 @@ def test_calibrate_result_params_validate():
 # penalised quote evaluations by class)
 FIXTURE_FITS = [
     ("bs", None, 226, (2.0, 1.0, 0.4021752929687501),
-     (10.305558032592586, 8.751534732666371, 6.168571181024845,
+     (10.305558032592671, 8.751534732666371, 6.168571181024845,
       2.556379865461011, 1.2617733863548466, 4.115562463012708,
       5.8742822777375405, 5.8855917741649595, 5.280949048874945,
       3.5540348996861724), {}),

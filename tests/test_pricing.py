@@ -33,6 +33,26 @@ def test_bs_call_at_the_forward(tau):
     assert abs(value - exact) <= 1e-14 * exact
 
 
+# Black-Scholes at S = K = 100, r = 0.03, sigma = 0.2, where d- > 0 by
+# (r - sigma^2 / 2) sqrt(tau) / sigma: tau and the call to 21 of its 60
+# digits (mpmath at 400 digits on the float inputs)
+BS_AT_SPOT = [(1e-12, 7.97884710802861070270e-06),
+              (1e-16, 7.97884562302865391400e-08),
+              (1e-20, 7.97884560817865378291e-10),
+              (1e-40, 7.97884560802865371965e-20),
+              (1e-80, 7.97884560802865384782e-40),
+              (1e-160, 7.97884560802865395638e-80),
+              (1e-300, 7.97884560802865410169e-150)]
+
+
+@pytest.mark.parametrize("tau, exact", BS_AT_SPOT)
+def test_bs_call_at_the_spot_with_positive_rate(tau, exact):
+    """With 0 <= d- the subtraction S N(d+) - K e^{-r tau} N(d-) cancelled
+    too: 4.0e-11 off at tau 1e-12, 6.5e-6 at 1e-20 and 0.0 from 1e-40."""
+    value = bs_call(PricingInputs(100.0, 100.0, 0.03, tau), 0.2)
+    assert abs(value - exact) <= 1e-14 * exact
+
+
 @pytest.mark.parametrize("params", [
     ModelParams.double_fractional(2.0, 1.0, 0.2), ModelParams.fmls(1.7, 0.2),
     ModelParams.double_fractional(1.7, 0.9, 0.2)])
