@@ -10,7 +10,7 @@ from enum import Enum
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import erfcx, gammaln
 
 from . import numerics
 from .model import ModelKind, ValidationError, risk_neutral
@@ -112,6 +112,25 @@ class SeriesDiagnostics:
     converged: bool
 
 
+def _erfcx_drop(a, h):
+    """erfcx(a) - erfcx(a + h) for a >= 0 and 0 < h < 0.01, without the
+    subtraction: its Taylor series in h, the derivatives of f = erfcx from
+    f' = 2 a f - 2/sqrt(pi) and f^(n+1) = 2 a f^(n) + 2 n f^(n-1).  Forming
+    f' cancels by a factor ~2 a^2 for large a, so the relative error grows
+    as ~2 a^2 ulp."""
+    prev = float(erfcx(a))
+    cur = 2.0 * a * prev - 2.0 / math.sqrt(math.pi)
+    drop, power = 0.0, 1.0
+    for n in range(1, 40):
+        power *= h / n
+        term = cur * power
+        drop -= term
+        if abs(term) <= 1e-17 * abs(drop):
+            break
+        prev, cur = cur, 2.0 * a * cur + 2.0 * n * prev
+    return drop
+
+
 def bs_call(inputs, sigma):
     """Black-Scholes call price S N(d+) - K e^{-r tau} N(d-).
 
@@ -121,7 +140,15 @@ def bs_call(inputs, sigma):
     difference of two erfs, exact where d+ and d- are small (a sum where
     they differ in sign), and S - K e^{-r tau} is taken as
     (S - K) - K expm1(-r tau), which keeps the gap of a quote near the
-    forward accurate to its own rounding."""
+    forward accurate to its own rounding.
+
+    Where d+ <= 0 the subtraction loses ~|d-| / (sigma sqrt(tau)) ulp.
+    Below sigma sqrt(tau) = 0.01 it is taken without one: N(d) is
+    erfcx(-d / sqrt 2) e^{-d^2/2} / 2, and K e^{-r tau} e^{-d-^2/2} is
+    S e^{-d+^2/2} (d+^2 - d-^2 = 2 log_fwd), so the price is
+    S e^{-d+^2/2} (erfcx(a) - erfcx(a + h)) / 2 with a = -d+ / sqrt 2 and
+    h = sigma sqrt(tau) / sqrt 2, the difference a Taylor series in h
+    (_erfcx_drop)."""
     if not sigma > 0.0:
         raise ValidationError("sigma_positive", f"sigma={sigma} must be > 0")
     S, K = inputs.spot, inputs.strike
@@ -137,6 +164,12 @@ def bs_call(inputs, sigma):
         gap = (S - K) - K * math.expm1(-inputs.rate * inputs.tau)
         return (S * 0.5 * (math.erf(d_plus / r2) - math.erf(d_minus / r2))
                 + gap * float(normal_cdf(d_minus)))
+    if st < 0.01:
+        head = S * math.exp(-0.5 * d_plus * d_plus)
+        if head == 0.0:
+            return 0.0
+        r2 = math.sqrt(2.0)
+        return 0.5 * head * _erfcx_drop(-d_plus / r2, st / r2)
     return float(S * normal_cdf(d_plus)
                  - K * inputs.discount * normal_cdf(d_minus))
 

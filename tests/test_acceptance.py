@@ -15,7 +15,7 @@ from fracprice.calibration import QuoteChain, calibrate
 from fracprice.model import (ModelKind, ModelParams, ValidationError, mu_levy,
                              mu_gamma_mb, mu_gamma_series, validate)
 from fracprice.numerics import (GreenDensityQuery, NumericsError,
-                                _density_batch, _geometric_panels,
+                                _density_batch, _gauss_panels,
                                 _GreenContext, _tail_mass, reciprocal_gamma,
                                 reference_price)
 from fracprice.pricing import (OptionKind, PricingInputs, TruncationPolicy,
@@ -249,10 +249,21 @@ def test_criterion_8_calibration_recovery():
            f"{ordered}; {time.perf_counter() - t0:.0f}s")
 
 
+def _fine_ladder(a, b, scale):
+    """GL32 on [a, b], its edges 0 and +-scale 1e-8 1.05^k: a grid of its
+    own, far finer than reference_price's payoff grid."""
+    n = math.ceil(math.log(max(abs(a), abs(b)) / (scale * 1e-8))
+                  / math.log(1.05))
+    d = scale * 1e-8 * 1.05 ** np.arange(n + 1)
+    edges = {a, b, 0.0} | set(d.tolist()) | set((-d).tolist())
+    return _gauss_panels(sorted(e for e in edges if a <= e <= b),
+                         np.polynomial.legendre.leggauss(32))
+
+
 def _direct_put(params, inputs):
     """The put payoff integrated against the Green density below y*, plus
     K P[y < -ylo] beyond the cutoff: the direct put integral, independent
-    of how reference_price routes a quote."""
+    of how reference_price routes a quote or grids its payoff."""
     mu = mu_gamma_series(params).mu
     alpha, gamma = params.alpha, params.gamma
     ctx = _GreenContext(alpha, gamma)
@@ -261,7 +272,7 @@ def _direct_put(params, inputs):
     fwd = S * math.exp((r + mu) * tau)
     ystar = -(math.log(S / K) + r * tau) - mu * tau
     ylo = 60.0 + abs(ystar)
-    ys, ws = _geometric_panels(-ylo, ystar, ell)
+    ys, ws = _fine_ladder(-ylo, ystar, ell)
     body = float(((K - fwd * np.exp(ys))
                   * _density_batch(ys, ctx, ell)) @ ws)
     return inputs.discount * (body + K * _tail_mass(ylo, ctx, ell, True))

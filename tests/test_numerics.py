@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from scipy.special import erfc, loggamma
 
 from fracprice import model, numerics
-from fracprice.numerics import (_GL24, _GL32, ContourSpec,
+from fracprice.numerics import (_GL24, ContourSpec,
                                 GreenDensityQuery, NonConvergenceError,
                                 NumericsError, _analytic_strip,
                                 _density_batch, _gauss_panels,
-                                _geometric_panels, _GreenContext, _line_set,
+                                _GreenContext, _line_set,
                                 _line_sums, _mellin_log_ratio,
                                 _mellin_log_slope,
                                 _payoff_upper_cutoff, _run_end,
@@ -22,6 +22,8 @@ from fracprice.numerics import (_GL24, _GL32, ContourSpec,
                                 reciprocal_gamma, reference_price)
 from fracprice.model import ModelParams, RiskNeutralParam, risk_neutral
 from fracprice.pricing import PricingInputs, OptionKind, bs_call
+
+_GL32 = np.polynomial.legendre.leggauss(32)
 
 
 def test_reciprocal_gamma_total():
@@ -217,9 +219,20 @@ def test_reference_price_outside_band_is_refused(kind):
     assert exc.value.code == "band"
 
 
+def _fine_ladder(a, b, scale):
+    """GL32 on [a, b], its edges 0 and +-scale 1e-8 1.05^k: a grid of its
+    own, far finer than reference_price's payoff grid."""
+    n = math.ceil(math.log(max(abs(a), abs(b)) / (scale * 1e-8))
+                  / math.log(1.05))
+    d = scale * 1e-8 * 1.05 ** np.arange(n + 1)
+    edges = {a, b, 0.0} | set(d.tolist()) | set((-d).tolist())
+    return _gauss_panels(sorted(e for e in edges if a <= e <= b), _GL32)
+
+
 def _direct_call(params, inputs, mu):
     """The call payoff integrated against the density from y* up, the way
-    reference_price integrates an out-of-the-money call."""
+    reference_price integrates an out-of-the-money call, on a fine ladder
+    of its own."""
     alpha, gamma = params.alpha, params.gamma
     ctx = _GreenContext(alpha, gamma)
     S, K, r, tau = inputs.spot, inputs.strike, inputs.rate, inputs.tau
@@ -229,7 +242,7 @@ def _direct_call(params, inputs, mu):
     assert ystar < 0.0                      # in the money
     yhi = _payoff_upper_cutoff(ystar, ctx, ell,
                                math.log(1e-15 * max(K, fwd) / fwd))
-    ys, ws = _geometric_panels(ystar, yhi, ell)
+    ys, ws = _fine_ladder(ystar, yhi, ell)
     g = _density_batch(ys, ctx, ell)
     return inputs.discount * float(((fwd * np.exp(ys) - K) * g) @ ws)
 
@@ -278,9 +291,9 @@ WINGS_1 = ModelParams.double_fractional(1.797601, 1.153399,
     # y* < 0: the heavy-side put integral and its tail mass
     (ModelParams.double_fractional(1.7, 0.9, 0.2),
      PricingInputs(100.0, 90.0, 0.02, 0.5, OptionKind.PUT),
-     "0x1.984329c2a95d7p+1"),
+     "0x1.984329c2a95d8p+1"),
     (ModelParams.double_fractional(2.0, 1.0, 0.25),
-     PricingInputs(100.0, 125.0, 0.03, 0.75), "0x1.23d8decb907dbp+1"),
+     PricingInputs(100.0, 125.0, 0.03, 0.75), "0x1.23d8decb907dcp+1"),
     (ModelParams.fmls(1.6, 0.25), PricingInputs(100.0, 102.0, 0.01, 0.05),
      "0x1.00eaa6c5388afp+0"),
     # the wings workload's fault call at gamma != 1, A < 0
@@ -328,6 +341,30 @@ def test_reference_price_work(monkeypatch, params, inputs, lines, nodes):
     monkeypatch.setattr(numerics, "_line_sums", spy_sums)
     reference_price(params, inputs)
     assert seen["lines"] <= lines and seen["nodes"] <= nodes
+
+
+@pytest.mark.parametrize("params, inputs, points", [
+    (ModelParams.double_fractional(1.7, 0.9, 0.2),
+     PricingInputs(100.0, 90.0, 0.02, 0.5, OptionKind.PUT), 408),
+    (ModelParams.double_fractional(2.0, 1.0, 0.25),
+     PricingInputs(100.0, 125.0, 0.03, 0.75), 144),
+    (ModelParams.fmls(1.6, 0.25), PricingInputs(100.0, 102.0, 0.01, 0.05),
+     168)])
+def test_reference_price_density_points(monkeypatch, params, inputs,
+                                        points):
+    """Work guard on the payoff grid: the points one reference_price call
+    passes to density batches, for the three density-batch quotes of
+    test_reference_price_work.  On 1.18-graded GL32 payoff panels they
+    passed 1,280, 448 and 512."""
+    batch, seen = numerics._density_batch, []
+
+    def spy_batch(xs, *args):
+        seen.append(np.size(xs))
+        return batch(xs, *args)
+
+    monkeypatch.setattr(numerics, "_density_batch", spy_batch)
+    reference_price(params, inputs)
+    assert sum(seen) <= points
 
 
 def test_density_batch_and_tail_masses_pins():

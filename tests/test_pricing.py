@@ -53,6 +53,27 @@ def test_bs_call_at_the_spot_with_positive_rate(tau, exact):
     assert abs(value - exact) <= 1e-14 * exact
 
 
+# Black-Scholes out of the money (d+ <= 0) at K = 128, sigma = 0.2 and
+# S = 128 e^{-k sigma sqrt(tau)} as a float, so S/K is exact and log_fwd
+# carries no quotient rounding: tau, k, r, S and the call to 20 of its 60
+# digits (mpmath at 60 digits on the float inputs)
+BS_OUT_OF_THE_MONEY = [
+    (1e-10, 2.0, 0.0, 127.999488001024, 2.1736155228228009147e-6),
+    (1e-14, 2.0, 0.0, 127.9999948800001, 2.173619825914845249e-8),
+    (1e-20, 2.0, 0.0, 127.99999999488, 2.1736189058667120394e-11),
+    (1e-12, 5.0, 0.05, 127.999872000064, 1.3686195275044507312e-12),
+    (1e-6, 0.5, 0.0, 127.98720063997867, 0.0050633386832983136029)]
+
+
+@pytest.mark.parametrize("tau, k, rate, spot, exact", BS_OUT_OF_THE_MONEY)
+def test_bs_call_out_of_the_money_small_spread(tau, k, rate, spot, exact):
+    """Where d+ <= 0 the subtraction S N(d+) - K e^{-r tau} N(d-) cancelled
+    as sigma sqrt(tau) -> 0: 2.7e-10 off at tau 1e-10 and k = 2, 4.5e-8 at
+    1e-14 and 1.1e-4 at 1e-20."""
+    value = bs_call(PricingInputs(spot, 128.0, rate, tau), 0.2)
+    assert abs(value - exact) <= 1e-13 * exact
+
+
 @pytest.mark.parametrize("params", [
     ModelParams.double_fractional(2.0, 1.0, 0.2), ModelParams.fmls(1.7, 0.2),
     ModelParams.double_fractional(1.7, 0.9, 0.2)])
