@@ -8,9 +8,8 @@ from .numerics import (ContourSpec, FracpriceError, GreenDensityQuery,
                        green_scale, mb_line_integral, normal_cdf,
                        reciprocal_gamma, reference_price)
 from .pricing import (OptionKind, ParityError, PricingInputs,
-                      SeriesDiagnostics, SeriesDivergenceError,
-                      TruncationPolicy, bs_call, dfrac_call_series,
-                      partial_sum_table, price, price_chain, put_from_parity)
+                      SeriesDiagnostics, SeriesDivergenceError, bs_call,
+                      dfrac_call_series, price, price_chain, put_from_parity)
 from .volatility import (ImpliedVolResult, InversionError, SmilePoint,
                          atm_bs_implied, atm_fbs_implied, build_smile,
                          implied_vol)

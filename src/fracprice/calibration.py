@@ -49,8 +49,9 @@ class QuoteChain:
                 raise ValidationError("kind_value", f"unknown quote kind {k!r}")
             if not s > 0.0:
                 raise ValidationError("strike_positive", "strikes must be > 0")
-            if p < 0.0:
-                raise ValidationError("price_range", "prices must be >= 0")
+            if not 0.0 <= p < math.inf:
+                raise ValidationError("price_range",
+                                      "prices must be finite and >= 0")
             # the pricer's input checks (every number finite, a finite
             # log-forward and discount factor) refuse the chain as a whole
             inputs.append(PricingInputs(self.spot, s, self.rate, self.tau, k))

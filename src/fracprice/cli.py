@@ -19,8 +19,7 @@ from .calibration import QuoteChain, calibrate
 from .model import (ModelKind, ModelParams, ValidationError, mu_gamma_approx,
                     mu_gamma_mb, mu_gamma_series)
 from .numerics import FracpriceError
-from .pricing import (DEFAULT_POLICY, PricingInputs, TruncationPolicy,
-                      partial_sum_table, price)
+from .pricing import PricingInputs, dfrac_call_series, price
 from .volatility import atm_fbs_implied, build_smile
 from . import sampledata
 
@@ -88,8 +87,7 @@ def cmd_price(args):
                          args.sigma)
     inputs = PricingInputs(args.spot, args.strike, args.rate, args.tau,
                            args.kind)
-    policy = TruncationPolicy(args.n_max, args.m_max)
-    value = price(params, inputs, policy, fallback=args.fallback)
+    value = price(params, inputs, fallback=args.fallback)
     if args.json:
         print(json.dumps({"price": value}))
     else:
@@ -126,8 +124,24 @@ def _smile_table(chain, gammas):
     return header, rows
 
 
+def _gammas(text):
+    """The --gammas list; an entry that is not a finite number is refused."""
+    gammas = []
+    for g in filter(str.strip, text.split(",")):
+        try:
+            value = float(g)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValidationError(
+                "gammas_value",
+                f"--gammas entry {g.strip()!r} is not a finite number")
+        gammas.append(value)
+    return gammas
+
+
 def cmd_smile(args):
-    gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
+    gammas = _gammas(args.gammas)
     header, rows = _smile_table(_chain_from_args(args), gammas)
     print("\n".join(_csv_line(r) for r in [header] + rows))
     return 0
@@ -194,7 +208,7 @@ def _fig1(out_dir):
 def _fig3(out_dir):
     params = ModelParams.double_fractional(**FIG3_MODEL)
     inputs = PricingInputs(**FIG3_MARKET)
-    diag = partial_sum_table(params, inputs)
+    _, diag = dfrac_call_series(params, inputs)
     rows = [[str(i), m, n] for i, (m, n) in enumerate(
         zip_longest(diag.partial_sums_m, diag.partial_sums_n), 1)]
     return [_write_csv(os.path.join(out_dir, "fig3.csv"),
@@ -286,8 +300,6 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--kind", choices=["call", "put"], default="call")
-    p.add_argument("--n-max", type=int, default=DEFAULT_POLICY.n_max)
-    p.add_argument("--m-max", type=int, default=DEFAULT_POLICY.m_max)
     p.add_argument("--fallback", action="store_true",
                    help="use the quadrature pricer if the series diverges")
     p.add_argument("--json", action="store_true")

@@ -1,6 +1,6 @@
 """Series pricing engine: Black-Scholes closed form, the double-fractional
-residue series with truncation control and partial-sum diagnostics, and puts
-via parity.
+residue series with its truncation and partial-sum diagnostics, and puts via
+parity.
 """
 from __future__ import annotations
 
@@ -78,20 +78,9 @@ class PricingInputs:
         object.__setattr__(self, "discount", disc)
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """The residue series' truncation: n = 0..n_max, m = 1..m_max."""
-    n_max: int = 60
-    m_max: int = 60
-
-    def __post_init__(self):
-        if self.n_max < 0:
-            raise ValidationError("n_max_range", "n_max must be >= 0")
-        if self.m_max < 1:
-            raise ValidationError("m_max_range", "m_max must be >= 1")
-
-
-DEFAULT_POLICY = TruncationPolicy()
+# The residue series' truncation: n = 0..SERIES_N_MAX, m = 1..SERIES_M_MAX.
+SERIES_N_MAX = 60
+SERIES_M_MAX = 60
 
 # The series stops after three consecutive m-slices each below this fraction
 # of the partial sum.
@@ -215,7 +204,7 @@ def _each(count, fn, *args):
     return iter([out] * count if isinstance(out, Exception) else out)
 
 
-def _series_chain(params, mu, chain, policy):
+def _series_chain(params, mu, chain):
     """Residue-series calls for PricingInputs with K > 0 sharing spot, rate
     and tau: per strike, (price, a function returning its SeriesDiagnostics)
     or the exception that refuses it.
@@ -230,9 +219,9 @@ def _series_chain(params, mu, chain, policy):
 
     The terms are evaluated as (strike, m, n) blocks of the first m-slices,
     m being the monotone direction.  The block doubles from 16 slices up to
-    m_max, computing only the added slices, until every strike has had its
-    first event, the earliest in m (ties in this order): a slice beyond any
-    arbitrage bound raises, three consecutive slices each below
+    m_max = SERIES_M_MAX, computing only the added slices, until every strike
+    has had its first event, the earliest in m (ties in this order): a slice
+    beyond any arbitrage bound raises, three consecutive slices each below
     SERIES_TOLERANCE*|sum| stop the sum, five growing ones raise.  A sum
     with no event within m_max raises too.  Slices past a strike's first
     event may overflow and decide nothing for it.
@@ -246,9 +235,9 @@ def _series_chain(params, mu, chain, policy):
         [(-inp.log_fwd - mu * tau, inp.strike * inp.discount / a,
           1e4 * (spot + inp.strike)) for inp in chain]).T
 
-    size, m_max = min(16, policy.m_max), policy.m_max
-    n = np.arange(policy.n_max + 1)
-    d = np.arange(-m_max, policy.n_max)                 # the diagonals n - m
+    size, m_max = min(16, SERIES_M_MAX), SERIES_M_MAX
+    n = np.arange(SERIES_N_MAX + 1)
+    d = np.arange(-m_max, SERIES_N_MAX)                 # the diagonals n - m
     sign, inv_fact = (-1.0) ** n, np.exp(-gammaln(n + 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
         rg, bp = reciprocal_gamma(1.0 - g * d / a), np.exp(((-d) / a) * log_B)
@@ -303,8 +292,8 @@ def _series_chain(params, mu, chain, policy):
             # A converged m-recursion still leaves two silent failure modes:
             # alternating terms much larger than the sum (float cancellation
             # eats the result) and an n direction that had not decayed by
-            # n_max.  Reject the value unless roundoff and the dropped n-tail
-            # are both provably below ACCURACY_FLOOR of it.
+            # SERIES_N_MAX.  Reject the value unless roundoff and the dropped
+            # n-tail are both provably below ACCURACY_FLOOR of it.
             floor = ACCURACY_FLOOR * max(abs(total[k]), 1e-300)
             if noise[k] > floor or n_tail[k] > floor:
                 raise SeriesDivergenceError("uncertified", (
@@ -345,7 +334,7 @@ def _diagnostics(sums, terms, k, mk):
         terms_used=used.size, converged=True)
 
 
-def dfrac_call_series(params, inputs, policy=None):
+def dfrac_call_series(params, inputs):
     """Residue-series call price under the model's drift
     risk_neutral(params).mu; returns (price, SeriesDiagnostics).
 
@@ -354,8 +343,7 @@ def dfrac_call_series(params, inputs, policy=None):
     if inputs.strike <= 0.0:
         raise ValidationError("strike_positive",
                               "series price requires strike > 0")
-    result, = _series_chain(params, risk_neutral(params).mu, [inputs],
-                            policy or DEFAULT_POLICY)
+    result, = _series_chain(params, risk_neutral(params).mu, [inputs])
     if isinstance(result, Exception):
         raise result
     value, diagnostics = result
@@ -376,9 +364,9 @@ def put_from_parity(call, inputs):
                       inputs)
 
 
-def price_chain(params, chain, policy=None, fallback=False):
+def price_chain(params, chain, fallback=False):
     """Price PricingInputs sharing (spot, rate, tau): the closed form or the
-    residue series by model kind, under policy (DEFAULT_POLICY if None).
+    residue series by model kind.
     Inputs that do not share them raise ValidationError (code chain_terms).
 
     Returns one entry per input: its price, or the FracpriceError refusing
@@ -403,7 +391,7 @@ def price_chain(params, chain, policy=None, fallback=False):
     if not bs:
         series = [inp for inp in chain if inp.strike > 0.0]
         found = _each(len(series), lambda: _series_chain(
-            params, risk_neutral(params).mu, series, policy or DEFAULT_POLICY))
+            params, risk_neutral(params).mu, series))
     values = []
     for inp in chain:
         value = (_attempt(bs_call, inp, params.sigma) if bs
@@ -421,15 +409,10 @@ def price_chain(params, chain, policy=None, fallback=False):
     return values
 
 
-def price(params, inputs, policy=None, fallback=False):
+def price(params, inputs, fallback=False):
     """The price of one quote: price_chain of a chain of one, its refusal
     raised."""
-    value, = price_chain(params, [inputs], policy, fallback)
+    value, = price_chain(params, [inputs], fallback)
     if isinstance(value, Exception):
         raise value
     return value
-
-
-def partial_sum_table(params, inputs, policy=None):
-    """SeriesDiagnostics for the partial-sum convergence plots."""
-    return dfrac_call_series(params, inputs, policy)[1]

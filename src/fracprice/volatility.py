@@ -43,12 +43,16 @@ class SmilePoint:
 
 def implied_vol(pricer, market_price, x0=None):
     """Invert a monotone price(sigma) function by bracketed Newton on BRACKET,
-    to 1e-11 * max(1, market_price) in price.
+    to 1e-11 * max(1, market_price) in price; a market price that is not
+    finite is refused.
 
     The derivative is a central finite difference with step 1e-4*sigma;
     whenever the Newton step leaves the bracket (or the slope degenerates)
     the step is replaced by bisection, so the bracket always shrinks.
     """
+    if not math.isfinite(market_price):
+        raise InversionError("price_finite",
+                             f"market price {market_price} must be finite")
     lo, hi = BRACKET
     tol = 1e-11 * max(1.0, abs(market_price))
 

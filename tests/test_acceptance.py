@@ -18,9 +18,8 @@ from fracprice.numerics import (GreenDensityQuery, NumericsError,
                                 _density_batch, _gauss_panels,
                                 _GreenContext, _tail_mass, reciprocal_gamma,
                                 reference_price)
-from fracprice.pricing import (OptionKind, PricingInputs, TruncationPolicy,
-                               bs_call, partial_sum_table, price,
-                               put_from_parity)
+from fracprice.pricing import (OptionKind, PricingInputs, bs_call,
+                               dfrac_call_series, price, put_from_parity)
 from fracprice.sampledata import (BS_VOLS, FBS_VOLS, FITTED_RATE, FITTED_TAU,
                                   STRIKES, fit_rate_tau, fixture_chain)
 from fracprice.volatility import atm_bs_implied, atm_fbs_implied, implied_vol
@@ -114,8 +113,8 @@ def test_criterion_3_series_vs_quadrature():
 
 
 def test_criterion_4_partial_sum_shapes():
-    diag = partial_sum_table(dfrac(1.7, 0.9, 0.2),
-                             PricingInputs(3800.0, 4000.0, 0.01, 1.0))
+    _, diag = dfrac_call_series(dfrac(1.7, 0.9, 0.2),
+                                PricingInputs(3800.0, 4000.0, 0.01, 1.0))
     m_diffs = np.diff(diag.partial_sums_m)
     monotone = bool((m_diffs >= -1e-9 * abs(diag.partial_sums_m[-1])).all())
     n_diffs = np.diff(diag.partial_sums_n)
@@ -375,13 +374,14 @@ def test_criterion_9_property_suite():
         ("spot_positive", lambda: PricingInputs(0.0, 100.0, 0.0, 1.0)),
         ("strike_range", lambda: PricingInputs(100.0, -1.0, 0.0, 1.0)),
         ("tau_positive", lambda: PricingInputs(100.0, 100.0, 0.0, 0.0)),
-        ("n_max_range", lambda: TruncationPolicy(n_max=-1)),
-        ("m_max_range", lambda: TruncationPolicy(m_max=0)),
         ("spot_positive", lambda: QuoteChain(0.0, 0.0, 1.0, (("call", 1.0, 1.0),))),
         ("tau_positive", lambda: QuoteChain(1.0, 0.0, 0.0, (("call", 1.0, 1.0),))),
         ("kind_value", lambda: QuoteChain(1.0, 0.0, 1.0, (("swap", 1.0, 1.0),))),
         ("strike_positive", lambda: QuoteChain(1.0, 0.0, 1.0, (("call", 0.0, 1.0),))),
         ("price_range", lambda: QuoteChain(1.0, 0.0, 1.0, (("call", 1.0, -1.0),))),
+        ("price_range", lambda: QuoteChain(1.0, 0.0, 1.0, (("call", 1.0, math.nan),))),
+        ("price_range", lambda: QuoteChain(1.0, 0.0, 1.0, (("call", 1.0, math.inf),))),
+        ("price_range", lambda: QuoteChain(1.0, 0.0, 1.0, (("call", 1.0, -math.inf),))),
     ):
         try:
             thunk()

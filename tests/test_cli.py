@@ -172,6 +172,27 @@ def test_smile_empty_chain_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", ["smile", "calibrate"])
+def test_chain_file_non_finite_price_exit_2(tmp_path, capsys, command):
+    f = tmp_path / "chain.csv"
+    f.write_text("kind,strike,price\ncall,90,12.5\ncall,100,nan\n"
+                 "call,110,2.1\n", encoding="utf-8")
+    argv = [command, str(f), "--spot", "100", "--rate", "0", "--tau", "1"]
+    if command == "calibrate":
+        argv += ["--model", "bs"]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: prices must be finite and >= 0\n"
+
+
+@pytest.mark.parametrize("gammas", ["abc", "nan"])
+def test_smile_gammas_not_a_number_exit_2(capsys, gammas):
+    rc, out, err = run(capsys, "smile", "--fixture", "--gammas",
+                       f"0.9,{gammas}")
+    assert (rc, out) == (2, "")
+    assert err == f"error: --gammas entry {gammas!r} is not a finite number\n"
+
+
 def test_calibrate_bs_json(tmp_path, capsys):
     f = tmp_path / "chain.csv"
     from fracprice.pricing import PricingInputs, bs_call
@@ -297,24 +318,6 @@ def test_chain_file_without_market_data_exit_2(tmp_path, capsys, command,
     assert (rc, out) == (2, "")
     assert err == ("error: --spot, --rate and --tau are required with a "
                    "chain file\n")
-
-
-FIG3_ARGV = ("price", "--model", "dfrac", "--spot", "3800", "--strike", "4000",
-             "--rate", "0.01", "--sigma", "0.2", "--alpha", "1.7",
-             "--gamma", "0.9", "--tau", "1")
-
-
-def test_price_truncation_flags_taken_literally(capsys):
-    # --m-max 0 is an invalid policy, not the default
-    rc, _, err = run(capsys, *FIG3_ARGV, "--m-max", "0")
-    assert rc == 2
-    assert "m_max" in err
-    # --n-max 0 keeps only the n = 0 column, which cannot be certified
-    rc, _, err = run(capsys, *FIG3_ARGV, "--n-max", "0")
-    assert rc == 2
-    assert "n-tail" in err
-    # a flag left out takes the default policy's value
-    assert run(capsys, *FIG3_ARGV, "--n-max", "60") == run(capsys, *FIG3_ARGV)
 
 
 def test_cli_import_leaves_out_optimizer():

@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,11 +8,10 @@ from hypothesis import strategies as st
 
 from fracprice import numerics, pricing, sampledata
 from fracprice.model import ModelParams, ValidationError, risk_neutral
-from fracprice.pricing import (DEFAULT_POLICY, OptionKind, ParityError,
-                               PricingInputs, SeriesDivergenceError,
-                               TruncationPolicy, _band_bounds, bs_call,
-                               dfrac_call_series, partial_sum_table, price,
-                               price_chain, put_from_parity)
+from fracprice.pricing import (OptionKind, ParityError, PricingInputs,
+                               SeriesDivergenceError, _band_bounds, bs_call,
+                               dfrac_call_series, price, price_chain,
+                               put_from_parity)
 
 FIG3_INPUTS = PricingInputs(3800.0, 4000.0, 0.01, 1.0)
 FIG3_PARAMS = ModelParams.double_fractional(1.7, 0.9, 0.2)
@@ -130,15 +130,6 @@ def test_pricing_inputs_validation():
         PricingInputs(100.0, 100.0, 0.0, 0.0)
 
 
-def test_truncation_policy_validation():
-    with pytest.raises(ValidationError):
-        TruncationPolicy(n_max=-1)
-    with pytest.raises(ValidationError):
-        TruncationPolicy(m_max=0)
-    # n_max=0 is a legal degenerate truncation: only the n=0 column.
-    assert TruncationPolicy(n_max=0).n_max == 0
-
-
 def test_series_reduces_to_black_scholes():
     """alpha=2, gamma=1 collapses the series onto the lognormal price."""
     params = ModelParams.double_fractional(2.0, 1.0, 0.2)
@@ -156,15 +147,15 @@ def test_series_fig3_value_against_quadrature_frozen():
 
 
 def test_series_partial_sum_shapes():
-    diag = partial_sum_table(FIG3_PARAMS, FIG3_INPUTS)
-    assert len(diag.partial_sums_n) == DEFAULT_POLICY.n_max + 1
-    assert 1 <= len(diag.partial_sums_m) <= DEFAULT_POLICY.m_max
+    _, diag = dfrac_call_series(FIG3_PARAMS, FIG3_INPUTS)
+    assert len(diag.partial_sums_n) == pricing.SERIES_N_MAX + 1
+    assert 1 <= len(diag.partial_sums_m) <= pricing.SERIES_M_MAX
     assert diag.partial_sums_m[-1] == pytest.approx(290.128688083696,
                                                     rel=1e-10)
 
 
 def test_series_m_sums_monotone_n_sums_oscillate():
-    diag = partial_sum_table(FIG3_PARAMS, FIG3_INPUTS)
+    _, diag = dfrac_call_series(FIG3_PARAMS, FIG3_INPUTS)
     ms = np.array(diag.partial_sums_m)
     assert np.all(np.diff(ms) >= 0.0)
     # the n-direction approaches the limit from alternating sides (damped
@@ -296,30 +287,33 @@ def test_band_bounds_deep_mittag_leffler_argument():
         _band_bounds(params, PricingInputs(100.0, 100.0, 0.01, 1000.0), mu)
 
 
-def test_price_short_n_truncation_fails_n_tail_check():
-    """n_max bounds the series only: mu keeps its own term budget, and the
-    short n range is rejected by the dropped-n-tail certification."""
+def test_price_short_n_truncation_fails_n_tail_check(monkeypatch):
+    """SERIES_N_MAX bounds the series only: mu keeps its own term budget,
+    and the short n range is rejected by the dropped-n-tail
+    certification."""
+    monkeypatch.setattr(pricing, "SERIES_N_MAX", 5)
     with pytest.raises(SeriesDivergenceError, match="dropped n-tail"):
-        price(FIG3_PARAMS, FIG3_INPUTS, TruncationPolicy(n_max=5))
+        price(FIG3_PARAMS, FIG3_INPUTS)
 
 
 def test_mu_does_not_depend_on_pricing_truncation(monkeypatch):
-    """price() uses the model's mu whatever TruncationPolicy it is given."""
+    """price() uses the model's mu whatever the series' truncation."""
     used = []
     real = pricing._series_chain
 
-    def spy(params, mu, chain, policy):
+    def spy(params, mu, chain):
         used.append(mu)
-        return real(params, mu, chain, policy)
+        return real(params, mu, chain)
 
     monkeypatch.setattr(pricing, "_series_chain", spy)
+    monkeypatch.setattr(pricing, "SERIES_N_MAX", 5)
     with pytest.raises(SeriesDivergenceError):
-        price(FIG3_PARAMS, FIG3_INPUTS, TruncationPolicy(n_max=5))
+        price(FIG3_PARAMS, FIG3_INPUTS)
     assert used == [risk_neutral(FIG3_PARAMS).mu]
 
 
 
-def _series_loop(params, inputs, mu, policy):
+def _series_loop(params, inputs, mu, n_max, m_max):
     """The residue series summed one m-slice at a time: the reference for the
     block evaluation in dfrac_call_series.  Returns (value, diagnostics); a
     sum that runs out of m_max returns its partial sum unconverged."""
@@ -328,7 +322,7 @@ def _series_loop(params, inputs, mu, policy):
     A = -inputs.log_fwd - mu * tau
     log_B = math.log(-mu * tau ** g)
     pref = inputs.strike * math.exp(-inputs.rate * tau) / a
-    n = np.arange(policy.n_max + 1)
+    n = np.arange(n_max + 1)
     a_pow = np.where(n == 0, 1.0, A ** n)
     coef_n = (-1.0) ** n * a_pow * np.exp(-pricing.gammaln(n + 1.0))
     blowup = 1e4 * (inputs.spot + inputs.strike)
@@ -341,7 +335,7 @@ def _series_loop(params, inputs, mu, policy):
     converged = False
     peak_term = 0.0
     n_tail = 0.0
-    for m in range(1, policy.m_max + 1):
+    for m in range(1, m_max + 1):
         rg = pricing.reciprocal_gamma(1.0 - g * (n - m) / a)
         col = pref * coef_n * rg * np.exp(((m - n) / a) * log_B)
         peak_term = max(peak_term, float(np.abs(col).max()))
@@ -377,7 +371,7 @@ def _series_loop(params, inputs, mu, policy):
             raise SeriesDivergenceError("band", "outside band")
     return total, pricing.SeriesDiagnostics(
         tuple(sums_m), tuple(np.cumsum(per_n)),
-        (policy.n_max + 1) * m_used, converged)
+        (n_max + 1) * m_used, converged)
 
 
 def _outcome(fn, *args):
@@ -387,12 +381,13 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-@pytest.mark.parametrize(
-    "policy", [DEFAULT_POLICY, TruncationPolicy(m_max=20)],
-    ids=["default", "m_max_20"])
-def test_series_blocks_match_slice_loop(policy):
+@pytest.mark.parametrize("m_max", [pricing.SERIES_M_MAX, 20],
+                         ids=["default", "m_max_20"])
+def test_series_blocks_match_slice_loop(monkeypatch, m_max):
     """Block evaluation reproduces the slice loop bitwise; the one change is
     that a sum with no stop within m_max raises."""
+    monkeypatch.setattr(pricing, "SERIES_M_MAX", m_max)
+    n_max = pricing.SERIES_N_MAX
     for a in (1.2, 1.5, 1.7, 2.0):
         for g in (0.3, 0.6, 0.9, 1.0, 1.2):
             if not 1.0 - 1.0 / a < g <= a:
@@ -406,8 +401,9 @@ def test_series_blocks_match_slice_loop(policy):
                 for k in (70.0, 95.0, 100.0, 110.0, 160.0):
                     for tau in (0.1, 1.0, 3.0):
                         inp = PricingInputs(100.0, k, 0.02, tau)
-                        ref = _outcome(_series_loop, params, inp, mu, policy)
-                        got = _outcome(dfrac_call_series, params, inp, policy)
+                        ref = _outcome(_series_loop, params, inp, mu, n_max,
+                                       m_max)
+                        got = _outcome(dfrac_call_series, params, inp)
                         if got is SeriesDivergenceError and ref is not got:
                             assert not ref[1].converged    # m_max exhausted
                         elif isinstance(ref, tuple):
@@ -472,7 +468,7 @@ def test_series_diagonal_factors_once_per_chain(monkeypatch):
         return real(x)
 
     monkeypatch.setattr(pricing, "reciprocal_gamma", spy)
-    bound = DEFAULT_POLICY.m_max + DEFAULT_POLICY.n_max + 1
+    bound = pricing.SERIES_M_MAX + pricing.SERIES_N_MAX + 1
     for params in (ModelParams.double_fractional(1.7, 0.8, 0.3),
                    ModelParams.double_fractional(1.52, 1.07, 0.59),
                    ModelParams.fmls(1.51, 0.46)):
@@ -480,7 +476,7 @@ def test_series_diagonal_factors_once_per_chain(monkeypatch):
         values = price_chain(params, chain)
         assert sizes and max(sizes) <= bound
         mu = risk_neutral(params).mu
-        entries = pricing._series_chain(params, mu, chain, DEFAULT_POLICY)
+        entries = pricing._series_chain(params, mu, chain)
         assert any(isinstance(e, tuple) for e in entries)
         for value, entry, inp in zip(values, entries, chain):
             if isinstance(entry, Exception):
@@ -494,14 +490,14 @@ def test_series_diagonal_factors_once_per_chain(monkeypatch):
             assert d.terms_used == alone.terms_used
 
 
-def test_series_exhausted_m_max_raises(capsys):
+def test_series_exhausted_m_max_raises(monkeypatch, capsys):
     from fracprice.cli import main
+    monkeypatch.setattr(pricing, "SERIES_M_MAX", 5)
     with pytest.raises(SeriesDivergenceError, match="m_max=5"):
-        dfrac_call_series(FIG3_PARAMS, FIG3_INPUTS,
-                          policy=TruncationPolicy(m_max=5))
+        dfrac_call_series(FIG3_PARAMS, FIG3_INPUTS)
     argv = ["price", "--model", "dfrac", "--spot", "3800", "--strike", "4000",
             "--rate", "0.01", "--sigma", "0.2", "--alpha", "1.7",
-            "--gamma", "0.9", "--tau", "1", "--m-max", "5"]
+            "--gamma", "0.9", "--tau", "1"]
     assert main(argv) == 2
     assert "m_max=5" in capsys.readouterr().err
 
@@ -528,8 +524,8 @@ def test_discount_overflow_is_typed():
     assert inp.discount == math.exp(-0.03 * 0.7)
 
 
-POLICIES = [DEFAULT_POLICY, TruncationPolicy(n_max=5),
-            TruncationPolicy(m_max=20)]
+# (SERIES_N_MAX, SERIES_M_MAX): the default and two short truncations
+TRUNCATIONS = [(pricing.SERIES_N_MAX, pricing.SERIES_M_MAX), (5, 60), (60, 20)]
 
 
 @st.composite
@@ -552,15 +548,9 @@ def _entry(value):
     return value
 
 
-def _chain_of(params, chain, policy, fallback):
-    """The pricer's entries for PricingInputs sharing spot, rate and tau;
-    an error of the whole chain fills every entry."""
-    return price_chain(params, chain, policy, fallback)
-
-
-def _alone(params, inputs, policy=None, fallback=False):
+def _alone(params, inputs, fallback=False):
     try:
-        return price(params, inputs, policy, fallback)
+        return price(params, inputs, fallback)
     except numerics.FracpriceError as exc:
         return exc
 
@@ -571,21 +561,21 @@ def _alone(params, inputs, policy=None, fallback=False):
        quotes=st.lists(st.tuples(st.sampled_from(["call", "put"]),
                                  st.floats(-0.6, 0.6)),
                        min_size=1, max_size=12),
-       policy=st.sampled_from(POLICIES))
+       truncation=st.sampled_from(TRUNCATIONS))
 def test_price_chain_equals_chains_of_one(params, spot, rate, tau, quotes,
-                                          policy):
+                                          truncation):
     """Every entry of a chain is bitwise the price of that quote alone, or
-    the same exception class with the same message, under every policy."""
+    the same exception class with the same message, under the default and
+    two short truncations of the series."""
     quotes = [(kind, spot * math.exp(x)) for kind, x in quotes]
     inputs = [PricingInputs(spot, strike, rate, tau, kind)
               for kind, strike in quotes]
-    chain = _chain_of(params, inputs, policy, False)
-    assert len(chain) == len(quotes)
-    for got, inp in zip(chain, inputs):
-        assert _entry(got) == _entry(_alone(params, inp, policy))
-    if policy is DEFAULT_POLICY:
-        assert ([_entry(v) for v in price_chain(params, inputs)]
-                == [_entry(v) for v in chain])
+    n_max, m_max = truncation
+    with patch.multiple(pricing, SERIES_N_MAX=n_max, SERIES_M_MAX=m_max):
+        chain = price_chain(params, inputs)
+        assert len(chain) == len(quotes)
+        for got, inp in zip(chain, inputs):
+            assert _entry(got) == _entry(_alone(params, inp))
 
 
 def test_price_chain_per_quote_routes():
@@ -602,7 +592,7 @@ def test_price_chain_per_quote_routes():
     assert ([_entry(v) for v in chain]
             == [_entry(_alone(params, inp)) for inp in inputs])
     # with the quadrature fallback the unsettled call and its put are priced
-    routed = _chain_of(params, inputs, DEFAULT_POLICY, True)
+    routed = price_chain(params, inputs, fallback=True)
     assert all(isinstance(v, float) for v in routed)
     assert routed == [price(params, inp, fallback=True) for inp in inputs]
     assert routed[1] == chain[1]

@@ -48,6 +48,23 @@ def test_implied_vol_out_of_band():
     assert exc.value.code == "out_of_band"
 
 
+@pytest.mark.parametrize("market", [math.nan, math.inf, -math.inf])
+def test_implied_vol_refuses_non_finite_price(market):
+    """A non-finite price is refused before the pricer runs: NaN had
+    bisected to the bracket's edge and +-inf, whose tolerance is inf,
+    returned the bracket's low end at iteration 0."""
+    calls = []
+
+    def pricer(sigma):
+        calls.append(sigma)
+        return bs_call(PricingInputs(100.0, 100.0, 0.0, 1.0), sigma)
+
+    with pytest.raises(InversionError) as exc:
+        implied_vol(pricer, market)
+    assert exc.value.code == "price_finite"
+    assert calls == []
+
+
 def test_implied_vol_endpoint_nudging():
     """A pricer that fails near sigma=0 still inverts (endpoint pulled in)."""
     inp = PricingInputs(100.0, 100.0, 0.0, 1.0)
