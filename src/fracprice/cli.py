@@ -125,7 +125,9 @@ def _smile_table(chain, gammas):
 
 
 def _gammas(text):
-    """The --gammas list; an entry that is not a finite number is refused."""
+    """The --gammas list.  Refused: an entry that is not a finite number, a
+    gamma the model does not admit at alpha = 2 (no f-BS vol exists for it),
+    and a repeated value."""
     gammas = []
     for g in filter(str.strip, text.split(",")):
         try:
@@ -136,6 +138,15 @@ def _gammas(text):
             raise ValidationError(
                 "gammas_value",
                 f"--gammas entry {g.strip()!r} is not a finite number")
+        try:
+            ModelParams.double_fractional(2.0, value, 1.0)
+        except ValidationError as e:
+            raise ValidationError(
+                e.code, f"--gammas entry {g.strip()!r}: {e}") from None
+        if value in gammas:
+            raise ValidationError(
+                "gammas_repeated", f"--gammas entry {g.strip()!r} repeats "
+                f"gamma={_gamma_label(value)}")
         gammas.append(value)
     return gammas
 

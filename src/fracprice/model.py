@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, loggamma
+import scipy  # subpackages load on first use: keep them off the import path
 
 from .numerics import (ContourSpec, FracpriceError, NonConvergenceError,
                        log_gamma_series, mb_line_integral)
@@ -170,8 +170,10 @@ def mu_gamma_mb(params):
     log_q = math.log(q)
 
     def integrand(s):
-        return (np.exp(loggamma(s) + loggamma((1.0 - s) / a)
-                       - loggamma(g * s + 1.0 - g) + (s - 1.0) / a * log_q)
+        return (np.exp(scipy.special.loggamma(s)
+                       + scipy.special.loggamma((1.0 - s) / a)
+                       - scipy.special.loggamma(g * s + 1.0 - g)
+                       + (s - 1.0) / a * log_q)
                 * np.cos(math.pi * (s - 1.0) / a))
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -189,7 +191,8 @@ def mu_gamma_approx(params):
     """First-order approximation Gamma(1+alpha)/Gamma(1+gamma alpha) * mu_levy."""
     a, g = params.alpha, params.gamma
     m1 = mu_levy(a, params.sigma)
-    return math.exp(gammaln(1.0 + a) - gammaln(1.0 + g * a)) * m1
+    return math.exp(scipy.special.gammaln(1.0 + a)
+                    - scipy.special.gammaln(1.0 + g * a)) * m1
 
 
 def risk_neutral(params):

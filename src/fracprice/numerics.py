@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaln, loggamma, psi
-from scipy.special import rgamma as _rgamma
+import scipy  # subpackages load on first use: keep them off the import path
 
 
 class FracpriceError(ValueError):
@@ -52,12 +51,12 @@ def green_scale(mu, tau, gamma):
 
 def reciprocal_gamma(x):
     """1/Gamma(x) as a total function: exactly 0 at nonpositive integers."""
-    return _rgamma(x)
+    return scipy.special.rgamma(x)
 
 
 def normal_cdf(x):
     """Standard normal distribution function."""
-    return 0.5 * erfc(-np.asarray(x, float) / math.sqrt(2.0))
+    return 0.5 * scipy.special.erfc(-np.asarray(x, float) / math.sqrt(2.0))
 
 
 # ----------------------------------------------------------------------
@@ -97,8 +96,9 @@ def log_gamma_series(z, a, b, tol, max_terms):
     size = min(16, max_terms)
     while True:
         n = np.arange(size + 1.0)
-        lt = (gammaln(1.0 + a * n) + n * log_z
-              - gammaln(n + 1.0) - gammaln(1.0 + b * n))
+        lt = (scipy.special.gammaln(1.0 + a * n) + n * log_z
+              - scipy.special.gammaln(n + 1.0)
+              - scipy.special.gammaln(1.0 + b * n))
         shift = lt.max()
         w = np.exp(lt - shift)
         partial = np.cumsum(w)
@@ -256,21 +256,27 @@ def _mellin_log_ratio(t, alpha, gamma, heavy):
     """log of the Gamma ratio in the density's Mellin representation."""
     if heavy and alpha < 2.0:
         rho = (alpha - 1.0) / alpha
-        return (loggamma(t / alpha) + loggamma(1.0 - t / alpha) + loggamma(1.0 - t)
-                - loggamma(1.0 - (gamma / alpha) * t)
-                - loggamma(rho * t) - loggamma(1.0 - rho * t))
-    return loggamma(1.0 - t) - loggamma(1.0 - (gamma / alpha) * t)
+        return (scipy.special.loggamma(t / alpha)
+                + scipy.special.loggamma(1.0 - t / alpha)
+                + scipy.special.loggamma(1.0 - t)
+                - scipy.special.loggamma(1.0 - (gamma / alpha) * t)
+                - scipy.special.loggamma(rho * t)
+                - scipy.special.loggamma(1.0 - rho * t))
+    return (scipy.special.loggamma(1.0 - t)
+            - scipy.special.loggamma(1.0 - (gamma / alpha) * t))
 
 
 def _mellin_log_slope(t, alpha, gamma, heavy):
     """d/dt of _mellin_log_ratio, a sum of digamma terms.  For t off the
     real axis: digamma has its poles there (psi(rho t) at t = 0 is NaN)."""
     ga = gamma / alpha
-    s = ga * psi(1.0 - ga * t) - psi(1.0 - t)
+    s = ga * scipy.special.psi(1.0 - ga * t) - scipy.special.psi(1.0 - t)
     if heavy and alpha < 2.0:
         rho = (alpha - 1.0) / alpha
-        s = s + ((psi(t / alpha) - psi(1.0 - t / alpha)) / alpha
-                 - rho * (psi(rho * t) - psi(1.0 - rho * t)))
+        s = s + ((scipy.special.psi(t / alpha)
+                  - scipy.special.psi(1.0 - t / alpha)) / alpha
+                 - rho * (scipy.special.psi(rho * t)
+                          - scipy.special.psi(1.0 - rho * t)))
     return s
 
 

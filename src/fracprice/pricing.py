@@ -10,7 +10,7 @@ from enum import Enum
 from functools import partial
 
 import numpy as np
-from scipy.special import erfcx, gammaln
+import scipy  # subpackages load on first use: keep them off the import path
 
 from . import numerics
 from .model import ModelKind, ValidationError, risk_neutral
@@ -107,7 +107,7 @@ def _erfcx_drop(a, h):
     f' = 2 a f - 2/sqrt(pi) and f^(n+1) = 2 a f^(n) + 2 n f^(n-1).  Forming
     f' cancels by a factor ~2 a^2 for large a, so the relative error grows
     as ~2 a^2 ulp."""
-    prev = float(erfcx(a))
+    prev = float(scipy.special.erfcx(a))
     cur = 2.0 * a * prev - 2.0 / math.sqrt(math.pi)
     drop, power = 0.0, 1.0
     for n in range(1, 40):
@@ -238,7 +238,7 @@ def _series_chain(params, mu, chain):
     size, m_max = min(16, SERIES_M_MAX), SERIES_M_MAX
     n = np.arange(SERIES_N_MAX + 1)
     d = np.arange(-m_max, SERIES_N_MAX)                 # the diagonals n - m
-    sign, inv_fact = (-1.0) ** n, np.exp(-gammaln(n + 1.0))
+    sign, inv_fact = (-1.0) ** n, np.exp(-scipy.special.gammaln(n + 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
         rg, bp = reciprocal_gamma(1.0 - g * d / a), np.exp(((-d) / a) * log_B)
         a_pow = np.where(n == 0, 1.0, A[:, None] ** n)     # 0^0 := 1

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln
+import scipy  # subpackages load on first use: keep them off the import path
 
 from .model import ModelParams, mu_gamma_approx
 from .numerics import FracpriceError, green_scale, reciprocal_gamma
@@ -151,8 +151,9 @@ def atm_fbs_implied(call_price, spot, tau, gamma, strike=None, rate=None):
     _check_atm_quote(call_price, spot, tau, strike, rate)
     try:
         sigma = (2.0 * (call_price / spot)
-                 * math.exp(gammaln(1.0 + 0.5 * gamma)) * math.sqrt(
-                     math.exp(gammaln(1.0 + 2.0 * gamma)) / tau ** gamma))
+                 * math.exp(scipy.special.gammaln(1.0 + 0.5 * gamma))
+                 * math.sqrt(math.exp(scipy.special.gammaln(1.0 + 2.0 * gamma))
+                             / tau ** gamma))
     except (OverflowError, ZeroDivisionError):          # tau^gamma is inf or 0
         sigma = math.inf
     if not sigma < math.inf:
@@ -161,9 +162,12 @@ def atm_fbs_implied(call_price, spot, tau, gamma, strike=None, rate=None):
     return sigma
 
 
-# the f-BS smile's fixed truncation of the residue series: n = 0..4, m = 1..4
+# the f-BS smile's fixed truncation of the residue series: n = 0..4, m = 1..4;
+# _INV_FACT is exp(-gammaln(_N + 1.0)) written out, bit for bit
 _N, _M = np.arange(5), np.arange(1, 5)[:, None]
-_SIGN, _INV_FACT = (-1.0) ** _N, np.exp(-gammaln(_N + 1.0))
+_SIGN = (-1.0) ** _N
+_INV_FACT = np.array([1.0, 1.0, 0.5, 0.16666666666666669,
+                      0.041666666666666664])
 
 
 def _fbs_call(inputs, gamma, sigma):

@@ -193,6 +193,21 @@ def test_smile_gammas_not_a_number_exit_2(capsys, gammas):
     assert err == f"error: --gammas entry {gammas!r} is not a finite number\n"
 
 
+@pytest.mark.parametrize("gammas,err", [
+    # outside the model's admissible set at alpha = 2: no f-BS vol exists
+    ("5,-1", "error: --gammas entry '5': gamma=5.0 outside (0, alpha=2.0]\n"),
+    ("0.9,-1", "error: --gammas entry '-1': gamma=-1.0 outside "
+               "(0, alpha=2.0]\n"),
+    ("0.5", "error: --gammas entry '0.5': gamma=0.5 <= 1 - 1/alpha = 0.5; "
+            "drift correction is not negative there\n"),
+    # one column twice under one name
+    ("0.9,0.90", "error: --gammas entry '0.90' repeats gamma=0.9\n"),
+], ids=["above_alpha", "negative", "condition", "repeated"])
+def test_smile_gammas_refused_exit_2(capsys, gammas, err):
+    rc, out, got = run(capsys, "smile", "--fixture", "--gammas", gammas)
+    assert (rc, out, got) == (2, "", err)
+
+
 def test_calibrate_bs_json(tmp_path, capsys):
     f = tmp_path / "chain.csv"
     from fracprice.pricing import PricingInputs, bs_call
@@ -320,16 +335,21 @@ def test_chain_file_without_market_data_exit_2(tmp_path, capsys, command,
                    "chain file\n")
 
 
-def test_cli_import_leaves_out_optimizer():
+def test_import_leaves_out_scipy_subpackages():
+    # scipy.special's import is about half of a one-quote CLI process; after
+    # each import the child prints which of the two subpackages it loaded
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fracprice.cli; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    code = ("import sys\n"
+            "for m in ('fracprice', 'fracprice.cli'):\n"
+            "    __import__(m)\n"
+            "    print(m, sorted({'scipy.special', 'scipy.optimize'}\n"
+            "                    & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["fracprice []", "fracprice.cli []"]
 
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from fracprice import numerics, pricing, sampledata
 from fracprice.model import ModelParams, ValidationError, risk_neutral
@@ -324,7 +325,7 @@ def _series_loop(params, inputs, mu, n_max, m_max):
     pref = inputs.strike * math.exp(-inputs.rate * tau) / a
     n = np.arange(n_max + 1)
     a_pow = np.where(n == 0, 1.0, A ** n)
-    coef_n = (-1.0) ** n * a_pow * np.exp(-pricing.gammaln(n + 1.0))
+    coef_n = (-1.0) ** n * a_pow * np.exp(-gammaln(n + 1.0))
     blowup = 1e4 * (inputs.spot + inputs.strike)
     total = 0.0
     per_n = np.zeros_like(coef_n)
