@@ -2,7 +2,8 @@
 calibration, and figure-data CSV emission.
 
 Exit codes: 0 success, 2 a FracpriceError (a refused parameter, input or
-value), 3 an unreadable or malformed chain file.
+value), 3 a file that cannot be read or written: an unreadable or malformed
+chain file, or a figures --out path that is an existing file (File exists).
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ import numpy as np
 
 from .calibration import QuoteChain, calibrate
 from .model import (ModelKind, ModelParams, ValidationError, mu_gamma_approx,
-                    mu_gamma_mb, mu_gamma_series)
+                    mu_gamma_mb, mu_gamma_series, mu_gamma_series_rows)
 from .numerics import FracpriceError
-from .pricing import PricingInputs, dfrac_call_series, price
+from .pricing import PricingInputs, dfrac_call_series, price, price_grid
 from .volatility import atm_fbs_implied, build_smile
 from . import sampledata
 
@@ -194,26 +195,39 @@ def _write_csv(path, header, rows):
     return path
 
 
+def _axis(values):
+    """A grid axis: its values rounded to 10 decimals, as floats."""
+    return [float(v) for v in np.round(values, 10)]
+
+
 def _grid_csv(path, axis, values, label, columns, cell):
-    """CSV with one row per grid value v (rounded to 10 decimals): v, then
+    """CSV with one row per grid value v of _axis(values): v, then
     cell(v, c) per column c."""
     header = [axis] + [f"{label}{_gamma_label(c)}" for c in columns]
-    rows = [[float(v)] + [cell(float(v), c) for c in columns]
-            for v in np.round(values, 10)]
+    rows = [[v] + [cell(v, c) for c in columns] for v in _axis(values)]
     return _write_csv(path, header, rows)
 
 
 def _fig1(out_dir):
-    def mu_at(gamma, alpha):
-        try:
-            params = ModelParams.double_fractional(alpha, gamma, 0.2)
-            return mu_gamma_series(params).mu
-        except ValidationError:
-            return None
+    gammas, alphas = np.arange(0.40, 1.2001, 0.02), (1.6, 1.7, 1.8, 1.9, 2.0)
+    # every admissible cell's mu from one call
+    params = {}
+    for g in _axis(gammas):
+        for a in alphas:
+            try:
+                params[g, a] = ModelParams.double_fractional(a, g, 0.2)
+            except ValidationError:
+                pass
+    drift = dict(zip(params, mu_gamma_series_rows(params.values())))
 
-    return [_grid_csv(os.path.join(out_dir, "fig1.csv"), "gamma",
-                      np.arange(0.40, 1.2001, 0.02), "mu_alpha",
-                      (1.6, 1.7, 1.8, 1.9, 2.0), mu_at)]
+    def mu_at(gamma, alpha):
+        value = drift.get((gamma, alpha))
+        if isinstance(value, Exception):
+            raise value
+        return None if value is None else value.mu
+
+    return [_grid_csv(os.path.join(out_dir, "fig1.csv"), "gamma", gammas,
+                      "mu_alpha", alphas, mu_at)]
 
 
 def _fig3(out_dir):
@@ -229,32 +243,43 @@ def _fig3(out_dir):
 def _fig4(out_dir):
     market = FIG3_MARKET
     spot = market["spot"]
-
-    def price_at(alpha, gamma, sigma, spot):
-        inputs = PricingInputs(spot, market["strike"], market["rate"],
-                               market["tau"])
-        try:
-            params = ModelParams.double_fractional(alpha, gamma, sigma)
-            return price(params, inputs, fallback=True)
-        except FracpriceError:
-            return None
-
-    def grid(name, values, label, columns, cell):
-        return _grid_csv(os.path.join(out_dir, f"fig4_{name}.csv"), name,
-                         values, label, columns, cell)
-
     g_curves = (0.8, 0.9, 1.0, 1.1)
-    return [
-        grid("gamma", np.arange(0.40, 1.0001, 0.02), "price_alpha",
-             (1.5, 1.6, 1.7, 1.8, 1.9, 2.0),
-             lambda g, a: price_at(a, g, 0.2, spot)),
-        grid("alpha", np.arange(1.10, 2.0001, 0.05), "price_gamma", g_curves,
-             lambda a, g: price_at(a, g, 0.2, spot)),
-        grid("spot", np.arange(2800.0, 4000.01, 100.0), "price_gamma",
-             g_curves, lambda s, g: price_at(1.7, g, 0.2, s)),
-        grid("sigma", np.arange(0.05, 0.6001, 0.05), "price_gamma", g_curves,
-             lambda s, g: price_at(1.7, g, s, spot)),
+    # (axis, values, label, columns, cell (v, c) -> (alpha, gamma, sigma,
+    # spot)) per grid
+    grids = [
+        ("gamma", np.arange(0.40, 1.0001, 0.02), "price_alpha",
+         (1.5, 1.6, 1.7, 1.8, 1.9, 2.0), lambda g, a: (a, g, 0.2, spot)),
+        ("alpha", np.arange(1.10, 2.0001, 0.05), "price_gamma", g_curves,
+         lambda a, g: (a, g, 0.2, spot)),
+        ("spot", np.arange(2800.0, 4000.01, 100.0), "price_gamma", g_curves,
+         lambda s, g: (1.7, g, 0.2, s)),
+        ("sigma", np.arange(0.05, 0.6001, 0.05), "price_gamma", g_curves,
+         lambda s, g: (1.7, g, s, spot)),
     ]
+    # every admissible cell of the four grids, priced by one call
+    cells = {}
+    for _, values, _, columns, point in grids:
+        for v in _axis(values):
+            for c in columns:
+                alpha, gamma, sigma, s = point(v, c)
+                inputs = PricingInputs(s, market["strike"], market["rate"],
+                                       market["tau"])
+                try:
+                    cells[alpha, gamma, sigma, s] = (
+                        ModelParams.double_fractional(alpha, gamma, sigma),
+                        inputs)
+                except ValidationError:
+                    pass
+    prices = dict(zip(cells, price_grid(cells.values(), fallback=True)))
+
+    def price_at(*point):
+        value = prices.get(point)
+        return None if isinstance(value, FracpriceError) else value
+
+    return [_grid_csv(os.path.join(out_dir, f"fig4_{name}.csv"), name,
+                      values, label, columns,
+                      lambda v, c, point=point: price_at(*point(v, c)))
+            for name, values, label, columns, point in grids]
 
 
 def _fig5(out_dir):

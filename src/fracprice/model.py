@@ -133,11 +133,33 @@ def mu_gamma_series(params):
     contribute less than MU_TOLERANCE * partial sum, and NonConvergenceError
     is raised if that does not happen within _mu_term_budget terms.
     """
-    a, b = params.alpha, params.gamma * params.alpha
-    q = -mu_levy(a, params.sigma)
-    log_sum, n = log_gamma_series(q, a, b, MU_TOLERANCE,
-                                  _mu_term_budget(q, a, b))
-    return RiskNeutralParam(-log_sum, n)
+    result, = mu_gamma_series_rows([params])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def mu_gamma_series_rows(params):
+    """mu_gamma_series of each ModelParams of a sequence, their moment series
+    summed by one log_gamma_series call: per params, its RiskNeutralParam
+    or the FracpriceError refusing it."""
+    out, rows = [], []
+    for p in params:
+        a, b = p.alpha, p.gamma * p.alpha
+        try:
+            q = -mu_levy(a, p.sigma)
+        except FracpriceError as exc:
+            out.append(exc.with_traceback(None))
+            continue
+        rows.append((len(out), q, a, b, _mu_term_budget(q, a, b)))
+        out.append(None)
+    if rows:
+        at, q, a, b, budget = zip(*rows)
+        for i, entry in zip(at, log_gamma_series(q, a, b, MU_TOLERANCE,
+                                                 budget)):
+            out[i] = (entry if isinstance(entry, Exception)
+                      else RiskNeutralParam(-entry[0], entry[1]))
+    return out
 
 
 def _mu_term_budget(q, a, b):
@@ -196,5 +218,6 @@ def mu_gamma_approx(params):
 
 
 def risk_neutral(params):
-    """The model's drift correction, as used by the pricers."""
+    """The model's drift correction, as used by the pricers (price_grid
+    takes it for many params at once from mu_gamma_series_rows)."""
     return mu_gamma_series(params)

@@ -66,50 +66,62 @@ def normal_cdf(x):
 def _run_end(mask, k):
     """Index one past the first run of k consecutive True entries along the
     last axis of a boolean mask of length L; L + 1 where there is none."""
-    # shifted ANDs, not a cumsum: at k = 1, the residue series' blow-up
-    # test on every block, there is no AND at all
+    # hit[..., j]: entries j..j+k-1 all True
     L = mask.shape[-1]
-    w = max(L + 1 - k, 0)
-    # hit[j]: entries j..j+k-1 all True; hit[w], past the windows, is True
-    hit = np.ones(mask.shape[:-1] + (w + 1,), bool)
-    hit[..., :w] = mask[..., :w]
+    w = L + 1 - k
+    if w <= 0:
+        return np.full(mask.shape[:-1], L + 1)
+    hit = mask[..., :w]
     for i in range(1, k):
-        hit[..., :w] &= mask[..., i:i + w]
-    return np.minimum(hit.argmax(axis=-1) + k, L + 1)
+        hit = hit & mask[..., i:i + w]
+    return np.where(np.logical_or.reduce(hit, -1), hit.argmax(axis=-1) + k,
+                    L + 1)
 
 
 def log_gamma_series(z, a, b, tol, max_terms):
-    """(log S, n) for S = sum_{n>=0} Gamma(1 + a n) z^n / (n! Gamma(1 + b n)).
+    """(log S, n) for S = sum_{n>=0} Gamma(1 + a n) z^n / (n! Gamma(1 + b n))
+    per row: z, a, b and max_terms are sequences of one value per row, tol
+    is every row's.  Returns a list with one entry per row, (log S, n) or
+    the NonConvergenceError refusing that row.
 
     Every term is positive for z >= 0.  At a == b the Gamma ratio cancels and
     S = e^z exactly (n = 1).  Otherwise the terms are summed in log space,
     shifted by their maximum; the sum stops at the first n where three
     consecutive terms each fall below tol times the partial sum, and that n
-    is returned.  The term range doubles until this happens and raises
-    NonConvergenceError if it has not within max_terms terms.
+    is returned.  A row's term range doubles from 16 until this happens, and
+    the row is refused if it has not within max_terms terms.  Up to 16 rows
+    at the smallest open range are evaluated together, as (rows, terms)
+    matrices, so a row's entry is the same whichever rows share its call.
     """
-    if a == b:
-        return z, 1
-    if z == 0.0:
-        return 0.0, 0
-    log_z = math.log(z)
-    size = min(16, max_terms)
-    while True:
-        n = np.arange(size + 1.0)
-        lt = (scipy.special.gammaln(1.0 + a * n) + n * log_z
-              - scipy.special.gammaln(n + 1.0)
-              - scipy.special.gammaln(1.0 + b * n))
-        shift = lt.max()
-        w = np.exp(lt - shift)
-        partial = np.cumsum(w)
-        end = int(_run_end(w[1:] < tol * partial[1:], 3))
-        if end <= size:
-            return float(shift + math.log(partial[end])), end
-        if size >= max_terms:
-            raise NonConvergenceError(
-                "series_terms", f"Gamma-ratio series terms failed to decay "
-                f"within {max_terms} terms (z={z:.4g})")
-        size = min(2 * size, max_terms)
+    out = [(zi, 1) if ai == bi else (0.0, 0) if zi == 0.0 else None
+           for zi, ai, bi in zip(z, a, b)]
+    size = {i: min(16, max_terms[i]) for i, e in enumerate(out) if e is None}
+    while size:
+        now = min(size.values())
+        rows = [i for i, s in size.items() if s == now][:16]
+        k, n = len(rows), np.arange(now + 1.0)
+        # log Gamma(1 + c n) for c = a, b and 1 is one call
+        lg = scipy.special.gammaln(1.0 + np.array(
+            [a[i] for i in rows] + [b[i] for i in rows] + [1.0])[:, None] * n)
+        log_z = np.array([math.log(z[i]) for i in rows])[:, None]
+        lt = (lg[:k] + n * log_z - lg[2 * k]) - lg[k:2 * k]
+        shift = np.maximum.reduce(lt, 1)
+        w = np.exp(lt - shift[:, None])
+        partial = np.add.accumulate(w, 1)
+        end = _run_end(w[:, 1:] < tol * partial[:, 1:], 3).tolist()
+        for j, i in enumerate(rows):
+            if end[j] <= now:
+                out[i] = (float(shift[j] + math.log(partial[j, end[j]])),
+                          end[j])
+            elif now < max_terms[i]:
+                size[i] = min(2 * now, max_terms[i])
+                continue
+            else:
+                out[i] = NonConvergenceError(
+                    "series_terms", f"Gamma-ratio series terms failed to "
+                    f"decay within {max_terms[i]} terms (z={z[i]:.4g})")
+            del size[i]
+    return out
 
 
 # Terms the Mittag-Leffler series may use before the leading asymptotic takes
@@ -122,24 +134,34 @@ _EPS = float(np.finfo(float).eps)
 
 
 def log_mittag_leffler(z, gamma):
-    """log E_gamma(z) = log sum_n z^n / Gamma(1 + gamma n) for z >= 0.
+    """log E_gamma(z) = log sum_n z^n / Gamma(1 + gamma n) for z >= 0, per
+    row of the sequences z and gamma: a list.
 
     Exact (e^z) at gamma = 1; summed to rounding by log_gamma_series where
     that converges within ML_MAX_TERMS terms, and the leading asymptotic
     E_gamma(z) ~ exp(z^(1/gamma)) / gamma beyond.
     """
-    try:
-        return log_gamma_series(z, 1.0, gamma, _EPS, ML_MAX_TERMS)[0]
-    except NonConvergenceError:
-        return z ** (1.0 / gamma) - math.log(gamma)
+    out = []
+    for zi, g, e in zip(z, gamma, log_gamma_series(
+            z, [1.0] * len(z), gamma, _EPS, [ML_MAX_TERMS] * len(z))):
+        try:
+            out.append(zi ** (1.0 / g) - math.log(g)
+                       if isinstance(e, Exception) else e[0])
+        except OverflowError:           # E_gamma(z) beyond the float range
+            out.append(math.inf)
+    return out
 
 
 def log_mean_factor(mu, tau, gamma):
     """log X for the mean factor X = e^{mu tau} E_gamma(-mu tau^gamma) of the
     exponentiated log-price, e^{-r tau} E[S_T] = S X; X = 1 at gamma = 1.
-    The Mittag-Leffler argument -mu tau^gamma is the combination that scales
-    the Green density, so X reproduces the quadrature mean to rounding."""
-    return mu * tau + log_mittag_leffler(green_scale(mu, tau, gamma), gamma)
+    Per row of the sequences mu, tau and gamma: a list, its Mittag-Leffler
+    sums one log_mittag_leffler call.  The Mittag-Leffler argument
+    -mu tau^gamma is the combination that scales the Green density, so X
+    reproduces the quadrature mean to rounding."""
+    scales = [green_scale(m, t, g) for m, t, g in zip(mu, tau, gamma)]
+    return [m * t + e for m, t, e in
+            zip(mu, tau, log_mittag_leffler(scales, gamma))]
 
 
 # ----------------------------------------------------------------------
@@ -825,7 +847,7 @@ def reference_price(params, inputs):
             # a put's rounding
             c = 0.0 if tail is None else tail
 
-    log_x = log_mean_factor(mu, tau, gamma)
+    log_x, = log_mean_factor([mu], [tau], [gamma])
     with np.errstate(over="ignore"):
         shift = S * float(np.expm1(log_x))          # S (X - 1)
     if not math.isfinite(shift):

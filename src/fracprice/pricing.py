@@ -8,12 +8,13 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 import scipy  # subpackages load on first use: keep them off the import path
 
 from . import numerics
-from .model import ModelKind, ValidationError, risk_neutral
+from .model import ModelKind, ValidationError, mu_gamma_series_rows
 from .numerics import FracpriceError, normal_cdf, reciprocal_gamma
 
 
@@ -163,169 +164,223 @@ def bs_call(inputs, sigma):
                  - K * inputs.discount * normal_cdf(d_minus))
 
 
-def _band_bounds(params, inputs, mu):
-    """Hard bounds on the true call value: the discounted expectation of
-    (S_T - K)+ lies in [max(S X - K e^{-r tau}, 0), S X] where
-    X is the (non-martingale) mean factor of numerics.log_mean_factor.  A
-    mean factor beyond the float range bounds nothing the series could be
-    trusted with, so it is reported as a divergence."""
-    log_x = numerics.log_mean_factor(mu, inputs.tau, params.gamma)
-    try:
-        upper = inputs.spot * math.exp(log_x)
-    except OverflowError:
-        upper = math.inf
-    if not math.isfinite(upper):
-        raise SeriesDivergenceError(
-            "mean_factor_overflow",
-            f"mean factor e^{log_x:.6g} of the log-price overflows; the "
-            "series is outside its validity domain")
-    return _band_lower(upper, inputs), upper
-
-
-def _band_lower(upper, inputs):
-    """The band's lower edge max(S X - K e^{-r tau}, 0), the one part of it
-    that depends on the strike."""
-    return max(upper - inputs.strike * inputs.discount, 0.0)
+def _band_bounds(mu, tau, gamma):
+    """The arbitrage band's mean factor X per row of the sequences mu, tau
+    and gamma, as (log X, X): the discounted expectation of (S_T - K)+ lies
+    in [max(S X - K e^{-r tau}, 0), S X], X the (non-martingale) mean factor
+    of numerics.log_mean_factor.  X is inf where it leaves the float range,
+    which bounds nothing the series could be trusted with."""
+    bands = []
+    for log_x in numerics.log_mean_factor(mu, tau, gamma):
+        try:
+            bands.append((log_x, math.exp(log_x)))
+        except OverflowError:
+            bands.append((log_x, math.inf))
+    return bands
 
 
 def _attempt(fn, *args):
     """fn(*args), or the FracpriceError it raised: what one quote's
-    evaluation may raise while the rest of its chain is still priced."""
+    evaluation may raise while the rest of its grid is still priced."""
     try:
         return fn(*args)
     except FracpriceError as exc:
         return exc
 
 
-def _each(count, fn, *args):
-    """Iterator over the count entries of the list fn(*args) returns, or
-    over count copies of the FracpriceError it raised."""
-    out = _attempt(fn, *args)
-    return iter([out] * count if isinstance(out, Exception) else out)
-
-
-def _series_chain(params, mu, chain):
-    """Residue-series calls for PricingInputs with K > 0 sharing spot, rate
-    and tau: per strike, (price, a function returning its SeriesDiagnostics)
-    or the exception that refuses it.
+def _series_grid(cells):
+    """Residue-series calls for (index, ModelParams, PricingInputs) cells
+    with K > 0: yields (index, entry) once for each cell, the entry being
+    its (price, a function returning its SeriesDiagnostics) or the
+    exception that refuses it.
 
     V = (K e^{-r tau}/alpha) * sum_{n>=0, m>=1}
         (-1)^n / (n! Gamma(1 - gamma (n-m)/alpha)) * A^n * B^{(m-n)/alpha}
-    with A = -log_fwd - mu*tau and B = -mu*tau^gamma > 0.  Terms whose Gamma
-    argument sits on a pole contribute exactly 0; 0^0 is taken as 1 so the
-    n=0 terms survive at ATM-forward (A=0).  A strike enters only through
-    the prefactor and A^n; the Gamma and B-power factors are computed once
-    per chain on the diagonals n - m, and so is the band's mean factor.
+    with A = -log_fwd - mu*tau and B = -mu*tau^gamma > 0, mu the drift of
+    model.mu_gamma_series.  Terms whose Gamma argument sits on a pole
+    contribute exactly 0; 0^0 is taken as 1 so the n=0 terms survive at
+    ATM-forward (A=0).  A cell enters only through the prefactor and A^n:
+    mu is computed once per distinct params, all of them in one call, and
+    the Gamma and B-power factors on the diagonals n - m and the band's
+    mean factor once per (params, tau) group.  A drift or scale that fails
+    refuses its whole group; a chain is one group.
 
-    The terms are evaluated as (strike, m, n) blocks of the first m-slices,
-    m being the monotone direction.  The block doubles from 16 slices up to
-    m_max = SERIES_M_MAX, computing only the added slices, until every strike
-    has had its first event, the earliest in m (ties in this order): a slice
-    beyond any arbitrage bound raises, three consecutive slices each below
-    SERIES_TOLERANCE*|sum| stop the sum, five growing ones raise.  A sum
-    with no event within m_max raises too.  Slices past a strike's first
+    The groups are taken 16 at a time (_series_chunk), and their cells in
+    blocks of 16 (_series_block).  Each entry is what the cell gives
+    alone.
+    """
+    if not cells:
+        return
+    groups = {}       # the series sees the params through (alpha, gamma, sigma)
+    for cell in cells:
+        _, p, inp = cell
+        groups.setdefault((p.alpha, p.gamma, p.sigma, inp.tau), []).append(
+            cell)
+    params = {}
+    for key, group in groups.items():
+        params.setdefault(key[:3], group[0][1])
+    drift = dict(zip(params, mu_gamma_series_rows(list(params.values()))))
+    live = []
+    for (a, g, s, tau), group in groups.items():
+        try:
+            mu = drift[a, g, s]
+            if isinstance(mu, Exception):
+                raise mu
+            live.append((a, g, mu.mu, tau, math.log(
+                numerics.green_scale(mu.mu, tau, g)), group))
+        except FracpriceError as exc:
+            exc = exc.with_traceback(None)
+            yield from ((k, exc) for k, _, _ in group)
+
+    n = np.arange(SERIES_N_MAX + 1)
+    coef_n = (-1.0) ** n * np.exp(-scipy.special.gammaln(n + 1.0))
+    for g0 in range(0, len(live), 16):
+        # only this loop holds a chunk's entries (and, through their
+        # diagnostics, its terms), so each chunk is freed in turn
+        yield from _series_chunk(live[g0:g0 + 16], coef_n)
+
+
+def _series_chunk(chunk, coef_n):
+    """(index, entry) per cell of up to 16 groups (alpha, gamma, mu, tau,
+    log B, cells): the groups' Gamma and B-power factors as (group,
+    diagonal) tables, their mean factors from one _band_bounds call, and
+    their cells in blocks of 16 (_series_block)."""
+    a, g, mu, tau, log_B, groups = zip(*chunk)
+    band = _band_bounds(mu, tau, g)
+    rows = [(j, k, inp) for j, group in enumerate(groups)
+            for k, _, inp in group]
+    d = np.arange(-SERIES_M_MAX, SERIES_N_MAX)          # the diagonals n - m
+    with np.errstate(over="ignore", invalid="ignore"):
+        ca, cg, cb = np.array([a, g, log_B])[:, :, None]
+        rg, bp = (_diagonals(reciprocal_gamma(1.0 - cg * d / ca)),
+                  _diagonals(np.exp(((-d) / ca) * cb)))
+        return [e for r0 in range(0, len(rows), 16)
+                for e in _series_block(rows[r0:r0 + 16], a, mu, band, coef_n,
+                                       rg, bp)]
+
+
+def _diagonals(table):
+    """The (group, m - 1, n) view table[:, n - m + SERIES_M_MAX] of a
+    C-contiguous (group, diagonal) table, m = 1..SERIES_M_MAX and
+    n = 0..SERIES_N_MAX: an m-slice is a window of the diagonals, read
+    without a copy."""
+    size = table.itemsize
+    return np.ndarray((len(table), SERIES_M_MAX, SERIES_N_MAX + 1),
+                      table.dtype, table, (SERIES_M_MAX - 1) * size,
+                      (table.strides[0], -size, size))
+
+
+def _series_block(rows, alpha, mu, band, coef_n, rg, bp):
+    """The series of up to 16 cells, rows of (j, index, inputs) of groups j
+    with their alpha[j], mu[j], band[j] (see _band_bounds) and Gamma and
+    B-power factors rg[j] and bp[j] (_diagonals views); coef_n holds
+    (-1)^n / n!.  Returns (index, entry) per row, the entry its (price,
+    diagnostics function) or the SeriesDivergenceError that refuses it.
+    Runs inside _series_chunk's errstate.
+
+    The terms are (row, m, n) arrays of the first m-slices, m being the
+    monotone direction.  They double from 16 slices up to
+    m_max = SERIES_M_MAX, computing only the added slices, until every row
+    has had its first event, the earliest in m (ties in this order): a
+    slice beyond any arbitrage bound raises, three consecutive slices each
+    below SERIES_TOLERANCE*|sum| stop the sum, five growing ones raise.  A
+    sum with no event within m_max raises too.  Slices past a row's first
     event may overflow and decide nothing for it.
     """
-    if not chain:
-        return []
-    a, g = params.alpha, params.gamma
-    spot, tau = chain[0].spot, chain[0].tau
-    log_B = math.log(numerics.green_scale(mu, tau, g))
     A, pref, blowup = np.array(
-        [(-inp.log_fwd - mu * tau, inp.strike * inp.discount / a,
-          1e4 * (spot + inp.strike)) for inp in chain]).T
-
+        [(-inp.log_fwd - mu[j] * inp.tau, inp.strike * inp.discount / alpha[j],
+          1e4 * (inp.spot + inp.strike)) for j, _, inp in rows]).T
+    # one group's factors broadcast over its rows (which come group by
+    # group); several are gathered
+    group = (rows[0][0] if rows[0][0] == rows[-1][0]
+             else np.array([row[0] for row in rows]))
     size, m_max = min(16, SERIES_M_MAX), SERIES_M_MAX
     n = np.arange(SERIES_N_MAX + 1)
-    d = np.arange(-m_max, SERIES_N_MAX)                 # the diagonals n - m
-    sign, inv_fact = (-1.0) ** n, np.exp(-scipy.special.gammaln(n + 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rg, bp = reciprocal_gamma(1.0 - g * d / a), np.exp(((-d) / a) * log_B)
-        a_pow = np.where(n == 0, 1.0, A[:, None] ** n)     # 0^0 := 1
-        coef = sign * a_pow * inv_fact
-        pc = (pref[:, None] * coef)[:, None, :]
-        terms = np.empty((len(chain), 0, n.size))
-        while True:
-            idx = n - np.arange(terms.shape[1] + 1, size + 1)[:, None] + m_max
-            block = pc * rg[idx] * bp[idx]      # the added slices' terms
-            terms = np.concatenate((terms, block), 1) if terms.size else block
-            s = terms.sum(axis=2)
-            sums = np.cumsum(s, axis=1)
-            abs_s = np.abs(s)
-            # per strike, one past the event's slice; size + 1 for none
-            blow = numerics._run_end(~(abs_s <= blowup[:, None]), 1)
-            small = abs_s < SERIES_TOLERANCE * np.maximum(np.abs(sums), 1e-300)
-            stop = numerics._run_end(small, 3)
-            # slice j + 1 grows past slice j
-            grow = numerics._run_end(abs_s[:, 1:] > abs_s[:, :-1], 5) + 1
-            first = np.minimum(np.minimum(blow, stop), grow)
-            if size == m_max or first.max() <= size:
-                break
-            size = min(2 * size, m_max)
-        mk = np.minimum(first, size)
-        at = (np.arange(len(chain)), mk - 1)        # each strike's last slice
-        noise = 2e-14 * np.maximum.accumulate(np.abs(terms).max(axis=2), 1)
-        n_tail = np.cumsum(np.abs(terms[:, :, -1]), axis=1)
-        total, noise, n_tail = (x[at].tolist() for x in (sums, noise, n_tail))
-        events = np.vstack((blow, stop, grow, mk)).T.tolist()
+    # (-1)^n A^n / n!, 0^0 := 1; the sign flips are exact
+    coef = np.where(n == 0, 1.0, A[:, None] ** n) * coef_n
+    pc = (pref[:, None] * coef)[:, None, :]
+    terms = np.empty((len(rows), 0, n.size))
+    while True:
+        added = slice(terms.shape[1], size)
+        block = pc * rg[group, added] * bp[group, added]
+        terms = np.concatenate((terms, block), 1) if terms.size else block
+        # ufunc reductions, not ndarray methods: on arrays this small the
+        # methods' Python wrappers cost more than the sums
+        s = np.add.reduce(terms, 2)
+        sums = np.add.accumulate(s, 1)
+        abs_s = np.abs(s)
+        # per row, one past the event's slice; size + 1 for none
+        blow = numerics._run_end(~(abs_s <= blowup[:, None]), 1)
+        small = abs_s < SERIES_TOLERANCE * np.maximum(np.abs(sums), 1e-300)
+        stop = numerics._run_end(small, 3)
+        # slice i + 1 grows past slice i
+        grow = numerics._run_end(abs_s[:, 1:] > abs_s[:, :-1], 5) + 1
+        first = np.minimum(np.minimum(blow, stop), grow)
+        if size == m_max or np.maximum.reduce(first) <= size:
+            break
+        size = min(2 * size, m_max)
+    mk = np.minimum(first, size)
+    last = (np.arange(len(rows)), mk - 1)           # each row's last slice
+    abs_t = np.abs(terms)
+    noise = 2e-14 * np.maximum.accumulate(np.maximum.reduce(abs_t, 2), 1)
+    n_tail = np.add.accumulate(abs_t[:, :, -1], 1)
+    total, noise, n_tail = (x[last].tolist() for x in (sums, noise, n_tail))
 
-    results, band = [], None
-    for k, (inp, (blow, stop, grow, mk)) in enumerate(zip(chain, events)):
-        try:
-            if mk == blow:
-                if not np.isfinite(coef[k]).all():
-                    raise SeriesDivergenceError("coef_overflow", (
-                        f"series coefficients A^n/n! overflow at |A|="
-                        f"{abs(A[k]):.3g}; the series is outside its "
-                        "validity domain"))
-                raise SeriesDivergenceError("blowup", (
-                    f"series slice magnitude {s[k, blow - 1]:.3g} at m={blow} "
-                    "exceeds any arbitrage bound; the series is outside its "
-                    "validity domain"))
-            if min(stop, grow) > size:
-                raise SeriesDivergenceError("unsettled", (
-                    f"series slices did not settle within m_max={size}"))
-            if mk != stop:
-                raise SeriesDivergenceError("growth", (
-                    f"series slices grew for 5 consecutive m (last |slice|="
-                    f"{abs_s[k, grow - 1]:.3g}); no convergence"))
-            # A converged m-recursion still leaves two silent failure modes:
-            # alternating terms much larger than the sum (float cancellation
-            # eats the result) and an n direction that had not decayed by
-            # SERIES_N_MAX.  Reject the value unless roundoff and the dropped
-            # n-tail are both provably below ACCURACY_FLOOR of it.
-            floor = ACCURACY_FLOOR * max(abs(total[k]), 1e-300)
-            if noise[k] > floor or n_tail[k] > floor:
-                raise SeriesDivergenceError("uncertified", (
-                    f"series sum {total[k]:.6g} is not certifiable to "
-                    f"{ACCURACY_FLOOR:g} relative accuracy (cancellation "
-                    f"noise ~{noise[k]:.2g}, dropped n-tail ~{n_tail[k]:.2g})"))
-            # The series can converge to a spurious branch outside its
-            # validity region (e.g. when the effective log-moneyness A turns
-            # negative at gamma != 1).  A converged value outside the hard
-            # arbitrage band is therefore rejected rather than returned.  The
-            # band's upper edge, or its error, is shared by the chain.
-            band = band or _attempt(_band_bounds, params, inp, mu)
-            if isinstance(band, Exception):
-                raise band
-            lower, upper = _band_lower(band[1], inp), band[1]
-            pad = 1e-6 * (spot + inp.strike)
-            if not lower - pad <= total[k] <= upper + pad:
-                raise SeriesDivergenceError("band", (
-                    f"converged series value {total[k]:.6g} lies outside the "
-                    f"arbitrage band [{lower:.6g}, {upper:.6g}]; the "
-                    "series is outside its validity domain"))
-        except FracpriceError as exc:
-            # without its traceback, which holds this frame and its blocks
-            results.append(exc.with_traceback(None))
-            continue
-        results.append((total[k], partial(_diagnostics, sums, terms, k, mk)))
-    return results
+    out = []
+    for k, ((j, index, inp), (blow, stop, grow, mk)) in enumerate(
+            zip(rows, zip(*(x.tolist() for x in (blow, stop, grow, mk))))):
+        # A converged m-recursion still leaves two silent failure modes:
+        # alternating terms much larger than the sum (float cancellation
+        # eats the result) and an n direction that had not decayed by
+        # SERIES_N_MAX.  The value is refused unless roundoff and the
+        # dropped n-tail are both provably below ACCURACY_FLOOR of it.
+        floor = ACCURACY_FLOOR * max(abs(total[k]), 1e-300)
+        # The series can converge to a spurious branch outside its validity
+        # region (e.g. when the effective log-moneyness A turns negative at
+        # gamma != 1), so a value outside the hard arbitrage band is refused.
+        log_x, x = band[j]
+        upper = inp.spot * x
+        lower = max(upper - inp.strike * inp.discount, 0.0)
+        pad = 1e-6 * (inp.spot + inp.strike)
+        if mk == blow and not np.isfinite(coef[k]).all():
+            entry = SeriesDivergenceError("coef_overflow", (
+                f"series coefficients A^n/n! overflow at |A|={abs(A[k]):.3g}; "
+                "the series is outside its validity domain"))
+        elif mk == blow:
+            entry = SeriesDivergenceError("blowup", (
+                f"series slice magnitude {s[k, blow - 1]:.3g} at m={blow} "
+                "exceeds any arbitrage bound; the series is outside its "
+                "validity domain"))
+        elif min(stop, grow) > size:
+            entry = SeriesDivergenceError("unsettled", (
+                f"series slices did not settle within m_max={size}"))
+        elif mk != stop:
+            entry = SeriesDivergenceError("growth", (
+                f"series slices grew for 5 consecutive m (last |slice|="
+                f"{abs_s[k, grow - 1]:.3g}); no convergence"))
+        elif noise[k] > floor or n_tail[k] > floor:
+            entry = SeriesDivergenceError("uncertified", (
+                f"series sum {total[k]:.6g} is not certifiable to "
+                f"{ACCURACY_FLOOR:g} relative accuracy (cancellation "
+                f"noise ~{noise[k]:.2g}, dropped n-tail ~{n_tail[k]:.2g})"))
+        elif not math.isfinite(upper):
+            entry = SeriesDivergenceError("mean_factor_overflow", (
+                f"mean factor e^{log_x:.6g} of the log-price overflows; the "
+                "series is outside its validity domain"))
+        elif not lower - pad <= total[k] <= upper + pad:
+            entry = SeriesDivergenceError("band", (
+                f"converged series value {total[k]:.6g} lies outside the "
+                f"arbitrage band [{lower:.6g}, {upper:.6g}]; the series is "
+                "outside its validity domain"))
+        else:
+            entry = total[k], partial(_diagnostics, sums, terms, k, mk)
+        out.append((index, entry))
+    return out
 
 
 def _diagnostics(sums, terms, k, mk):
-    """SeriesDiagnostics of strike k's sum over its first mk m-slices, from
-    the chain's partial sums over m and its (strike, m, n) terms."""
+    """SeriesDiagnostics of row k's sum over its first mk m-slices, from
+    its block's partial sums over m and its (row, m, n) terms."""
     used = terms[k, :mk]
     # rows and slice sums are added in sequence, as the series runs in m
     return SeriesDiagnostics(
@@ -338,12 +393,12 @@ def dfrac_call_series(params, inputs):
     """Residue-series call price under the model's drift
     risk_neutral(params).mu; returns (price, SeriesDiagnostics).
 
-    The series kernel (see _series_chain) on a chain of one.
+    The series kernel (see _series_grid) on a grid of one.
     """
     if inputs.strike <= 0.0:
         raise ValidationError("strike_positive",
                               "series price requires strike > 0")
-    result, = _series_chain(params, risk_neutral(params).mu, [inputs])
+    (_, result), = _series_grid([(0, params, inputs)])
     if isinstance(result, Exception):
         raise result
     value, diagnostics = result
@@ -364,55 +419,63 @@ def put_from_parity(call, inputs):
                       inputs)
 
 
-def price_chain(params, chain, fallback=False):
-    """Price PricingInputs sharing (spot, rate, tau): the closed form or the
-    residue series by model kind.
-    Inputs that do not share them raise ValidationError (code chain_terms).
+def price_grid(cells, fallback=False):
+    """Price (ModelParams, PricingInputs) cells, each with its own parameters
+    and contract: the closed form or the residue series by model kind.
 
-    Returns one entry per input: its price, or the FracpriceError refusing
-    it (any other exception propagates).  A quote the model refuses leaves
-    the rest of the chain priced; an error of the whole chain (a drift that
-    does not converge) fills every entry.  The drift mu, the residue
-    series' strike-independent factors and the band's mean factor are
-    computed once for the chain's series; the quadrature takes mu from the
-    model per quote.
+    Returns one entry per cell: its price, or the FracpriceError refusing
+    it (any other exception propagates).  A cell the model refuses leaves
+    the rest of the grid priced; an error of a parameter group (a drift
+    that does not converge) fills that group's entries.  The residue series
+    of all cells is one kernel run (_series_grid): the drift mu once per
+    distinct params, the strike-independent factors and the band's mean
+    factor once per (params, tau) group.  The quadrature takes mu from the
+    model per cell.  Every entry is the price of its cell alone.
 
     Puts are priced by parity, P = C - S + K e^{-r tau}, floored at 0.
-    The series needs K > 0: a quote at K = 0 is priced by the quadrature
-    reference pricer, and with fallback=True so is a quote the series
+    The series needs K > 0: a cell at K = 0 is priced by the quadrature
+    reference pricer, and with fallback=True so is a cell the series
     refuses with SeriesDivergenceError; that pricer prices the put itself.
     """
+    cells = list(cells)
+    bs, put = ModelKind.BLACK_SCHOLES, OptionKind.PUT
+    values = [None] * len(cells)
+    for k, entry in _series_grid([(k, p, inp) for k, (p, inp) in
+                                  enumerate(cells)
+                                  if p.kind is not bs and inp.strike > 0.0]):
+        values[k] = entry[0] if isinstance(entry, tuple) else entry
+    for k, (params, inp) in enumerate(cells):
+        value = (_attempt(bs_call, inp, params.sigma) if params.kind is bs
+                 else values[k])
+        floor = put_from_parity
+        if value is None or (fallback and
+                             isinstance(value, SeriesDivergenceError)):
+            value = _attempt(numerics.reference_price, params, inp)
+            floor = _floor_put
+        if inp.kind is put and not isinstance(value, Exception):
+            values[k] = _attempt(floor, value, inp)
+        else:
+            values[k] = value
+    return values
+
+
+def price_chain(params, chain, fallback=False):
+    """Price PricingInputs sharing (spot, rate, tau) under one params:
+    price_grid of a grid sharing params, whose series cells are one
+    parameter group.  Inputs that do not share them raise ValidationError
+    (code chain_terms)."""
     terms = {(inp.spot, inp.rate, inp.tau) for inp in chain}
     if len(terms) > 1:
         raise ValidationError(
             "chain_terms", f"chain inputs must share (spot, rate, tau); "
             f"got {len(terms)} different")
-    bs = params.kind is ModelKind.BLACK_SCHOLES
-    if not bs:
-        series = [inp for inp in chain if inp.strike > 0.0]
-        found = _each(len(series), lambda: _series_chain(
-            params, risk_neutral(params).mu, series))
-    values = []
-    for inp in chain:
-        value = (_attempt(bs_call, inp, params.sigma) if bs
-                 else next(found) if inp.strike > 0.0 else None)
-        floor = put_from_parity
-        if isinstance(value, tuple):
-            value = value[0]
-        elif value is None or (fallback and
-                               isinstance(value, SeriesDivergenceError)):
-            value = _attempt(numerics.reference_price, params, inp)
-            floor = _floor_put
-        if inp.kind is OptionKind.PUT and not isinstance(value, Exception):
-            value = _attempt(floor, value, inp)
-        values.append(value)
-    return values
+    return price_grid(zip(repeat(params), chain), fallback)
 
 
 def price(params, inputs, fallback=False):
-    """The price of one quote: price_chain of a chain of one, its refusal
+    """The price of one quote: price_grid of a grid of one, its refusal
     raised."""
-    value, = price_chain(params, [inputs], fallback)
+    value, = price_grid([(params, inputs)], fallback)
     if isinstance(value, Exception):
         raise value
     return value

@@ -171,7 +171,7 @@ _INV_FACT = np.array([1.0, 1.0, 0.5, 0.16666666666666669,
 
 
 def _fbs_call(inputs, gamma, sigma):
-    """The f-BS smile's call: pricing._series_chain's terms at alpha = 2 under
+    """The f-BS smile's call: pricing._series_block's terms at alpha = 2 under
     the first-order drift mu_gamma_approx, summed over n in each slice of
     the fixed block, then over the slices.  Not certified; its one refusal,
     a slice not finite or beyond 1e4 (S + K), raises SeriesDivergenceError

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from fracprice.cli import main
+from fracprice.model import ModelParams, mu_gamma_series
+from fracprice.pricing import PricingInputs, price
 
 
 def run(capsys, *argv):
@@ -271,7 +273,9 @@ def test_figures_fig5_grid(tmp_path, capsys):
 
 def test_figures_fig4_na_exactly_where_inadmissible(tmp_path, capsys):
     """fig4 prices every admissible grid cell (the quadrature takes what the
-    series refuses) and writes NA exactly where gamma <= 1 - 1/alpha."""
+    series refuses) and writes NA exactly where gamma <= 1 - 1/alpha.  The
+    grids are priced by one price_grid call and fig1's mu by one row-wise
+    call; every cell is what the cell gives alone."""
     rc, out, _ = run(capsys, "figures", "fig4", "--out", str(tmp_path))
     assert rc == 0
     paths = out.split()
@@ -285,17 +289,34 @@ def test_figures_fig4_na_exactly_where_inadmissible(tmp_path, capsys):
         for row in rows:
             for column, cell in zip(header[1:], row[1:]):
                 # columns are labelled price_alpha<a> or price_gamma<g>
-                params = {"alpha": 1.7, column[6:11]: float(column[11:])}
-                if axis in ("alpha", "gamma"):
-                    params[axis] = float(row[0])
-                a, g = params["alpha"], params["gamma"]
+                point = {"alpha": 1.7, "sigma": 0.2, "spot": 3800.0,
+                         column[6:11]: float(column[11:])}
+                point[axis] = float(row[0])
+                a, g = point["alpha"], point["gamma"]
                 if g <= 1.0 - 1.0 / a:
                     assert cell == "NA"
                     na_rows.add((os.path.basename(path), row[0]))
-                else:
-                    assert math.isfinite(float(cell)), (path, row, column)
+                    continue
+                assert math.isfinite(float(cell)), (path, row, column)
+                alone = price(
+                    ModelParams.double_fractional(a, g, point["sigma"]),
+                    PricingInputs(point["spot"], 4000.0, 0.01, 1.0),
+                    fallback=True)
+                assert float(cell) == alone, (path, row, column)
     assert len(na_rows) == 6
     assert {name for name, _ in na_rows} == {"fig4_gamma.csv"}
+    rc, out, _ = run(capsys, "figures", "fig1", "--out", str(tmp_path))
+    assert rc == 0
+    header, *rows = [ln.split(",") for ln in
+                     Path(out.strip()).read_text(encoding="utf-8").split()]
+    for row in rows:
+        for column, cell in zip(header[1:], row[1:]):
+            a, g = float(column[len("mu_alpha"):]), float(row[0])
+            if g <= 1.0 - 1.0 / a:
+                assert cell == "NA"
+                continue
+            params = ModelParams.double_fractional(a, g, 0.2)
+            assert float(cell) == mu_gamma_series(params).mu
 
 
 def test_figures_fig6_is_the_fixture_smile(tmp_path, capsys):

@@ -16,8 +16,8 @@ from fracprice.model import (MU_MAX_TERMS, MU_TERM_CAP, ModelKind,
 from fracprice.numerics import (FracpriceError, NonConvergenceError,
                                 reference_price)
 from fracprice.pricing import (ACCURACY_FLOOR, OptionKind, PricingInputs,
-                               _band_bounds, bs_call, dfrac_call_series,
-                               price, price_chain)
+                               SeriesDivergenceError, _band_bounds, bs_call,
+                               dfrac_call_series, price, price_chain)
 from fracprice.volatility import (_fbs_call, atm_bs_implied, atm_fbs_implied,
                                   build_smile, implied_vol)
 
@@ -305,6 +305,17 @@ CONTRACT_TAUS = st.one_of(st.floats(-323.0, 308.0).map(lambda e: 10.0 ** e),
                           EDGE_FLOATS)
 
 
+def _band_of(params, inputs):
+    """The band [lower, upper] of one quote under the model's mu from
+    _band_bounds; a mean factor beyond the float range raises."""
+    (log_x, x), = _band_bounds([risk_neutral(params).mu], [inputs.tau],
+                               [params.gamma])
+    upper = inputs.spot * x
+    if not math.isfinite(upper):
+        raise SeriesDivergenceError("mean_factor_overflow", f"e^{log_x}")
+    return max(upper - inputs.strike * inputs.discount, 0.0), upper
+
+
 def _in_band(params, inputs, value, floor):
     """value is finite and inside _band_bounds, mapped to a put by parity
     and, where the put is floored at 0, floored too.  The pad is the series
@@ -312,8 +323,7 @@ def _in_band(params, inputs, value, floor):
     which a quadrature value far above S needs.  Black-Scholes prices need
     no scale B, so at a tau where B underflows their band is refused."""
     assert math.isfinite(value)
-    band = _typed_rejection(
-        lambda: _band_bounds(params, inputs, risk_neutral(params).mu))
+    band = _typed_rejection(lambda: _band_of(params, inputs))
     if band is None:
         assert params.kind is ModelKind.BLACK_SCHOLES
         return

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc, loggamma
+from scipy.special import erfc, gammaln, loggamma
 
 from fracprice import model, numerics
 from fracprice.numerics import (_GL24, ContourSpec,
@@ -201,7 +201,7 @@ def test_reference_price_zero_strike_is_mean_factor(params, tau):
     log X (it gave 161 S), at tau 100 e^y moves the payoff's mass deep into
     the thin tail (it gave 1.4e-7 above S X)."""
     mu = risk_neutral(params).mu
-    log_x = log_mean_factor(mu, tau, params.gamma)
+    log_x, = log_mean_factor([mu], [tau], [params.gamma])
     for kind, value in (("call", 100.0 * math.exp(log_x)),
                         ("put", 100.0 * float(np.expm1(log_x)))):
         inputs = PricingInputs(100.0, 0.0, 0.0, tau, kind)
@@ -847,17 +847,107 @@ def test_green_density_positive_in_bulk(tau, x):
 def test_log_mittag_leffler_closed_forms(gamma, closed_form):
     """E_1 = e^z, E_2 = cosh sqrt z, E_1/2 = e^{z^2} erfc(-z), across the
     summed range and into the asymptotic one (E_1/2 needs ~2000 terms at 30)."""
-    for z in np.linspace(0.0, 30.0, 121):
-        assert log_mittag_leffler(float(z), gamma) == pytest.approx(
-            closed_form(float(z)), rel=1e-13, abs=1e-300)
+    zs = np.linspace(0.0, 30.0, 121).tolist()
+    for z, value in zip(zs, log_mittag_leffler(zs, [gamma] * len(zs))):
+        assert value == pytest.approx(closed_form(z), rel=1e-13, abs=1e-300)
 
 
 def test_log_gamma_series_budget():
     # e^z at a == b; terms that never turn over within the budget raise
-    assert log_gamma_series(3.5, 1.7, 1.7, 1e-12, 64) == (3.5, 1)
-    assert log_gamma_series(0.0, 1.7, 1.2, 1e-12, 64) == (0.0, 0)
-    with pytest.raises(NonConvergenceError):
-        log_gamma_series(50.0, 1.0, 0.5, 1e-12, 64)
+    assert log_gamma_series([3.5], [1.7], [1.7], 1e-12, [64]) == [(3.5, 1)]
+    assert log_gamma_series([0.0], [1.7], [1.2], 1e-12, [64]) == [(0.0, 0)]
+    refused, = log_gamma_series([50.0], [1.0], [0.5], 1e-12, [64])
+    assert isinstance(refused, NonConvergenceError)
+    assert refused.code == "series_terms"
+
+
+def _gamma_series_loop(z, a, b, tol, max_terms):
+    """One row of the Gamma-ratio series, its term range doubled from 16 and
+    the stop found term by term: the reference for log_gamma_series."""
+    if a == b:
+        return z, 1
+    if z == 0.0:
+        return 0.0, 0
+    size = min(16, max_terms)
+    while True:
+        n = np.arange(size + 1.0)
+        lt = (gammaln(1.0 + a * n) + n * math.log(z) - gammaln(n + 1.0)
+              - gammaln(1.0 + b * n))
+        shift = lt.max()
+        w = np.exp(lt - shift)
+        partial = np.cumsum(w)
+        small = 0
+        for end in range(1, size + 1):
+            small = small + 1 if w[end] < tol * partial[end] else 0
+            if small == 3:
+                return float(shift + math.log(partial[end])), end
+        if size >= max_terms:
+            return NonConvergenceError(
+                "series_terms", f"Gamma-ratio series terms failed to decay "
+                f"within {max_terms} terms (z={z:.4g})")
+        size = min(2 * size, max_terms)
+
+
+def _series_rows(rng, count):
+    """Rows (z, a, b, tol, max_terms) of the moment series behind mu and of
+    the Mittag-Leffler series, seeded, with a == b and z == 0 rows, rows
+    that exhaust their budget and rows at the budget cap."""
+    rows = []
+    for _ in range(count):
+        alpha = float(rng.uniform(1.05, 2.0))
+        gamma = float(rng.uniform(1.0 - 1.0 / alpha + 1e-3, min(alpha, 1.6)))
+        q = -model.mu_levy(alpha, float(rng.uniform(0.05, 3.0)))
+        b = gamma * alpha
+        rows.append((q, alpha, b, model.MU_TOLERANCE,
+                     model._mu_term_budget(q, alpha, b)))
+        rows.append((float(rng.uniform(0.0, 40.0)), 1.0,
+                     float(rng.uniform(0.1, 2.0)), numerics._EPS,
+                     numerics.ML_MAX_TERMS))
+    rows += [(3.5, 1.7, 1.7, 1e-12, 64), (0.0, 1.7, 1.2, 1e-12, 64),
+             (50.0, 1.0, 0.5, 1e-12, 64), (50.0, 1.0, 0.5, 1e-12, 16),
+             (0.999 * 64 ** 0.2 / (1.5 ** 1.5 / 0.7 ** 0.7), 1.5, 0.7,
+              model.MU_TOLERANCE, model.MU_TERM_CAP),
+             (200.0, 1.0, 0.3, numerics._EPS, model.MU_TERM_CAP)]
+    return rows
+
+
+def _rows_call(rows, tol):
+    z, a, b, _, budget = zip(*rows)
+    return log_gamma_series(z, a, b, tol, budget)
+
+
+def _outcome_of(entry):
+    if isinstance(entry, Exception):
+        return type(entry), entry.code, str(entry)
+    return entry
+
+
+def test_log_gamma_series_rows_match_scalar_loop():
+    """Each row of a call is bitwise the scalar loop's sum and term count,
+    or the same refusal, whichever rows share the call: all of them, a
+    reordered subset, or the row alone."""
+    rng = np.random.default_rng(2222)
+    rows = _series_rows(rng, 400)
+    for tol in (model.MU_TOLERANCE, numerics._EPS):
+        batch = [r for r in rows if r[3] == tol]
+        ref = [_outcome_of(_gamma_series_loop(*r)) for r in batch]
+        got = [_outcome_of(e) for e in _rows_call(batch, tol)]
+        assert got == ref
+        assert {isinstance(e[0], type) for e in got} == {True, False}
+        subset = rng.permutation(len(batch))[:len(batch) // 3]
+        sub = [_outcome_of(e)
+               for e in _rows_call([batch[i] for i in subset], tol)]
+        assert sub == [ref[i] for i in subset]
+        for i in subset[:20]:
+            assert [_outcome_of(e) for e in _rows_call([batch[i]], tol)] == [
+                ref[i]]
+    # e^z at a == b, 0 at z == 0, budgets of 16 and 64 exhausted, a sum of
+    # 222 terms under the cap, and the whole cap exhausted
+    got = _rows_call(rows[-6:], model.MU_TOLERANCE)
+    assert got[:2] == [(3.5, 1), (0.0, 0)]
+    assert [e.code for e in got[2:4]] == ["series_terms"] * 2
+    assert got[4][1] == 222
+    assert "within 4096 terms" in str(got[5])
 
 
 @pytest.mark.parametrize("mask,k,end", [

@@ -12,7 +12,7 @@ from fracprice.model import ModelParams, ValidationError, risk_neutral
 from fracprice.pricing import (OptionKind, ParityError, PricingInputs,
                                SeriesDivergenceError, _band_bounds, bs_call,
                                dfrac_call_series, price, price_chain,
-                               put_from_parity)
+                               price_grid, put_from_parity)
 
 FIG3_INPUTS = PricingInputs(3800.0, 4000.0, 0.01, 1.0)
 FIG3_PARAMS = ModelParams.double_fractional(1.7, 0.9, 0.2)
@@ -271,6 +271,16 @@ def test_option_kind_coerced():
     assert err.value.code == "kind_value"
 
 
+def _band(params, inputs, mu):
+    """The band [lower, upper] of one quote from _band_bounds; a mean factor
+    beyond the float range raises."""
+    (log_x, x), = _band_bounds([mu], [inputs.tau], [params.gamma])
+    upper = inputs.spot * x
+    if not math.isfinite(upper):
+        raise SeriesDivergenceError("mean_factor_overflow", f"e^{log_x}")
+    return max(upper - inputs.strike * inputs.discount, 0.0), upper
+
+
 def test_band_bounds_deep_mittag_leffler_argument():
     """-mu tau^gamma = 31 at gamma = 0.6 is past the summed range of the
     Mittag-Leffler series; the bounds then use its leading asymptotic."""
@@ -279,13 +289,13 @@ def test_band_bounds_deep_mittag_leffler_argument():
     inp = PricingInputs(100.0, 100.0, 0.01, 100.0)
     z = -mu * inp.tau ** 0.6
     assert z >= 25.0
-    lower, upper = _band_bounds(params, inp, mu)
+    lower, upper = _band(params, inp, mu)
     assert 0.0 <= lower <= upper < math.inf
     assert math.log(upper / inp.spot) == pytest.approx(
         mu * inp.tau + z ** (1.0 / 0.6) - math.log(0.6), rel=1e-12)
     # a mean factor beyond the float range is a divergence, not an overflow
     with pytest.raises(SeriesDivergenceError):
-        _band_bounds(params, PricingInputs(100.0, 100.0, 0.01, 1000.0), mu)
+        _band(params, PricingInputs(100.0, 100.0, 0.01, 1000.0), mu)
 
 
 def test_price_short_n_truncation_fails_n_tail_check(monkeypatch):
@@ -300,13 +310,14 @@ def test_price_short_n_truncation_fails_n_tail_check(monkeypatch):
 def test_mu_does_not_depend_on_pricing_truncation(monkeypatch):
     """price() uses the model's mu whatever the series' truncation."""
     used = []
-    real = pricing._series_chain
+    real = pricing.mu_gamma_series_rows
 
-    def spy(params, mu, chain):
-        used.append(mu)
-        return real(params, mu, chain)
+    def spy(params):
+        drifts = real(params)
+        used.extend(d.mu for d in drifts)
+        return drifts
 
-    monkeypatch.setattr(pricing, "_series_chain", spy)
+    monkeypatch.setattr(pricing, "mu_gamma_series_rows", spy)
     monkeypatch.setattr(pricing, "SERIES_N_MAX", 5)
     with pytest.raises(SeriesDivergenceError):
         price(FIG3_PARAMS, FIG3_INPUTS)
@@ -366,7 +377,7 @@ def _series_loop(params, inputs, mu, n_max, m_max):
         floor = pricing.ACCURACY_FLOOR * max(abs(total), 1e-300)
         if 2e-14 * peak_term > floor or n_tail > floor:
             raise SeriesDivergenceError("uncertified", "not certifiable")
-        lower, upper = _band_bounds(params, inputs, mu)
+        lower, upper = _band(params, inputs, mu)
         pad = 1e-6 * (inputs.spot + inputs.strike)
         if not lower - pad <= total <= upper + pad:
             raise SeriesDivergenceError("band", "outside band")
@@ -418,7 +429,8 @@ def test_series_blocks_match_slice_loop(monkeypatch, m_max):
                             assert got is ref
 
 
-@pytest.mark.parametrize("params, strike, tau, code, reason", [
+# One quote (spot 100, rate 0.01) per refusal of the series kernel
+REFUSALS = [
     (ModelParams.fmls(1.7, 1e6), 100.0, 1.0, "coef_overflow",
      "series coefficients"),
     (ModelParams.double_fractional(1.82, 1.31, 0.24), 157.5, 0.05, "blowup",
@@ -435,7 +447,10 @@ def test_series_blocks_match_slice_loop(monkeypatch, m_max):
      "uncertified", "noise ~2.7e-12, dropped n-tail ~5.1e-18"),
     (ModelParams.double_fractional(1.11, 1.11, 1.33), 140.1, 0.5, "band",
      "outside the arbitrage band"),
-])
+]
+
+
+@pytest.mark.parametrize("params, strike, tau, code, reason", REFUSALS)
 def test_series_refusal_codes(params, strike, tau, code, reason):
     """Every refusal of the series kernel carries its reason as a code, in
     the chain entry as in the scalar price."""
@@ -447,12 +462,16 @@ def test_series_refusal_codes(params, strike, tau, code, reason):
     assert _entry(entry) == _entry(exc.value)
 
 
-def test_band_mean_factor_overflow_code():
+def test_band_mean_factor_overflow_code(monkeypatch):
     # the mean factor e^773 of the band's upper edge overflows
     params = ModelParams.double_fractional(1.7, 0.6, 1.0)
+    (log_x, x), = _band_bounds([risk_neutral(params).mu], [700.0], [0.6])
+    assert log_x > 709.0 and x == math.inf
+    # a converged series value with such a band is refused by code
+    monkeypatch.setattr(pricing, "_band_bounds",
+                        lambda mu, tau, gamma: [(log_x, x)] * len(mu))
     with pytest.raises(SeriesDivergenceError, match="mean factor") as exc:
-        _band_bounds(params, PricingInputs(100.0, 100.0, 2.0, 700.0),
-                     risk_neutral(params).mu)
+        dfrac_call_series(FIG3_PARAMS, FIG3_INPUTS)
     assert exc.value.code == "mean_factor_overflow"
 
 
@@ -476,8 +495,9 @@ def test_series_diagonal_factors_once_per_chain(monkeypatch):
         sizes.clear()
         values = price_chain(params, chain)
         assert sizes and max(sizes) <= bound
-        mu = risk_neutral(params).mu
-        entries = pricing._series_chain(params, mu, chain)
+        found = dict(pricing._series_grid(
+            [(k, params, inp) for k, inp in enumerate(chain)]))
+        entries = [found[k] for k in range(len(chain))]
         assert any(isinstance(e, tuple) for e in entries)
         for value, entry, inp in zip(values, entries, chain):
             if isinstance(entry, Exception):
@@ -539,8 +559,9 @@ def chain_params(draw):
     if kind == "fmls":
         return ModelParams.fmls(alpha, sigma)
     lo, hi = max(1.0 - 1.0 / alpha, 0.05) + 1e-3, min(alpha, 1.4)
+    # the clamp keeps a rounded-up draw at 1.0 from passing gamma = alpha
     return ModelParams.double_fractional(
-        alpha, lo + draw(st.floats(0.0, 1.0)) * (hi - lo), sigma)
+        alpha, min(lo + draw(st.floats(0.0, 1.0)) * (hi - lo), hi), sigma)
 
 
 def _entry(value):
@@ -809,3 +830,81 @@ def test_green_scale_float_range_is_typed(entry, tau):
     with pytest.raises(numerics.FracpriceError) as exc:
         entry(tau)
     assert exc.value.code == "scale_float_range"
+
+
+def _random_params(rng):
+    """Black-Scholes, FMLS or double-fractional params, a fifth of the
+    latter at gamma = 1."""
+    kind, sigma = rng.integers(3), float(rng.uniform(0.05, 0.8))
+    if kind == 0:
+        return ModelParams.black_scholes(sigma)
+    alpha = float(rng.uniform(1.1, 2.0))
+    if kind == 1:
+        return ModelParams.fmls(alpha, sigma)
+    lo, hi = 1.0 - 1.0 / alpha + 1e-3, min(alpha, 1.4)
+    gamma = 1.0 if rng.random() < 0.2 else float(rng.uniform(lo, hi))
+    return ModelParams.double_fractional(alpha, gamma, sigma)
+
+
+def test_price_grid_is_per_cell_pricing():
+    """Every entry of a grid is bitwise its cell priced alone (value, or
+    exception class, code and message), with and without the fallback: a
+    seeded grid of all three kinds, K = 0, puts, gamma = 1, cells sharing
+    params across spots and maturities, every refusal of the series, a drift
+    that does not converge and a scale beyond the float range."""
+    rng = np.random.default_rng(22)
+    params = [_random_params(rng) for _ in range(24)]
+    cells = []
+    for p in params:
+        for _ in range(int(rng.integers(1, 4))):
+            spot = float(rng.choice([80.0, 100.0, 130.0]))
+            strike = (0.0 if rng.random() < 0.1
+                      else spot * math.exp(rng.uniform(-0.4, 0.4)))
+            cells.append((p, PricingInputs(
+                spot, strike, 0.01, float(rng.choice([0.1, 0.5, 1.0])),
+                "put" if rng.random() < 0.4 else "call")))
+    cells += [(p, PricingInputs(100.0, k, 0.01, tau))
+              for p, k, tau, _, _ in REFUSALS]
+    cells += [(ModelParams.double_fractional(1.2, 0.72, 5.0),
+               PricingInputs(100.0, 100.0, 0.01, 1.0)),       # mu refused
+              (SCALE_PARAMS, PricingInputs(100.0, 100.0, 0.0, 1e300))]
+    cells = [cells[i] for i in rng.permutation(len(cells))]
+    for fallback in (False, True):
+        grid = price_grid(cells, fallback)
+        assert len(grid) == len(cells)
+        for got, (p, inp) in zip(grid, cells):
+            assert _entry(got) == _entry(_alone(p, inp, fallback))
+        if not fallback:
+            codes = {v.code for v in grid if isinstance(v, Exception)}
+    assert {code for *_, code, _ in REFUSALS} | {
+        "series_terms", "scale_float_range"} <= codes
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams.double_fractional(1.519828230876886, 1.0692022034847368,
+                                  0.592376222348078),
+    ModelParams.double_fractional(1.7, 0.8, 0.3)])
+def test_price_chain_is_one_parameter_group(monkeypatch, params):
+    """On the fixture chain, price_chain evaluates mu, the Gamma and B-power
+    tables and the band's mean factor once each, for one group: what every
+    objective evaluation of a fit costs."""
+    calls = []
+
+    def spy(module, name, rows):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append((name, rows(*args)))
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(pricing, "mu_gamma_series_rows", len)
+    spy(numerics, "log_mean_factor", lambda mu, tau, gamma: len(mu))
+    spy(pricing, "reciprocal_gamma", np.shape)
+    spy(pricing, "_diagonals", np.shape)     # the Gamma and B-power tables
+    values = price_chain(params, list(sampledata.fixture_chain().inputs))
+    assert any(isinstance(v, float) for v in values)
+    table = (1, pricing.SERIES_M_MAX + pricing.SERIES_N_MAX)
+    assert calls == [("mu_gamma_series_rows", 1), ("log_mean_factor", 1),
+                     ("reciprocal_gamma", table), ("_diagonals", table),
+                     ("_diagonals", table)]
