@@ -64,6 +64,9 @@ def _read_chain_rows(path):
 
 
 def _chain_from_args(args):
+    if args.fixture and args.chain:
+        raise ValidationError("chain_and_fixture",
+                              "give a chain file or --fixture, not both")
     if args.fixture:
         rate = args.rate if args.rate is not None else sampledata.FITTED_RATE
         tau = args.tau if args.tau is not None else sampledata.FITTED_TAU
@@ -302,10 +305,6 @@ _FIGURES = {"fig1": _fig1, "fig3": _fig3, "fig4": _fig4,
 
 
 def cmd_figures(args):
-    if args.figure_id not in _FIGURES:
-        print(f"unknown figure id {args.figure_id!r}; "
-              f"choose from {sorted(_FIGURES)}", file=sys.stderr)
-        return 2
     os.makedirs(args.out, exist_ok=True)
     for path in _FIGURES[args.figure_id](args.out):
         print(path)
@@ -367,7 +366,7 @@ def build_parser():
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("figures", help="emit figure-data CSV files")
-    p.add_argument("figure_id")
+    p.add_argument("figure_id", choices=sorted(_FIGURES))
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_figures)
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -94,8 +93,9 @@ ACCURACY_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class SeriesDiagnostics:
-    """Partial sums after each m-slice / n-slice, for convergence plots.
-    converged is always True: a sum that does not converge raises."""
+    """Partial sums (floats) after each m-slice / n-slice, for convergence
+    plots; only dfrac_call_series builds them, from its block's sums and
+    terms.  converged is always True: a sum that does not converge raises."""
     partial_sums_m: tuple
     partial_sums_n: tuple
     terms_used: int
@@ -189,10 +189,11 @@ def _attempt(fn, *args):
 
 
 def _series_grid(cells):
-    """Residue-series calls for (index, ModelParams, PricingInputs) cells
-    with K > 0: yields (index, entry) once for each cell, the entry being
-    its (price, a function returning its SeriesDiagnostics) or the
-    exception that refuses it.
+    """Residue-series calls for (ModelParams, PricingInputs) cells with
+    K > 0: yields (positions, entries, sums, terms, mk) per block of up to
+    16 cells, positions indexing cells and the rest _series_block's.  The
+    cells of a group whose drift or scale fails come as one block, every
+    entry the exception refusing it and sums, terms and mk None.
 
     V = (K e^{-r tau}/alpha) * sum_{n>=0, m>=1}
         (-1)^n / (n! Gamma(1 - gamma (n-m)/alpha)) * A^n * B^{(m-n)/alpha}
@@ -201,24 +202,18 @@ def _series_grid(cells):
     contribute exactly 0; 0^0 is taken as 1 so the n=0 terms survive at
     ATM-forward (A=0).  A cell enters only through the prefactor and A^n:
     mu is computed once per distinct params, all of them in one call, and
-    the Gamma and B-power factors on the diagonals n - m and the band's
-    mean factor once per (params, tau) group.  A drift or scale that fails
-    refuses its whole group; a chain is one group.
-
-    The groups are taken 16 at a time (_series_chunk), and their cells in
-    blocks of 16 (_series_block).  Each entry is what the cell gives
-    alone.
+    the Gamma and B-power factors on the diagonals n - m (as (group,
+    diagonal) tables) and the band's mean factor once per (params, tau)
+    group, 16 groups at a time (one _band_bounds call).  A drift or scale
+    that fails refuses its whole group; a chain is one group.  Each entry
+    is what the cell gives alone.
     """
     if not cells:
         return
-    groups = {}       # the series sees the params through (alpha, gamma, sigma)
-    for cell in cells:
-        _, p, inp = cell
-        groups.setdefault((p.alpha, p.gamma, p.sigma, inp.tau), []).append(
-            cell)
-    params = {}
-    for key, group in groups.items():
-        params.setdefault(key[:3], group[0][1])
+    groups, params = {}, {}   # the series sees (alpha, gamma, sigma) only
+    for k, (p, inp) in enumerate(cells):
+        params[p.alpha, p.gamma, p.sigma] = p
+        groups.setdefault((p.alpha, p.gamma, p.sigma, inp.tau), []).append(k)
     drift = dict(zip(params, mu_gamma_series_rows(list(params.values()))))
     live = []
     for (a, g, s, tau), group in groups.items():
@@ -230,33 +225,24 @@ def _series_grid(cells):
                 numerics.green_scale(mu.mu, tau, g)), group))
         except FracpriceError as exc:
             exc = exc.with_traceback(None)
-            yield from ((k, exc) for k, _, _ in group)
+            yield group, [exc] * len(group), None, None, None
 
     n = np.arange(SERIES_N_MAX + 1)
     coef_n = (-1.0) ** n * np.exp(-scipy.special.gammaln(n + 1.0))
-    for g0 in range(0, len(live), 16):
-        # only this loop holds a chunk's entries (and, through their
-        # diagnostics, its terms), so each chunk is freed in turn
-        yield from _series_chunk(live[g0:g0 + 16], coef_n)
-
-
-def _series_chunk(chunk, coef_n):
-    """(index, entry) per cell of up to 16 groups (alpha, gamma, mu, tau,
-    log B, cells): the groups' Gamma and B-power factors as (group,
-    diagonal) tables, their mean factors from one _band_bounds call, and
-    their cells in blocks of 16 (_series_block)."""
-    a, g, mu, tau, log_B, groups = zip(*chunk)
-    band = _band_bounds(mu, tau, g)
-    rows = [(j, k, inp) for j, group in enumerate(groups)
-            for k, _, inp in group]
     d = np.arange(-SERIES_M_MAX, SERIES_N_MAX)          # the diagonals n - m
-    with np.errstate(over="ignore", invalid="ignore"):
-        ca, cg, cb = np.array([a, g, log_B])[:, :, None]
-        rg, bp = (_diagonals(reciprocal_gamma(1.0 - cg * d / ca)),
-                  _diagonals(np.exp(((-d) / ca) * cb)))
-        return [e for r0 in range(0, len(rows), 16)
-                for e in _series_block(rows[r0:r0 + 16], a, mu, band, coef_n,
-                                       rg, bp)]
+    for g0 in range(0, len(live), 16):
+        a, g, mu, tau, log_B, chunk = zip(*live[g0:g0 + 16])
+        band = _band_bounds(mu, tau, g)
+        positions = [k for group in chunk for k in group]
+        rows = [(j, cells[k][1]) for j, group in enumerate(chunk)
+                for k in group]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ca, cg, cb = np.array([a, g, log_B])[:, :, None]
+            rg, bp = (_diagonals(reciprocal_gamma(1.0 - cg * d / ca)),
+                      _diagonals(np.exp(((-d) / ca) * cb)))
+        for r0 in range(0, len(rows), 16):
+            yield (positions[r0:r0 + 16], *_series_block(
+                rows[r0:r0 + 16], a, mu, band, coef_n, rg, bp))
 
 
 def _diagonals(table):
@@ -270,13 +256,17 @@ def _diagonals(table):
                       (table.strides[0], -size, size))
 
 
+# under its own errstate: one held across a generator's yield would leak to
+# the caller
+@np.errstate(over="ignore", invalid="ignore")
 def _series_block(rows, alpha, mu, band, coef_n, rg, bp):
-    """The series of up to 16 cells, rows of (j, index, inputs) of groups j
+    """The series of up to 16 cells, rows of (j, inputs) of groups j
     with their alpha[j], mu[j], band[j] (see _band_bounds) and Gamma and
     B-power factors rg[j] and bp[j] (_diagonals views); coef_n holds
-    (-1)^n / n!.  Returns (index, entry) per row, the entry its (price,
-    diagnostics function) or the SeriesDivergenceError that refuses it.
-    Runs inside _series_chunk's errstate.
+    (-1)^n / n!.  Returns (entries, sums, terms, mk): per row its price or
+    the SeriesDivergenceError that refuses it, the block's (row, m, n)
+    terms and their partial sums over m, and per row the count mk of
+    m-slices its sum took.
 
     The terms are (row, m, n) arrays of the first m-slices, m being the
     monotone direction.  They double from 16 slices up to
@@ -289,7 +279,7 @@ def _series_block(rows, alpha, mu, band, coef_n, rg, bp):
     """
     A, pref, blowup = np.array(
         [(-inp.log_fwd - mu[j] * inp.tau, inp.strike * inp.discount / alpha[j],
-          1e4 * (inp.spot + inp.strike)) for j, _, inp in rows]).T
+          1e4 * (inp.spot + inp.strike)) for j, inp in rows]).T
     # one group's factors broadcast over its rows (which come group by
     # group); several are gathered
     group = (rows[0][0] if rows[0][0] == rows[-1][0]
@@ -327,7 +317,7 @@ def _series_block(rows, alpha, mu, band, coef_n, rg, bp):
     total, noise, n_tail = (x[last].tolist() for x in (sums, noise, n_tail))
 
     out = []
-    for k, ((j, index, inp), (blow, stop, grow, mk)) in enumerate(
+    for k, ((j, inp), (blow, stop, grow, count)) in enumerate(
             zip(rows, zip(*(x.tolist() for x in (blow, stop, grow, mk))))):
         # A converged m-recursion still leaves two silent failure modes:
         # alternating terms much larger than the sum (float cancellation
@@ -342,11 +332,11 @@ def _series_block(rows, alpha, mu, band, coef_n, rg, bp):
         upper = inp.spot * x
         lower = max(upper - inp.strike * inp.discount, 0.0)
         pad = 1e-6 * (inp.spot + inp.strike)
-        if mk == blow and not np.isfinite(coef[k]).all():
+        if count == blow and not np.isfinite(coef[k]).all():
             entry = SeriesDivergenceError("coef_overflow", (
                 f"series coefficients A^n/n! overflow at |A|={abs(A[k]):.3g}; "
                 "the series is outside its validity domain"))
-        elif mk == blow:
+        elif count == blow:
             entry = SeriesDivergenceError("blowup", (
                 f"series slice magnitude {s[k, blow - 1]:.3g} at m={blow} "
                 "exceeds any arbitrage bound; the series is outside its "
@@ -354,7 +344,7 @@ def _series_block(rows, alpha, mu, band, coef_n, rg, bp):
         elif min(stop, grow) > size:
             entry = SeriesDivergenceError("unsettled", (
                 f"series slices did not settle within m_max={size}"))
-        elif mk != stop:
+        elif count != stop:
             entry = SeriesDivergenceError("growth", (
                 f"series slices grew for 5 consecutive m (last |slice|="
                 f"{abs_s[k, grow - 1]:.3g}); no convergence"))
@@ -373,20 +363,9 @@ def _series_block(rows, alpha, mu, band, coef_n, rg, bp):
                 f"arbitrage band [{lower:.6g}, {upper:.6g}]; the series is "
                 "outside its validity domain"))
         else:
-            entry = total[k], partial(_diagnostics, sums, terms, k, mk)
-        out.append((index, entry))
-    return out
-
-
-def _diagnostics(sums, terms, k, mk):
-    """SeriesDiagnostics of row k's sum over its first mk m-slices, from
-    its block's partial sums over m and its (row, m, n) terms."""
-    used = terms[k, :mk]
-    # rows and slice sums are added in sequence, as the series runs in m
-    return SeriesDiagnostics(
-        partial_sums_m=tuple(sums[k, :mk].tolist()),
-        partial_sums_n=tuple(np.cumsum(np.cumsum(used, axis=0)[-1])),
-        terms_used=used.size, converged=True)
+            entry = total[k]
+        out.append(entry)
+    return out, sums, terms, mk
 
 
 def dfrac_call_series(params, inputs):
@@ -398,11 +377,15 @@ def dfrac_call_series(params, inputs):
     if inputs.strike <= 0.0:
         raise ValidationError("strike_positive",
                               "series price requires strike > 0")
-    (_, result), = _series_grid([(0, params, inputs)])
-    if isinstance(result, Exception):
-        raise result
-    value, diagnostics = result
-    return value, diagnostics()
+    (_, (value,), sums, terms, mk), = _series_grid([(params, inputs)])
+    if isinstance(value, Exception):
+        raise value
+    used = terms[0, :mk[0]]
+    # rows and slice sums are added in sequence, as the series runs in m
+    return value, SeriesDiagnostics(
+        partial_sums_m=tuple(sums[0, :mk[0]].tolist()),
+        partial_sums_n=tuple(np.cumsum(np.cumsum(used, axis=0)[-1]).tolist()),
+        terms_used=used.size, converged=True)
 
 
 def _floor_put(put, inputs):
@@ -440,10 +423,12 @@ def price_grid(cells, fallback=False):
     cells = list(cells)
     bs, put = ModelKind.BLACK_SCHOLES, OptionKind.PUT
     values = [None] * len(cells)
-    for k, entry in _series_grid([(k, p, inp) for k, (p, inp) in
-                                  enumerate(cells)
-                                  if p.kind is not bs and inp.strike > 0.0]):
-        values[k] = entry[0] if isinstance(entry, tuple) else entry
+    series = [k for k, (p, inp) in enumerate(cells)
+              if p.kind is not bs and inp.strike > 0.0]
+    for positions, entries, *_ in _series_grid([cells[k] for k in series]):
+        for k, entry in zip(positions, entries):
+            values[series[k]] = entry
+        del _           # the block's arrays: freed before the next is summed
     for k, (params, inp) in enumerate(cells):
         value = (_attempt(bs_call, inp, params.sigma) if params.kind is bs
                  else values[k])

@@ -13,7 +13,10 @@ from fracprice.pricing import PricingInputs, price
 
 
 def run(capsys, *argv):
-    rc = main(list(argv))
+    try:
+        rc = main(list(argv))
+    except SystemExit as e:       # argparse refuses a usage error
+        rc = e.code
     out = capsys.readouterr()
     return rc, out.out, out.err
 
@@ -243,9 +246,14 @@ def test_calibrate_labeled_output(tmp_path, capsys):
 
 
 def test_figures_unknown_id(tmp_path, capsys):
-    rc, _, err = run(capsys, "figures", "fig99", "--out", str(tmp_path))
-    assert rc == 2
-    assert "fig99" in err
+    """There is no fig2: the parser refuses it with its error line, before
+    anything is created under --out."""
+    out_dir = tmp_path / "figures"
+    rc, out, err = run(capsys, "figures", "fig2", "--out", str(out_dir))
+    assert (rc, out) == (2, "")
+    assert "error: argument figure_id: invalid choice: 'fig2'" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_figures_fig3_deterministic(tmp_path, capsys):
@@ -336,6 +344,17 @@ def test_chain_missing_exit_3(capsys, argv):
                        "--tau", "1")
     assert (rc, out) == (3, "")
     assert err == "error: either a chain file or --fixture is required\n"
+
+
+@pytest.mark.parametrize("argv", [("smile",),
+                                  ("calibrate", "--model", "bs")])
+def test_chain_file_and_fixture_exit_2(tmp_path, capsys, argv):
+    """A chain file given with --fixture is refused, not ignored."""
+    f = tmp_path / "chain.csv"
+    f.write_text("kind,strike,price\ncall,100.0,8.0\n", encoding="utf-8")
+    rc, out, err = run(capsys, argv[0], str(f), "--fixture", *argv[1:])
+    assert (rc, out) == (2, "")
+    assert err == "error: give a chain file or --fixture, not both\n"
 
 
 @pytest.mark.parametrize("command,missing", [

@@ -155,6 +155,13 @@ def test_series_partial_sum_shapes():
                                                     rel=1e-10)
 
 
+def test_series_partial_sums_are_plain_floats():
+    """Both partial-sum tuples hold Python floats, not numpy scalars."""
+    _, diag = dfrac_call_series(FIG3_PARAMS, FIG3_INPUTS)
+    assert all(type(x) is float for x in diag.partial_sums_m)
+    assert all(type(x) is float for x in diag.partial_sums_n)
+
+
 def test_series_m_sums_monotone_n_sums_oscillate():
     _, diag = dfrac_call_series(FIG3_PARAMS, FIG3_INPUTS)
     ms = np.array(diag.partial_sums_m)
@@ -478,7 +485,8 @@ def test_band_mean_factor_overflow_code(monkeypatch):
 def test_series_diagonal_factors_once_per_chain(monkeypatch):
     """The kernel evaluates 1/Gamma once per chain, on its m_max + n_max
     diagonals n - m (not per (m, n) term of each block), and each chain
-    entry's lazily built diagnostics equal its chain of one's."""
+    row's price and the partial sums of its block's row equal its chain of
+    one's."""
     chain = list(sampledata.fixture_chain().inputs)
     sizes = []
     real = pricing.reciprocal_gamma
@@ -495,20 +503,23 @@ def test_series_diagonal_factors_once_per_chain(monkeypatch):
         sizes.clear()
         values = price_chain(params, chain)
         assert sizes and max(sizes) <= bound
-        found = dict(pricing._series_grid(
-            [(k, params, inp) for k, inp in enumerate(chain)]))
-        entries = [found[k] for k in range(len(chain))]
-        assert any(isinstance(e, tuple) for e in entries)
-        for value, entry, inp in zip(values, entries, chain):
+        found = {}
+        for positions, entries, sums, terms, mk in pricing._series_grid(
+                [(params, inp) for inp in chain]):
+            for i, k in enumerate(positions):
+                found[k] = (entries[i], sums[i, :mk[i]], terms[i, :mk[i]])
+        rows = [found[k] for k in range(len(chain))]
+        assert any(isinstance(e, float) for e, _, _ in rows)
+        for value, (entry, sums, terms), inp in zip(values, rows, chain):
             if isinstance(entry, Exception):
                 assert _entry(entry) == _entry(value)
                 continue
             price_alone, alone = dfrac_call_series(params, inp)
-            d = entry[1]()
-            assert entry[0] == price_alone
-            assert d.partial_sums_m == alone.partial_sums_m
-            assert d.partial_sums_n == alone.partial_sums_n
-            assert d.terms_used == alone.terms_used
+            assert entry == price_alone
+            assert tuple(sums.tolist()) == alone.partial_sums_m
+            assert (tuple(np.cumsum(np.cumsum(terms, axis=0)[-1]).tolist())
+                    == alone.partial_sums_n)
+            assert terms.size == alone.terms_used
 
 
 def test_series_exhausted_m_max_raises(monkeypatch, capsys):
