@@ -9,7 +9,7 @@ from .numerics import (ContourSpec, FracpriceError, GreenDensityQuery,
                        reciprocal_gamma, reference_price)
 from .pricing import (OptionKind, ParityError, PricingInputs,
                       SeriesDiagnostics, SeriesDivergenceError, bs_call,
-                      dfrac_call_series, price, price_chain, put_from_parity)
+                      dfrac_call_series, price, price_grid, put_from_parity)
 from .volatility import (ImpliedVolResult, InversionError, SmilePoint,
                          atm_bs_implied, atm_fbs_implied, build_smile,
                          implied_vol)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .model import ModelKind, ModelParams, ValidationError
 from .numerics import FracpriceError
-from .pricing import PricingInputs, price_chain
+from .pricing import PricingInputs, price_grid
 
 
 class CalibrationError(FracpriceError):
@@ -74,11 +74,11 @@ class CalibrationResult:
 
 
 def _quote_errors(params, chain, penalties):
-    """|model - market| per quote, the chain priced by one price_chain call.
+    """|model - market| per quote, the chain priced by one price_grid call.
     A quote the model refuses costs a large finite penalty (10x the summed
     market prices) and is counted in the Counter penalties."""
     penalty = 10.0 * sum(p for _, _, p in chain.quotes)
-    values = price_chain(params, chain.inputs)
+    values = price_grid([(params, inp) for inp in chain.inputs])
     errs = []
     for value, (_, _, market) in zip(values, chain.quotes):
         if isinstance(value, Exception):

@@ -609,11 +609,6 @@ def _tail_masses(Ys, ctx, ell, heavy):
     return out
 
 
-def _tail_mass(Y, ctx, ell, heavy):
-    """_tail_masses at a single Y, as a float."""
-    return float(_tail_masses([Y], ctx, ell, heavy)[0])
-
-
 # ----------------------------------------------------------------------
 # reference pricer (quadrature against the Green density)
 # ----------------------------------------------------------------------
@@ -862,7 +857,8 @@ def reference_price(params, inputs):
             ys, ws = _geometric_panels(-ylo, ystar, ell)
             g = _density_batch(ys, ctx, ell)
             body = float((-K * np.expm1(ys - ystar) * g) @ ws)
-            put = disc * (body + K * _tail_mass(ylo, ctx, ell, True))
+            put = disc * (body + K * float(
+                _tail_masses([ylo], ctx, ell, True)[0]))
         c = put + (upper - K * disc)
     # outside the series' band, its pad widened by 1e-9 S X for values far
     # above S, a call is quadrature noise

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 
 import numpy as np
 import scipy  # subpackages load on first use: keep them off the import path
@@ -442,19 +441,6 @@ def price_grid(cells, fallback=False):
         else:
             values[k] = value
     return values
-
-
-def price_chain(params, chain, fallback=False):
-    """Price PricingInputs sharing (spot, rate, tau) under one params:
-    price_grid of a grid sharing params, whose series cells are one
-    parameter group.  Inputs that do not share them raise ValidationError
-    (code chain_terms)."""
-    terms = {(inp.spot, inp.rate, inp.tau) for inp in chain}
-    if len(terms) > 1:
-        raise ValidationError(
-            "chain_terms", f"chain inputs must share (spot, rate, tau); "
-            f"got {len(terms)} different")
-    return price_grid(zip(repeat(params), chain), fallback)
 
 
 def price(params, inputs, fallback=False):

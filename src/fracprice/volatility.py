@@ -44,7 +44,8 @@ class SmilePoint:
 def implied_vol(pricer, market_price, x0=None):
     """Invert a monotone price(sigma) function by bracketed Newton on BRACKET,
     to 1e-11 * max(1, market_price) in price; a market price that is not
-    finite is refused.
+    finite is refused, and so is a pricer value that is not finite or a
+    bracket that collapses on no root (a pricer that jumps over the price).
 
     The derivative is a central finite difference with step 1e-4*sigma;
     whenever the Newton step leaves the bracket (or the slope degenerates)
@@ -58,16 +59,27 @@ def implied_vol(pricer, market_price, x0=None):
 
     def _endpoint(sig, factor):
         # Truncated-series pricers can fail near sigma=0 (vanishing scale
-        # parameter); pull the endpoint inward until the pricer evaluates.
+        # parameter); pull the endpoint inward until the pricer evaluates
+        # to a finite value.
         for _ in range(8):
             try:
-                return sig, pricer(sig) - market_price
+                f = pricer(sig) - market_price
             except (ArithmeticError, ValueError):
-                sig *= factor
-                if not BRACKET[0] <= sig <= BRACKET[1]:
-                    break
+                f = math.nan
+            if math.isfinite(f):
+                return sig, f
+            sig *= factor
+            if not BRACKET[0] <= sig <= BRACKET[1]:
+                break
         raise InversionError("pricer_failed",
                              "pricer not evaluable on the bracket")
+
+    def _residual(sig):
+        f = pricer(sig) - market_price
+        if not math.isfinite(f):
+            raise InversionError("pricer_value",
+                                 f"pricer value not finite at sigma={sig}")
+        return f
 
     lo, f_lo = _endpoint(lo, 8.0)
     hi, f_hi = _endpoint(hi, 0.5)
@@ -86,7 +98,7 @@ def implied_vol(pricer, market_price, x0=None):
         return ImpliedVolResult(hi, 0, abs(f_hi))
     sig = x0 if (x0 is not None and lo < x0 < hi) else math.sqrt(lo * hi)
     for it in range(1, MAX_ITER + 1):
-        f = pricer(sig) - market_price
+        f = _residual(sig)
         if abs(f) <= tol:
             return ImpliedVolResult(sig, it, abs(f))
         if f > 0:
@@ -104,8 +116,12 @@ def implied_vol(pricer, market_price, x0=None):
             step = math.nan
         sig = step if lo < step < hi else 0.5 * (lo + hi)
         if hi - lo < 1e-14 * max(1.0, sig):
-            f = pricer(sig) - market_price
-            return ImpliedVolResult(sig, it, abs(f))
+            f = _residual(sig)
+            if abs(f) <= tol:
+                return ImpliedVolResult(sig, it, abs(f))
+            raise InversionError(
+                "no_root", f"bracket collapsed at sigma={sig} on a price "
+                f"residual of {f:.3g}: the pricer has no root there")
     raise InversionError("max_iterations",
                          f"no convergence in {MAX_ITER} iterations")
 

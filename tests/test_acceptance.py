@@ -16,7 +16,7 @@ from fracprice.model import (ModelKind, ModelParams, ValidationError, mu_levy,
                              mu_gamma_mb, mu_gamma_series, validate)
 from fracprice.numerics import (GreenDensityQuery, NumericsError,
                                 _density_batch, _gauss_panels,
-                                _GreenContext, _tail_mass, reciprocal_gamma,
+                                _GreenContext, _tail_masses, reciprocal_gamma,
                                 reference_price)
 from fracprice.pricing import (OptionKind, PricingInputs, bs_call,
                                dfrac_call_series, price, put_from_parity)
@@ -274,7 +274,8 @@ def _direct_put(params, inputs):
     ys, ws = _fine_ladder(-ylo, ystar, ell)
     body = float(((K - fwd * np.exp(ys))
                   * _density_batch(ys, ctx, ell)) @ ws)
-    return inputs.discount * (body + K * _tail_mass(ylo, ctx, ell, True))
+    return inputs.discount * (
+        body + K * float(_tail_masses([ylo], ctx, ell, True)[0]))
 
 
 def _band_holds(params, inputs, X):
@@ -344,8 +345,8 @@ def test_criterion_9_property_suite():
         total = float(_density_batch(xs, ctx, ell) @ ws
                       + _density_batch(-xs, ctx, ell) @ ws)
         Y = float(edges[-1])
-        total += (_tail_mass(Y, ctx, ell, True)
-                  + _tail_mass(Y, ctx, ell, False))
+        total += (float(_tail_masses([Y], ctx, ell, True)[0])
+                  + float(_tail_masses([Y], ctx, ell, False)[0]))
         norm_gap = max(norm_gap, abs(total - 1.0))
     norm_ok = norm_gap <= 1e-6
 

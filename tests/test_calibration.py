@@ -130,24 +130,30 @@ FIXTURE_FITS = [
 def test_calibrate_fixture_frozen(monkeypatch, kind, seeds, evaluations,
                                   params, errors, penalties):
     """Pricing the chain in one call moves no fitted digit, and the
-    penalties are the exceptions the pricer returned, by class and code."""
+    penalties are the exceptions the pricer returned, by class and code.
+    Each objective evaluation, and the final re-pricing, is one price_grid
+    call over the whole chain."""
     from fracprice import calibration, sampledata
     returned = Counter()
-    real = calibration.price_chain
+    sizes = []
+    real = calibration.price_grid
 
     def spy(*args):
         out = real(*args)
+        sizes.append(len(out))
         returned.update(f"{type(v).__name__}:{v.code}" for v in out
                         if isinstance(v, Exception))
         return out
 
-    monkeypatch.setattr(calibration, "price_chain", spy)
-    res = calibrate(sampledata.fixture_chain(), kind, seeds=seeds)
+    monkeypatch.setattr(calibration, "price_grid", spy)
+    chain = sampledata.fixture_chain()
+    res = calibrate(chain, kind, seeds=seeds)
     assert res.evaluations == evaluations
     assert (res.params.alpha, res.params.gamma, res.params.sigma) == params
     assert res.per_quote_errors == errors
     assert res.aggregated_error == sum(errors)
     assert res.penalties == penalties == dict(returned)
+    assert sizes == [len(chain.quotes)] * (evaluations + 1)
 
 
 def test_penalties_keyed_by_code():

@@ -17,7 +17,7 @@ from fracprice.numerics import (FracpriceError, NonConvergenceError,
                                 reference_price)
 from fracprice.pricing import (ACCURACY_FLOOR, OptionKind, PricingInputs,
                                SeriesDivergenceError, _band_bounds, bs_call,
-                               dfrac_call_series, price, price_chain)
+                               dfrac_call_series, price, price_grid)
 from fracprice.volatility import (_fbs_call, atm_bs_implied, atm_fbs_implied,
                                   build_smile, implied_vol)
 
@@ -344,7 +344,7 @@ def _contract(params, inputs, thunk, floor=True):
 
 
 def _raised(entry):
-    """A price_chain entry as price() gives it: the float, or raised."""
+    """A price_grid entry as price() gives it: the float, or raised."""
     if isinstance(entry, Exception):
         raise entry
     return entry
@@ -372,7 +372,7 @@ def test_entry_points_price_in_band_or_typed_error(params, tau, strike, rate,
         return
     _contract(params, inputs, lambda: price(params, inputs, fallback=fallback))
     chain = [inputs, PricingInputs(100.0, 100.0, rate, tau)]
-    for inp, entry in zip(chain, price_chain(params, chain)):
+    for inp, entry in zip(chain, price_grid([(params, c) for c in chain])):
         _contract(params, inp, lambda: _raised(entry))
     if not fallback:        # price(fallback=True) integrates the refusals
         _contract(params, inputs, lambda: reference_price(params, inputs),

@@ -11,8 +11,8 @@ from fracprice import numerics, pricing, sampledata
 from fracprice.model import ModelParams, ValidationError, risk_neutral
 from fracprice.pricing import (OptionKind, ParityError, PricingInputs,
                                SeriesDivergenceError, _band_bounds, bs_call,
-                               dfrac_call_series, price, price_chain,
-                               price_grid, put_from_parity)
+                               dfrac_call_series, price, price_grid,
+                               put_from_parity)
 
 FIG3_INPUTS = PricingInputs(3800.0, 4000.0, 0.01, 1.0)
 FIG3_PARAMS = ModelParams.double_fractional(1.7, 0.9, 0.2)
@@ -465,7 +465,7 @@ def test_series_refusal_codes(params, strike, tau, code, reason):
     with pytest.raises(SeriesDivergenceError, match=reason) as exc:
         dfrac_call_series(params, inp)
     assert exc.value.code == code
-    entry, = price_chain(params, [inp])
+    entry, = price_grid([(params, inp)])
     assert _entry(entry) == _entry(exc.value)
 
 
@@ -501,7 +501,7 @@ def test_series_diagonal_factors_once_per_chain(monkeypatch):
                    ModelParams.double_fractional(1.52, 1.07, 0.59),
                    ModelParams.fmls(1.51, 0.46)):
         sizes.clear()
-        values = price_chain(params, chain)
+        values = price_grid([(params, inp) for inp in chain])
         assert sizes and max(sizes) <= bound
         found = {}
         for positions, entries, sums, terms, mk in pricing._series_grid(
@@ -605,7 +605,7 @@ def test_price_chain_equals_chains_of_one(params, spot, rate, tau, quotes,
               for kind, strike in quotes]
     n_max, m_max = truncation
     with patch.multiple(pricing, SERIES_N_MAX=n_max, SERIES_M_MAX=m_max):
-        chain = price_chain(params, inputs)
+        chain = price_grid([(params, inp) for inp in inputs])
         assert len(chain) == len(quotes)
         for got, inp in zip(chain, inputs):
             assert _entry(got) == _entry(_alone(params, inp))
@@ -619,13 +619,13 @@ def test_price_chain_per_quote_routes():
               ("call", 110.0)]
     inputs = [PricingInputs(100.0, strike, 0.0477, 1.0, kind)
               for kind, strike in quotes]
-    chain = price_chain(params, inputs)
+    chain = price_grid([(params, inp) for inp in inputs])
     assert isinstance(chain[0], SeriesDivergenceError)
     assert "did not settle" in str(chain[0])
     assert ([_entry(v) for v in chain]
             == [_entry(_alone(params, inp)) for inp in inputs])
     # with the quadrature fallback the unsettled call and its put are priced
-    routed = price_chain(params, inputs, fallback=True)
+    routed = price_grid([(params, inp) for inp in inputs], fallback=True)
     assert all(isinstance(v, float) for v in routed)
     assert routed == [price(params, inp, fallback=True) for inp in inputs]
     assert routed[1] == chain[1]
@@ -635,18 +635,7 @@ def test_price_chain_per_quote_routes():
         ModelParams(params.kind, params.alpha, params.gamma, -1.0)
     bad = ModelParams.double_fractional(1.2, 0.6, 5.0)
     assert all(isinstance(v, numerics.NonConvergenceError)
-               for v in price_chain(bad, inputs))
-
-
-def test_price_chain_refuses_inputs_of_different_terms():
-    params = ModelParams.fmls(1.7, 0.2)
-    assert price_chain(params, []) == []
-    for other in (PricingInputs(101.0, 100.0, 0.01, 1.0),
-                  PricingInputs(100.0, 100.0, 0.02, 1.0),
-                  PricingInputs(100.0, 100.0, 0.01, 0.5)):
-        with pytest.raises(ValidationError) as err:
-            price_chain(params, [PricingInputs(100.0, 90.0, 0.01, 1.0), other])
-        assert err.value.code == "chain_terms"
+               for v in price_grid([(bad, inp) for inp in inputs]))
 
 
 def test_fallback_otm_put_is_integrated_directly():
@@ -807,9 +796,9 @@ SCALE_PARAMS = ModelParams.double_fractional(1.7, 1.5, 0.2)
 
 
 def _chain_entry(inputs):
-    """price_chain's entry for the quote, raised if it is an exception; the
-    chain itself must return."""
-    entry, = price_chain(SCALE_PARAMS, [inputs])
+    """The quote's entry in a grid of one, raised if it is an exception; the
+    grid itself must return."""
+    entry, = price_grid([(SCALE_PARAMS, inputs)])
     if isinstance(entry, Exception):
         raise entry
     return entry
@@ -861,8 +850,10 @@ def test_price_grid_is_per_cell_pricing():
     """Every entry of a grid is bitwise its cell priced alone (value, or
     exception class, code and message), with and without the fallback: a
     seeded grid of all three kinds, K = 0, puts, gamma = 1, cells sharing
-    params across spots and maturities, every refusal of the series, a drift
-    that does not converge and a scale beyond the float range."""
+    params across spots, rates and maturities, every refusal of the series,
+    a drift that does not converge and a scale beyond the float range.  An
+    empty grid prices to an empty list."""
+    assert price_grid([]) == []
     rng = np.random.default_rng(22)
     params = [_random_params(rng) for _ in range(24)]
     cells = []
@@ -872,7 +863,8 @@ def test_price_grid_is_per_cell_pricing():
             strike = (0.0 if rng.random() < 0.1
                       else spot * math.exp(rng.uniform(-0.4, 0.4)))
             cells.append((p, PricingInputs(
-                spot, strike, 0.01, float(rng.choice([0.1, 0.5, 1.0])),
+                spot, strike, float(rng.choice([-0.02, 0.0, 0.01, 0.05])),
+                float(rng.choice([0.1, 0.5, 1.0])),
                 "put" if rng.random() < 0.4 else "call")))
     cells += [(p, PricingInputs(100.0, k, 0.01, tau))
               for p, k, tau, _, _ in REFUSALS]
@@ -896,7 +888,7 @@ def test_price_grid_is_per_cell_pricing():
                                   0.592376222348078),
     ModelParams.double_fractional(1.7, 0.8, 0.3)])
 def test_price_chain_is_one_parameter_group(monkeypatch, params):
-    """On the fixture chain, price_chain evaluates mu, the Gamma and B-power
+    """On the fixture chain, price_grid evaluates mu, the Gamma and B-power
     tables and the band's mean factor once each, for one group: what every
     objective evaluation of a fit costs."""
     calls = []
@@ -913,7 +905,8 @@ def test_price_chain_is_one_parameter_group(monkeypatch, params):
     spy(numerics, "log_mean_factor", lambda mu, tau, gamma: len(mu))
     spy(pricing, "reciprocal_gamma", np.shape)
     spy(pricing, "_diagonals", np.shape)     # the Gamma and B-power tables
-    values = price_chain(params, list(sampledata.fixture_chain().inputs))
+    values = price_grid([(params, inp)
+                         for inp in sampledata.fixture_chain().inputs])
     assert any(isinstance(v, float) for v in values)
     table = (1, pricing.SERIES_M_MAX + pricing.SERIES_N_MAX)
     assert calls == [("mu_gamma_series_rows", 1), ("log_mean_factor", 1),

@@ -78,6 +78,37 @@ def test_implied_vol_endpoint_nudging():
     assert res.sigma_I == pytest.approx(0.3, abs=1e-9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_implied_vol_endpoint_pulled_in_past_non_finite_values(bad):
+    """A pricer value that is not finite at an endpoint pulls the endpoint
+    in, as a pricer that raises does."""
+    inp = PricingInputs(100.0, 100.0, 0.0, 1.0)
+    target = bs_call(inp, 0.3)
+    res = implied_vol(lambda s: bad if s < 0.01 else bs_call(inp, s), target)
+    assert res.sigma_I == pytest.approx(0.3, abs=1e-9)
+    assert res.residual <= 1e-11 * max(1.0, target)
+
+
+_HOLED = PricingInputs(100.0, 100.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("pricer, market, code", [
+    # nowhere finite: NaN had bisected to sigma_I = 5.0, residual NaN
+    (lambda s: math.nan, 2.2, "pricer_failed"),
+    (lambda s: math.inf, 2.2, "pricer_failed"),
+    # not finite between finite endpoints: it had been bisected past
+    (lambda s: (math.nan if 0.01 < s < 1.0 else bs_call(_HOLED, s)),
+     bs_call(_HOLED, 0.3), "pricer_value"),
+    # a jump over the price collapses the bracket on the jump, residual
+    # 1.2: it had returned sigma_I = 0.3
+    (lambda s: 1.0 if s < 0.3 else 3.0, 2.2, "no_root"),
+], ids=["nan", "inf", "nan_inside", "jump"])
+def test_implied_vol_refuses_a_vol_it_cannot_certify(pricer, market, code):
+    with pytest.raises(InversionError) as exc:
+        implied_vol(pricer, market)
+    assert exc.value.code == code
+
+
 def test_atm_bs_implied_frozen():
     # sigma = (C/S) sqrt(2 pi / tau)
     assert atm_bs_implied(10.0, 100.0, 1.0) == pytest.approx(
