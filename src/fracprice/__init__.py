@@ -3,9 +3,8 @@
 from .model import (ModelKind, ModelParams, RiskNeutralParam, ValidationError,
                     mu_gamma_approx, mu_gamma_mb, mu_gamma_series, mu_levy,
                     risk_neutral, validate)
-from .numerics import (ContourSpec, FracpriceError, GreenDensityQuery,
-                       NonConvergenceError, NumericsError, green_density,
-                       green_scale, mb_line_integral, normal_cdf,
+from .numerics import (FracpriceError, NonConvergenceError, NumericsError,
+                       green_density, green_scale, normal_cdf,
                        reciprocal_gamma, reference_price)
 from .pricing import (OptionKind, ParityError, PricingInputs,
                       SeriesDiagnostics, SeriesDivergenceError, bs_call,

@@ -147,8 +147,9 @@ def calibrate(chain, kind, seeds=None):
         raise CalibrationError("chain_size", f"calibration needs at least "
                                f"3 quotes, got {len(chain.quotes)}")
     kind = ModelKind(kind) if not isinstance(kind, ModelKind) else kind
-    if seeds is None:
-        seeds = _default_seeds(kind)
+    seeds = _default_seeds(kind) if seeds is None else tuple(seeds)
+    if not seeds:
+        raise CalibrationError("no_seeds", "calibration needs at least 1 seed")
     free = FREE_PARAMS[kind]
     penalty = 10.0 * sum(p for _, _, p in chain.quotes)
     penalties = Counter()

@@ -1,5 +1,5 @@
 """Special functions, the positive-term Gamma-ratio series behind mu and the
-Mittag-Leffler mean factor, Mellin-Barnes line integration, and the
+Mittag-Leffler mean factor, composite Gauss-Legendre rules, and the
 Green-function quadrature pricer used as the independent cross-check for the
 series engine.
 
@@ -10,7 +10,6 @@ green_density call, passed down explicitly, and dropped when the call returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy  # subpackages load on first use: keep them off the import path
@@ -165,31 +164,8 @@ def log_mean_factor(mu, tau, gamma):
 
 
 # ----------------------------------------------------------------------
-# Mellin-Barnes line integration
+# composite Gauss-Legendre rules
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """A truncated integration line s = c + t*exp(+-i(pi/2 - tilt)), t in (0, L].
-
-    tilt_deg = 0 is the plain vertical line through c.  A positive tilt bends
-    both half-lines symmetrically into the right half-plane, which restores
-    superexponential decay for Gamma-ratio integrands whose vertical-line decay
-    rate is too weak (or negative) to truncate.
-    """
-    abscissa: float
-    half_length: float = 60.0
-    nodes: int = 2048
-    tilt_deg: float = 0.0
-
-    def __post_init__(self):
-        if not self.half_length > 0.0:
-            raise NumericsError("half_length_range", "half_length must be > 0")
-        if self.nodes < 16:
-            raise NumericsError("nodes_range", "nodes must be >= 16")
-        if not 0.0 <= self.tilt_deg < 90.0:
-            raise NumericsError("tilt_range", "tilt_deg must be in [0, 90)")
-
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL24 = np.polynomial.legendre.leggauss(24)
@@ -203,35 +179,6 @@ def _gauss_panels(edges, rule):
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     return (mid + half * xg[None, :]).ravel(), (half * wg[None, :]).ravel()
-
-
-def mb_line_integral(integrand, contour):
-    """(1/2pi i) * integral of `integrand` along the contour.
-
-    The value is recomputed with both half_length and nodes doubled; if the
-    two results differ by more than 1e-9 (relative), the integral has not
-    converged on the requested contour and NonConvergenceError is raised.
-    """
-    c = contour.abscissa
-    beta = math.pi / 2.0 - math.radians(contour.tilt_deg)
-    eu = complex(math.cos(beta), math.sin(beta))     # upper-ray direction
-    el = eu.conjugate()                              # lower-ray direction
-
-    def evaluate(L, n):
-        # 16-point panels, n/2 nodes per half-line
-        ts, ws = _gauss_panels(np.linspace(0.0, L, max(1, n // 32) + 1), _GL16)
-        upper = np.sum(integrand(c + ts * eu) * ws) * eu
-        lower = np.sum(integrand(c + ts * el) * ws) * el
-        # lower ray is traversed from far point up to c: sign flips
-        return (upper - lower) / (2j * math.pi)
-
-    v1 = evaluate(contour.half_length, contour.nodes)
-    v2 = evaluate(2.0 * contour.half_length, 2 * contour.nodes)
-    if abs(v2 - v1) > 1e-9 * max(abs(v2), 1e-300):
-        raise NonConvergenceError(
-            "line_unstable",
-            f"line integral unstable under doubling: {v1} vs {v2}")
-    return complex(v2)
 
 
 # ----------------------------------------------------------------------
@@ -250,28 +197,6 @@ def mb_line_integral(integrand, contour):
 # opposite skew, whose positive-axis representation is the "heavy" ratio.
 # At alpha = 2 the two coincide (symmetric density) and the heavy form is
 # replaced by the thin one analytically to avoid cancelling Gamma pairs.
-
-
-@dataclass(frozen=True)
-class GreenDensityQuery:
-    """Point query for the log-price Green function."""
-    alpha: float
-    gamma: float
-    mu: float
-    x: float
-    tau: float = 1.0
-
-    def __post_init__(self):
-        if not 1.0 < self.alpha <= 2.0:
-            raise NumericsError("alpha_range", "alpha must be in (1, 2]")
-        if not 0.0 < self.gamma <= self.alpha:
-            raise NumericsError("gamma_range", "gamma must be in (0, alpha]")
-        if not self.mu < 0.0:
-            raise NumericsError("mu_negative", "mu must be < 0")
-        if not self.tau > 0.0:
-            raise NumericsError("tau_positive", "tau must be > 0")
-        if not math.isfinite(self.x):
-            raise NumericsError("x_finite", "x must be finite")
 
 
 def _mellin_log_ratio(t, alpha, gamma, heavy):
@@ -552,8 +477,10 @@ def _density_batch(xs, ctx, ell):
     return out
 
 
-def green_density(query):
-    """Density of the log-price Green function at query.x (x != 0).
+def green_density(alpha, gamma, mu, x, tau=1.0):
+    """Density of the log-price Green function at x (x != 0), for stability
+    alpha in (1, 2], gamma in (0, alpha], drift mu < 0 and maturity tau > 0;
+    NumericsError otherwise.
 
     Negative x is handled by the reflection rule: the value at -x equals the
     density with mirrored asymmetry evaluated at +x, which is what the heavy
@@ -563,17 +490,26 @@ def green_density(query):
     finite value at the origin (the error is ~3e-10 there and grows without
     bound as x -> 0), so such a point is refused.
     """
-    if query.x == 0.0:
+    if not 1.0 < alpha <= 2.0:
+        raise NumericsError("alpha_range", "alpha must be in (1, 2]")
+    if not 0.0 < gamma <= alpha:
+        raise NumericsError("gamma_range", "gamma must be in (0, alpha]")
+    if not mu < 0.0:
+        raise NumericsError("mu_negative", "mu must be < 0")
+    if not tau > 0.0:
+        raise NumericsError("tau_positive", "tau must be > 0")
+    if not math.isfinite(x):
+        raise NumericsError("x_finite", "x must be finite")
+    if x == 0.0:
         raise NumericsError("density_origin",
                             "density evaluation requires x != 0")
-    ell = green_scale(query.mu, query.tau, query.gamma) ** (1.0 / query.alpha)
-    if abs(query.x) < 1e-12 * ell:
+    ell = green_scale(mu, tau, gamma) ** (1.0 / alpha)
+    if abs(x) < 1e-12 * ell:
         raise NumericsError(
             "density_near_origin",
-            f"density at |x| = {abs(query.x):.3g} below 1e-12 times the "
+            f"density at |x| = {abs(x):.3g} below 1e-12 times the "
             f"scale {ell:.6g} is lost to cancellation")
-    return float(_density_batch(np.array([query.x]),
-                                _GreenContext(query.alpha, query.gamma),
+    return float(_density_batch(np.array([x]), _GreenContext(alpha, gamma),
                                 ell)[0])
 
 

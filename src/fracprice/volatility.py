@@ -128,9 +128,11 @@ def implied_vol(pricer, market_price, x0=None):
 
 def _check_atm_quote(call_price, spot, tau, strike, rate):
     """Refuse a quote that is not ATM-forward or priced outside (0, spot),
-    and a tau that is not finite and positive."""
+    and a tau or spot that is not finite and positive."""
     if not 0.0 < tau < math.inf:
         raise InversionError("tau_range", f"tau={tau} must be finite and > 0")
+    if not 0.0 < spot < math.inf:
+        raise InversionError("spot_range", f"spot={spot} must be finite and > 0")
     if strike is not None and rate is not None:
         try:
             fwd_strike = strike * math.exp(-rate * tau)

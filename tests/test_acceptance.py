@@ -14,9 +14,9 @@ from scipy.special import gammaln
 from fracprice.calibration import QuoteChain, calibrate
 from fracprice.model import (ModelKind, ModelParams, ValidationError, mu_levy,
                              mu_gamma_mb, mu_gamma_series, validate)
-from fracprice.numerics import (GreenDensityQuery, NumericsError,
-                                _density_batch, _gauss_panels,
-                                _GreenContext, _tail_masses, reciprocal_gamma,
+from fracprice.numerics import (NumericsError, _density_batch,
+                                _gauss_panels, _GreenContext, _tail_masses,
+                                green_density, reciprocal_gamma,
                                 reference_price)
 from fracprice.pricing import (OptionKind, PricingInputs, bs_call,
                                dfrac_call_series, price, put_from_parity)
@@ -390,10 +390,10 @@ def test_criterion_9_property_suite():
         except ValidationError as e:
             if e.code != code:
                 rejected.append(f"{code}: got {e.code}")
-    for thunk in (lambda: GreenDensityQuery(0.9, 0.5, -0.1, 0.3),
-                  lambda: GreenDensityQuery(1.7, 1.8, -0.1, 0.3),
-                  lambda: GreenDensityQuery(1.7, 0.9, 0.1, 0.3),
-                  lambda: GreenDensityQuery(1.7, 0.9, -0.1, 0.3, tau=0.0)):
+    for thunk in (lambda: green_density(0.9, 0.5, -0.1, 0.3),
+                  lambda: green_density(1.7, 1.8, -0.1, 0.3),
+                  lambda: green_density(1.7, 0.9, 0.1, 0.3),
+                  lambda: green_density(1.7, 0.9, -0.1, 0.3, tau=0.0)):
         try:
             thunk()
             rejected.append("density query: accepted")

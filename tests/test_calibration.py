@@ -173,6 +173,18 @@ def test_penalties_keyed_by_code():
     assert counts == {"NonConvergenceError:series_terms": 3}
 
 
+@pytest.mark.parametrize("seeds", [(), [], iter(())],
+                         ids=["tuple", "list", "iterator"])
+def test_calibrate_refuses_no_seeds(monkeypatch, seeds):
+    """An empty seed sequence raised a bare AttributeError after the (empty)
+    descent loop; it is refused before any descent runs."""
+    from fracprice import calibration, sampledata
+    monkeypatch.setattr(calibration, "price_grid", None)   # nothing is priced
+    with pytest.raises(CalibrationError) as err:
+        calibrate(sampledata.fixture_chain(), ModelKind.FMLS, seeds=seeds)
+    assert err.value.code == "no_seeds"
+
+
 @pytest.mark.parametrize("spot,rate,strike,code", [
     (100.0, math.nan, 100.0, "rate_finite"),
     (100.0, math.inf, 100.0, "rate_finite"),

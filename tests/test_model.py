@@ -102,6 +102,20 @@ def test_mu_gamma_series_vs_contour():
                     mu_gamma_series(p).mu, abs=1e-10)
 
 
+@pytest.mark.parametrize("alpha,gamma,frozen", [
+    (1.7, 0.9, "-0.04613473307653352"),
+    (1.5, 0.4, "-0.1221213669404826"),
+    (2.0, 1.8, "-0.002985423296615166"),
+    (1.2, 0.3, "-0.49804161233480854"),
+    (1.7, 1.5, "-0.017648413235948297"),
+    (1.7, 1.0, "-0.04036403854693695")])
+def test_mu_gamma_mb_frozen_bits(alpha, gamma, frozen):
+    """The contour drift at sigma = 0.2, to the last bit: its line (the
+    abscissa, tilt, lengths and nodes) and the order of its arithmetic are
+    fixed."""
+    assert repr(mu_gamma_mb(dfrac(alpha, gamma, 0.2))) == frozen
+
+
 def test_mu_gamma_approx_frozen():
     assert mu_gamma_approx(dfrac(2.0, 0.9, 0.2)) == pytest.approx(
         -0.0238593616451, abs=1e-12)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc, gammaln, loggamma
+from scipy.special import erfc, gammaln
 
 from fracprice import model, numerics
-from fracprice.numerics import (_GL24, ContourSpec,
-                                GreenDensityQuery, NonConvergenceError,
+from fracprice.numerics import (_GL24, NonConvergenceError,
                                 NumericsError, _analytic_strip,
                                 _density_batch, _gauss_panels,
                                 _GreenContext, _line_set,
@@ -18,7 +17,7 @@ from fracprice.numerics import (_GL24, ContourSpec,
                                 _saddle_scans, _tail_masses,
                                 green_density, green_scale, log_gamma_series,
                                 log_mean_factor, log_mittag_leffler,
-                                mb_line_integral, normal_cdf,
+                                normal_cdf,
                                 reciprocal_gamma, reference_price)
 from fracprice.model import ModelParams, RiskNeutralParam, risk_neutral
 from fracprice.pricing import PricingInputs, OptionKind, bs_call
@@ -44,44 +43,15 @@ def test_normal_cdf_symmetry(x):
     assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_contour_spec_validation():
-    with pytest.raises(NumericsError):
-        ContourSpec(abscissa=0.5, half_length=0.0)
-    with pytest.raises(NumericsError):
-        ContourSpec(abscissa=0.5, nodes=8)
-    with pytest.raises(NumericsError):
-        ContourSpec(abscissa=0.5, tilt_deg=90.0)
-
-
-@pytest.mark.parametrize("x", [1.0, 2.5])
-def test_mb_cahen_mellin(x):
-    """(1/2pi i) int Gamma(s) x^-s ds = e^-x on any abscissa c > 0."""
-    spec = ContourSpec(abscissa=0.75, half_length=40.0, nodes=1024)
-    v = mb_line_integral(lambda s: np.exp(loggamma(s) - s * math.log(x)), spec)
-    assert abs(v.imag) < 1e-12
-    assert v.real == pytest.approx(math.exp(-x), rel=1e-10)
-
-
-@pytest.mark.parametrize("tilt", [0.0, 60.0])
-def test_mb_beta_kernel_wedge(tilt):
-    """inverse Mellin of pi/sin(pi s) at x=1/2 is 1/(1+x) = 2/3, and the
-    value is path-independent across tilted contours that stay in the strip
-    of decay."""
-    x = 0.5
-    spec = ContourSpec(abscissa=0.5, half_length=25.0, nodes=2048,
-                       tilt_deg=tilt)
-    v = mb_line_integral(
-        lambda s: np.exp(loggamma(s) + loggamma(1.0 - s) - s * math.log(x)),
-        spec)
-    assert abs(v.imag) < 1e-11
-    assert v.real == pytest.approx(2.0 / 3.0, rel=1e-10)
-
-
 def test_mb_non_convergence():
-    # a non-decaying integrand changes when the line is lengthened
-    spec = ContourSpec(abscissa=0.5, half_length=10.0, nodes=256)
-    with pytest.raises(NonConvergenceError):
-        mb_line_integral(lambda s: np.ones_like(s), spec)
+    """Near gamma = 1 - 1/alpha the contour drift's integrand decays too
+    slowly on its line for the value to survive doubling the line's length
+    and nodes, and it is refused; the series still sums."""
+    p = ModelParams.double_fractional(1.1, 0.2, 0.2)
+    with pytest.raises(NonConvergenceError) as exc:
+        model.mu_gamma_mb(p)
+    assert exc.value.code == "line_unstable"
+    assert repr(model.mu_gamma_series(p).mu) == "-1.9580355229566428"
 
 
 def test_green_density_gaussian_limit():
@@ -89,31 +59,36 @@ def test_green_density_gaussian_limit():
     mu, tau = -0.02, 1.0
     var = 2.0 * (-mu) * tau
     for x in (0.05, 0.1, 0.3, -0.7, 1.0):
-        g = green_density(GreenDensityQuery(2.0, 1.0, mu, x, tau))
+        g = green_density(2.0, 1.0, mu, x, tau)
         ref = math.exp(-x * x / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
         assert g == pytest.approx(ref, rel=1e-9)
 
 
 def test_green_density_frozen_point():
-    g = green_density(GreenDensityQuery(2.0, 1.0, -0.02, 0.1, 1.0))
+    g = green_density(2.0, 1.0, -0.02, 0.1, 1.0)
     assert g == pytest.approx(1.7603266338214987, rel=1e-10)
 
 
 def test_green_density_query_validation():
-    with pytest.raises(NumericsError):
-        GreenDensityQuery(2.5, 1.0, -0.02, 0.1, 1.0)
-    with pytest.raises(NumericsError):
-        GreenDensityQuery(1.5, 1.6, -0.02, 0.1, 1.0)   # gamma > alpha
-    with pytest.raises(NumericsError):
-        GreenDensityQuery(1.5, 1.0, 0.02, 0.1, 1.0)    # mu must be < 0
-    with pytest.raises(NumericsError):
-        GreenDensityQuery(1.5, 1.0, -0.02, 0.1, -1.0)  # tau must be > 0
+    """The arguments are checked in order, each before the point's own
+    refusals (x = 0 is density_origin once the arguments pass)."""
+    for args, code in (((2.5, 1.0, -0.02, 0.1, 1.0), "alpha_range"),
+                       ((1.5, 1.6, -0.02, 0.1, 1.0), "gamma_range"),
+                       ((1.5, 1.0, 0.02, 0.1, 1.0), "mu_negative"),
+                       ((1.5, 1.0, -0.02, 0.1, -1.0), "tau_positive"),
+                       ((2.5, 1.6, 0.02, 0.0, -1.0), "alpha_range"),
+                       ((1.5, 1.0, 0.02, math.nan, -1.0), "mu_negative"),
+                       ((1.5, 1.0, -0.02, 0.0, -1.0), "tau_positive"),
+                       ((1.5, 1.0, -0.02, 0.0, 1.0), "density_origin")):
+        with pytest.raises(NumericsError) as exc:
+            green_density(*args)
+        assert exc.value.code == code
 
 
 def test_green_density_rejects_gamma_near_alpha():
     # the thin-side contour stops decaying as gamma -> alpha
     with pytest.raises(NonConvergenceError):
-        green_density(GreenDensityQuery(1.5, 1.5, -0.05, 0.3, 1.0))
+        green_density(1.5, 1.5, -0.05, 0.3, 1.0)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
@@ -121,7 +96,7 @@ def test_green_density_query_refuses_non_finite_x(x):
     """x = +-inf raised a bare ValueError inside the batch, and x = nan
     returned 0.0."""
     with pytest.raises(NumericsError) as exc:
-        GreenDensityQuery(2.0, 1.0, -0.1, x, 1.0)
+        green_density(2.0, 1.0, -0.1, x, 1.0)
     assert exc.value.code == "x_finite"
 
 
@@ -137,7 +112,7 @@ def test_green_density_refuses_points_near_the_origin(x, sign):
     1e-100 ell and 1.1e160 at 5e-324.  Below |x| = 1e-12 ell it is
     refused."""
     with pytest.raises(NumericsError) as exc:
-        green_density(GreenDensityQuery(2.0, 1.0, -0.1, sign * x, 1.0))
+        green_density(2.0, 1.0, -0.1, sign * x, 1.0)
     assert exc.value.code == "density_near_origin"
 
 
@@ -146,7 +121,7 @@ def test_green_density_near_the_origin_is_accurate(ratio):
     """Down to |x| = 1e-12 ell the Gaussian limit holds to 5e-10 (3.3e-10
     measured at the threshold itself)."""
     for x in (ratio * ELL_01, -ratio * ELL_01):
-        g = green_density(GreenDensityQuery(2.0, 1.0, -0.1, x, 1.0))
+        g = green_density(2.0, 1.0, -0.1, x, 1.0)
         ref = math.exp(-x * x / 0.4) / math.sqrt(2.0 * math.pi * 0.2)
         assert abs(g - ref) <= 5e-10 * ref
 
@@ -817,8 +792,7 @@ def test_density_batch_over_210_units_of_log_x(alpha, gamma):
     xs = np.concatenate([-ell * np.exp(logX), ell * np.exp(logX)])
     ctx = _GreenContext(alpha, gamma)
     g = _density_batch(xs, ctx, ell)
-    ref = np.array([green_density(GreenDensityQuery(alpha, gamma, mu,
-                                                    float(x), tau))
+    ref = np.array([green_density(alpha, gamma, mu, float(x), tau)
                     for x in xs])
     inside = np.concatenate([
         _saddle_scans(logX, ctx, heavy)[0]
@@ -835,7 +809,7 @@ def test_green_density_positive_in_bulk(tau, x):
         return
     params = ModelParams.double_fractional(1.8, 0.9, 0.25)
     mu = risk_neutral(params).mu
-    g = green_density(GreenDensityQuery(1.8, 0.9, mu, x, tau))
+    g = green_density(1.8, 0.9, mu, x, tau)
     assert g >= 0.0
 
 

@@ -806,8 +806,7 @@ def _chain_entry(inputs):
 
 def _density(tau):
     mu = risk_neutral(SCALE_PARAMS).mu
-    return numerics.green_density(
-        numerics.GreenDensityQuery(1.7, 1.5, mu, 0.1, tau))
+    return numerics.green_density(1.7, 1.5, mu, 0.1, tau)
 
 
 @pytest.mark.parametrize("tau", [1e300, 1e-300])

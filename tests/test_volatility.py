@@ -168,6 +168,21 @@ def test_atm_bs_inputs_are_checked(tau, strike, code):
     assert exc.value.code == code
 
 
+@pytest.mark.parametrize("spot", [math.inf, math.nan, 0.0, -100.0])
+@pytest.mark.parametrize("atm", [
+    lambda spot, **kw: atm_bs_implied(10.0, spot, 1.0, **kw),
+    lambda spot, **kw: atm_fbs_implied(10.0, spot, 1.0, 0.8, **kw)],
+    ids=["bs", "fbs"])
+@pytest.mark.parametrize("forward", [{}, {"strike": math.inf, "rate": 0.0}],
+                         ids=["spot_only", "atm_forward"])
+def test_atm_spot_is_checked(atm, spot, forward):
+    """At spot = inf both inversions returned sigma 0.0, with an infinite
+    ATM-forward strike too (inf <= inf passed the forward check)."""
+    with pytest.raises(InversionError) as exc:
+        atm(spot, **forward)
+    assert exc.value.code == "spot_range"
+
+
 def test_atm_band_guard():
     with pytest.raises(InversionError):
         atm_bs_implied(120.0, 100.0, 1.0)   # call above spot
