@@ -20,7 +20,8 @@ from .calibration import QuoteChain, calibrate
 from .model import (ModelKind, ModelParams, ValidationError, mu_gamma_approx,
                     mu_gamma_mb, mu_gamma_series, mu_gamma_series_rows)
 from .numerics import FracpriceError
-from .pricing import PricingInputs, dfrac_call_series, price, price_grid
+from .pricing import (PricingInputs, _attempt, dfrac_call_series, price,
+                      price_grid)
 from .volatility import atm_fbs_implied, build_smile
 from . import sampledata
 
@@ -32,8 +33,8 @@ class ChainFormatError(FracpriceError):
 
 
 def _fmt(x):
-    """Shortest round-trip decimal; byte-deterministic."""
-    if x is None:
+    """Shortest round-trip decimal, byte-deterministic; None or refused: NA."""
+    if x is None or isinstance(x, FracpriceError):
         return "NA"
     return repr(float(x))
 
@@ -203,34 +204,40 @@ def _axis(values):
     return [float(v) for v in np.round(values, 10)]
 
 
-def _grid_csv(path, axis, values, label, columns, cell):
-    """CSV with one row per grid value v of _axis(values): v, then
-    cell(v, c) per column c."""
-    header = [axis] + [f"{label}{_gamma_label(c)}" for c in columns]
-    rows = [[v] + [cell(v, c) for c in columns] for v in _axis(values)]
-    return _write_csv(path, header, rows)
+def _grid_csvs(out_dir, grids, make, evaluate):
+    """A CSV per grid (name, axis, values, label, columns, point): a row per
+    value v of _axis(values), v and then the entry of the cell at the point
+    point(v, c) of each column c.  The cell at a point p is make(*p), made
+    once however many grids share p; the cells of every grid are evaluated
+    by one evaluate(cells) call, one entry per cell.  A cell that make
+    refuses is NA, as is an entry that is a FracpriceError (_fmt)."""
+    made = {}       # point: cell, in grid order; a refused cell stays out
+    for _, _, values, _, columns, point in grids:
+        for p in (point(v, c) for v in _axis(values) for c in columns):
+            try:
+                made[p] = make(*p)
+            except FracpriceError:
+                pass
+    entries = dict(zip(made, evaluate(list(made.values()))))
+    paths = []
+    for name, axis, values, label, columns, point in grids:
+        header = [axis] + [f"{label}{_gamma_label(c)}" for c in columns]
+        rows = [[v] + [entries.get(point(v, c)) for c in columns]
+                for v in _axis(values)]
+        paths.append(_write_csv(os.path.join(out_dir, f"{name}.csv"),
+                                header, rows))
+    return paths
 
 
 def _fig1(out_dir):
     gammas, alphas = np.arange(0.40, 1.2001, 0.02), (1.6, 1.7, 1.8, 1.9, 2.0)
+    grids = [("fig1", "gamma", gammas, "mu_alpha", alphas,
+              lambda g, a: (a, g))]
     # every admissible cell's mu from one call
-    params = {}
-    for g in _axis(gammas):
-        for a in alphas:
-            try:
-                params[g, a] = ModelParams.double_fractional(a, g, 0.2)
-            except ValidationError:
-                pass
-    drift = dict(zip(params, mu_gamma_series_rows(params.values())))
-
-    def mu_at(gamma, alpha):
-        value = drift.get((gamma, alpha))
-        if isinstance(value, Exception):
-            raise value
-        return None if value is None else value.mu
-
-    return [_grid_csv(os.path.join(out_dir, "fig1.csv"), "gamma", gammas,
-                      "mu_alpha", alphas, mu_at)]
+    return _grid_csvs(
+        out_dir, grids, lambda a, g: ModelParams.double_fractional(a, g, 0.2),
+        lambda cells: [mu if isinstance(mu, FracpriceError) else mu.mu
+                       for mu in mu_gamma_series_rows(cells)])
 
 
 def _fig3(out_dir):
@@ -244,54 +251,36 @@ def _fig3(out_dir):
 
 
 def _fig4(out_dir):
-    market = FIG3_MARKET
-    spot = market["spot"]
-    g_curves = (0.8, 0.9, 1.0, 1.1)
-    # (axis, values, label, columns, cell (v, c) -> (alpha, gamma, sigma,
-    # spot)) per grid
+    spot, g_curves = FIG3_MARKET["spot"], (0.8, 0.9, 1.0, 1.1)
+    # (name, axis, values, label, columns, point (v, c) -> (alpha, gamma,
+    # sigma, spot)) per grid
     grids = [
-        ("gamma", np.arange(0.40, 1.0001, 0.02), "price_alpha",
+        ("fig4_gamma", "gamma", np.arange(0.40, 1.0001, 0.02), "price_alpha",
          (1.5, 1.6, 1.7, 1.8, 1.9, 2.0), lambda g, a: (a, g, 0.2, spot)),
-        ("alpha", np.arange(1.10, 2.0001, 0.05), "price_gamma", g_curves,
-         lambda a, g: (a, g, 0.2, spot)),
-        ("spot", np.arange(2800.0, 4000.01, 100.0), "price_gamma", g_curves,
-         lambda s, g: (1.7, g, 0.2, s)),
-        ("sigma", np.arange(0.05, 0.6001, 0.05), "price_gamma", g_curves,
-         lambda s, g: (1.7, g, s, spot)),
+        ("fig4_alpha", "alpha", np.arange(1.10, 2.0001, 0.05), "price_gamma",
+         g_curves, lambda a, g: (a, g, 0.2, spot)),
+        ("fig4_spot", "spot", np.arange(2800.0, 4000.01, 100.0),
+         "price_gamma", g_curves, lambda s, g: (1.7, g, 0.2, s)),
+        ("fig4_sigma", "sigma", np.arange(0.05, 0.6001, 0.05), "price_gamma",
+         g_curves, lambda s, g: (1.7, g, s, spot)),
     ]
+
+    def cell(alpha, gamma, sigma, s):
+        return (ModelParams.double_fractional(alpha, gamma, sigma),
+                PricingInputs(**dict(FIG3_MARKET, spot=s)))
     # every admissible cell of the four grids, priced by one call
-    cells = {}
-    for _, values, _, columns, point in grids:
-        for v in _axis(values):
-            for c in columns:
-                alpha, gamma, sigma, s = point(v, c)
-                inputs = PricingInputs(s, market["strike"], market["rate"],
-                                       market["tau"])
-                try:
-                    cells[alpha, gamma, sigma, s] = (
-                        ModelParams.double_fractional(alpha, gamma, sigma),
-                        inputs)
-                except ValidationError:
-                    pass
-    prices = dict(zip(cells, price_grid(cells.values(), fallback=True)))
-
-    def price_at(*point):
-        value = prices.get(point)
-        return None if isinstance(value, FracpriceError) else value
-
-    return [_grid_csv(os.path.join(out_dir, f"fig4_{name}.csv"), name,
-                      values, label, columns,
-                      lambda v, c, point=point: price_at(*point(v, c)))
-            for name, values, label, columns, point in grids]
+    return _grid_csvs(out_dir, grids, cell,
+                      lambda cells: price_grid(cells, fallback=True))
 
 
 def _fig5(out_dir):
     quotes = dict(zip(sampledata.STRIKES, sampledata.CALL_PRICES))
-    return [_grid_csv(
-        os.path.join(out_dir, "fig5.csv"), "gamma",
-        np.arange(0.55, 1.5001, 0.05), "fbs_atm_vol_k",
-        sampledata.STRIKES,
-        lambda g, k: atm_fbs_implied(quotes[k], sampledata.SPOT, 1.027, g))]
+    grids = [("fig5", "gamma", np.arange(0.55, 1.5001, 0.05), "fbs_atm_vol_k",
+              sampledata.STRIKES, lambda g, k: (k, g))]
+    return _grid_csvs(
+        out_dir, grids, lambda k, g: (quotes[k], g),
+        lambda cells: [_attempt(atm_fbs_implied, q, sampledata.SPOT, 1.027, g)
+                       for q, g in cells])
 
 
 def _fig6(out_dir):

@@ -39,9 +39,11 @@ def green_scale(mu, tau, gamma):
     """B = -mu tau^gamma, the scale of the Green function at maturity tau
     (its width is B^(1/alpha)); NumericsError unless 0 < B < inf."""
     try:
-        scale = -mu * tau ** gamma
+        scale = -mu * math.pow(tau, gamma)
     except OverflowError:
         scale = math.inf
+    except ValueError:      # tau < 0 to a non-integer power
+        scale = math.nan
     if not 0.0 < scale < math.inf:
         raise NumericsError("scale_float_range", "Green-function scale "
                             f"leaves the float range at tau={tau:.6g}")
@@ -509,6 +511,9 @@ def green_density(alpha, gamma, mu, x, tau=1.0):
             "density_near_origin",
             f"density at |x| = {abs(x):.3g} below 1e-12 times the "
             f"scale {ell:.6g} is lost to cancellation")
+    if abs(x) / ell == math.inf:
+        raise NumericsError("x_float_range", f"|x| = {abs(x):.6g} over the "
+                            f"scale {ell:.6g} overflows")
     return float(_density_batch(np.array([x]), _GreenContext(alpha, gamma),
                                 ell)[0])
 

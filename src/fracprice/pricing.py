@@ -140,12 +140,16 @@ def bs_call(inputs, sigma):
     (_erfcx_drop)."""
     if not sigma > 0.0:
         raise ValidationError("sigma_positive", f"sigma={sigma} must be > 0")
+    if sigma == math.inf:
+        raise ValidationError("sigma_finite", f"sigma={sigma} must be finite")
     S, K = inputs.spot, inputs.strike
     if K == 0.0:
         return S
     st = sigma * math.sqrt(inputs.tau)
     if st == 0.0:           # sigma sqrt(tau) underflows: the no-spread limit
         return max(S - K * inputs.discount, 0.0)
+    if st == math.inf:      # it overflows: the infinite-spread limit
+        return S
     d_plus = inputs.log_fwd / st + 0.5 * st
     d_minus = d_plus - st
     if d_plus > 0.0:
@@ -189,10 +193,9 @@ def _attempt(fn, *args):
 
 def _series_grid(cells):
     """Residue-series calls for (ModelParams, PricingInputs) cells with
-    K > 0: yields (positions, entries, sums, terms, mk) per block of up to
-    16 cells, positions indexing cells and the rest _series_block's.  The
-    cells of a group whose drift or scale fails come as one block, every
-    entry the exception refusing it and sums, terms and mk None.
+    K > 0: returns (entries, last), per cell its price or the FracpriceError
+    refusing it, and the (sums, terms, mk) of the last block _series_block
+    summed: for a grid of one, the cell's own.
 
     V = (K e^{-r tau}/alpha) * sum_{n>=0, m>=1}
         (-1)^n / (n! Gamma(1 - gamma (n-m)/alpha)) * A^n * B^{(m-n)/alpha}
@@ -207,8 +210,7 @@ def _series_grid(cells):
     that fails refuses its whole group; a chain is one group.  Each entry
     is what the cell gives alone.
     """
-    if not cells:
-        return
+    entries, last = [None] * len(cells), (None, None, None)
     groups, params = {}, {}   # the series sees (alpha, gamma, sigma) only
     for k, (p, inp) in enumerate(cells):
         params[p.alpha, p.gamma, p.sigma] = p
@@ -223,25 +225,26 @@ def _series_grid(cells):
             live.append((a, g, mu.mu, tau, math.log(
                 numerics.green_scale(mu.mu, tau, g)), group))
         except FracpriceError as exc:
-            exc = exc.with_traceback(None)
-            yield group, [exc] * len(group), None, None, None
+            for k in group:
+                entries[k] = exc.with_traceback(None)
 
-    n = np.arange(SERIES_N_MAX + 1)
-    coef_n = (-1.0) ** n * np.exp(-scipy.special.gammaln(n + 1.0))
-    d = np.arange(-SERIES_M_MAX, SERIES_N_MAX)          # the diagonals n - m
     for g0 in range(0, len(live), 16):
+        n = np.arange(SERIES_N_MAX + 1)
+        coef_n = (-1.0) ** n * np.exp(-scipy.special.gammaln(n + 1.0))
+        d = np.arange(-SERIES_M_MAX, SERIES_N_MAX)      # the diagonals n - m
         a, g, mu, tau, log_B, chunk = zip(*live[g0:g0 + 16])
         band = _band_bounds(mu, tau, g)
-        positions = [k for group in chunk for k in group]
-        rows = [(j, cells[k][1]) for j, group in enumerate(chunk)
+        rows = [(k, j, cells[k][1]) for j, group in enumerate(chunk)
                 for k in group]
         with np.errstate(over="ignore", invalid="ignore"):
             ca, cg, cb = np.array([a, g, log_B])[:, :, None]
             rg, bp = (_diagonals(reciprocal_gamma(1.0 - cg * d / ca)),
                       _diagonals(np.exp(((-d) / ca) * cb)))
         for r0 in range(0, len(rows), 16):
-            yield (positions[r0:r0 + 16], *_series_block(
-                rows[r0:r0 + 16], a, mu, band, coef_n, rg, bp))
+            last = None     # freed before the next block is summed
+            last = _series_block(rows[r0:r0 + 16], entries, a, mu, band,
+                                 coef_n, rg, bp)
+    return entries, last
 
 
 def _diagonals(table):
@@ -255,17 +258,15 @@ def _diagonals(table):
                       (table.strides[0], -size, size))
 
 
-# under its own errstate: one held across a generator's yield would leak to
-# the caller
 @np.errstate(over="ignore", invalid="ignore")
-def _series_block(rows, alpha, mu, band, coef_n, rg, bp):
-    """The series of up to 16 cells, rows of (j, inputs) of groups j
-    with their alpha[j], mu[j], band[j] (see _band_bounds) and Gamma and
-    B-power factors rg[j] and bp[j] (_diagonals views); coef_n holds
-    (-1)^n / n!.  Returns (entries, sums, terms, mk): per row its price or
-    the SeriesDivergenceError that refuses it, the block's (row, m, n)
-    terms and their partial sums over m, and per row the count mk of
-    m-slices its sum took.
+def _series_block(rows, entries, alpha, mu, band, coef_n, rg, bp):
+    """The series of up to 16 cells, rows of (k, j, inputs) of cells k in
+    groups j with their alpha[j], mu[j], band[j] (see _band_bounds) and
+    Gamma and B-power factors rg[j] and bp[j] (_diagonals views); coef_n
+    holds (-1)^n / n!.  Sets entries[k] to the cell's price or the
+    SeriesDivergenceError refusing it, and returns (sums, terms, mk): the
+    block's (row, m, n) terms and their partial sums over m, and per row
+    the count mk of m-slices its sum took.
 
     The terms are (row, m, n) arrays of the first m-slices, m being the
     monotone direction.  They double from 16 slices up to
@@ -274,15 +275,15 @@ def _series_block(rows, alpha, mu, band, coef_n, rg, bp):
     slice beyond any arbitrage bound raises, three consecutive slices each
     below SERIES_TOLERANCE*|sum| stop the sum, five growing ones raise.  A
     sum with no event within m_max raises too.  Slices past a row's first
-    event may overflow and decide nothing for it.
+    event may overflow and decide nothing for it.  A stop goes to _certify.
     """
     A, pref, blowup = np.array(
         [(-inp.log_fwd - mu[j] * inp.tau, inp.strike * inp.discount / alpha[j],
-          1e4 * (inp.spot + inp.strike)) for j, inp in rows]).T
+          1e4 * (inp.spot + inp.strike)) for _, j, inp in rows]).T
     # one group's factors broadcast over its rows (which come group by
     # group); several are gathered
-    group = (rows[0][0] if rows[0][0] == rows[-1][0]
-             else np.array([row[0] for row in rows]))
+    group = (rows[0][1] if rows[0][1] == rows[-1][1]
+             else np.array([row[1] for row in rows]))
     size, m_max = min(16, SERIES_M_MAX), SERIES_M_MAX
     n = np.arange(SERIES_N_MAX + 1)
     # (-1)^n A^n / n!, 0^0 := 1; the sign flips are exact
@@ -315,56 +316,64 @@ def _series_block(rows, alpha, mu, band, coef_n, rg, bp):
     n_tail = np.add.accumulate(abs_t[:, :, -1], 1)
     total, noise, n_tail = (x[last].tolist() for x in (sums, noise, n_tail))
 
-    out = []
-    for k, ((j, inp), (blow, stop, grow, count)) in enumerate(
+    for i, ((k, j, inp), (blow, stop, grow, count)) in enumerate(
             zip(rows, zip(*(x.tolist() for x in (blow, stop, grow, mk))))):
-        # A converged m-recursion still leaves two silent failure modes:
-        # alternating terms much larger than the sum (float cancellation
-        # eats the result) and an n direction that had not decayed by
-        # SERIES_N_MAX.  The value is refused unless roundoff and the
-        # dropped n-tail are both provably below ACCURACY_FLOOR of it.
-        floor = ACCURACY_FLOOR * max(abs(total[k]), 1e-300)
-        # The series can converge to a spurious branch outside its validity
-        # region (e.g. when the effective log-moneyness A turns negative at
-        # gamma != 1), so a value outside the hard arbitrage band is refused.
-        log_x, x = band[j]
-        upper = inp.spot * x
-        lower = max(upper - inp.strike * inp.discount, 0.0)
-        pad = 1e-6 * (inp.spot + inp.strike)
-        if count == blow and not np.isfinite(coef[k]).all():
-            entry = SeriesDivergenceError("coef_overflow", (
-                f"series coefficients A^n/n! overflow at |A|={abs(A[k]):.3g}; "
+        if count == blow and not np.isfinite(coef[i]).all():
+            entries[k] = SeriesDivergenceError("coef_overflow", (
+                f"series coefficients A^n/n! overflow at |A|={abs(A[i]):.3g}; "
                 "the series is outside its validity domain"))
         elif count == blow:
-            entry = SeriesDivergenceError("blowup", (
-                f"series slice magnitude {s[k, blow - 1]:.3g} at m={blow} "
+            entries[k] = SeriesDivergenceError("blowup", (
+                f"series slice magnitude {s[i, blow - 1]:.3g} at m={blow} "
                 "exceeds any arbitrage bound; the series is outside its "
                 "validity domain"))
         elif min(stop, grow) > size:
-            entry = SeriesDivergenceError("unsettled", (
+            entries[k] = SeriesDivergenceError("unsettled", (
                 f"series slices did not settle within m_max={size}"))
         elif count != stop:
-            entry = SeriesDivergenceError("growth", (
+            entries[k] = SeriesDivergenceError("growth", (
                 f"series slices grew for 5 consecutive m (last |slice|="
-                f"{abs_s[k, grow - 1]:.3g}); no convergence"))
-        elif noise[k] > floor or n_tail[k] > floor:
-            entry = SeriesDivergenceError("uncertified", (
-                f"series sum {total[k]:.6g} is not certifiable to "
-                f"{ACCURACY_FLOOR:g} relative accuracy (cancellation "
-                f"noise ~{noise[k]:.2g}, dropped n-tail ~{n_tail[k]:.2g})"))
-        elif not math.isfinite(upper):
-            entry = SeriesDivergenceError("mean_factor_overflow", (
-                f"mean factor e^{log_x:.6g} of the log-price overflows; the "
-                "series is outside its validity domain"))
-        elif not lower - pad <= total[k] <= upper + pad:
-            entry = SeriesDivergenceError("band", (
-                f"converged series value {total[k]:.6g} lies outside the "
-                f"arbitrage band [{lower:.6g}, {upper:.6g}]; the series is "
-                "outside its validity domain"))
+                f"{abs_s[i, grow - 1]:.3g}); no convergence"))
         else:
-            entry = total[k]
-        out.append(entry)
-    return out, sums, terms, mk
+            entries[k] = _certify(inp, band[j], total[i], noise[i], n_tail[i])
+    return sums, terms, mk
+
+
+def _certify(inp, band, total, noise, n_tail):
+    """A settled series sum total of the call inp, or its refusal: noise is
+    2e-14 times the largest |term| summed, n_tail the |terms| of the n-tail
+    it dropped and band the call's (log X, X) (see _band_bounds).
+
+    A converged m-recursion still leaves two silent failure modes:
+    alternating terms much larger than the sum (float cancellation eats the
+    result) and an n direction that had not decayed by SERIES_N_MAX.  The
+    value is refused unless roundoff and the dropped n-tail are both
+    provably below ACCURACY_FLOOR of it.
+
+    The series can converge to a spurious branch outside its validity
+    region (e.g. when the effective log-moneyness A turns negative at
+    gamma != 1), so a value outside the hard arbitrage band is refused.
+    """
+    floor = ACCURACY_FLOOR * max(abs(total), 1e-300)
+    if noise > floor or n_tail > floor:
+        return SeriesDivergenceError("uncertified", (
+            f"series sum {total:.6g} is not certifiable to "
+            f"{ACCURACY_FLOOR:g} relative accuracy (cancellation "
+            f"noise ~{noise:.2g}, dropped n-tail ~{n_tail:.2g})"))
+    log_x, x = band
+    upper = inp.spot * x
+    if not math.isfinite(upper):
+        return SeriesDivergenceError("mean_factor_overflow", (
+            f"mean factor e^{log_x:.6g} of the log-price overflows; the "
+            "series is outside its validity domain"))
+    lower = max(upper - inp.strike * inp.discount, 0.0)
+    pad = 1e-6 * (inp.spot + inp.strike)
+    if not lower - pad <= total <= upper + pad:
+        return SeriesDivergenceError("band", (
+            f"converged series value {total:.6g} lies outside the "
+            f"arbitrage band [{lower:.6g}, {upper:.6g}]; the series is "
+            "outside its validity domain"))
+    return total
 
 
 def dfrac_call_series(params, inputs):
@@ -376,7 +385,7 @@ def dfrac_call_series(params, inputs):
     if inputs.strike <= 0.0:
         raise ValidationError("strike_positive",
                               "series price requires strike > 0")
-    (_, (value,), sums, terms, mk), = _series_grid([(params, inputs)])
+    (value,), (sums, terms, mk) = _series_grid([(params, inputs)])
     if isinstance(value, Exception):
         raise value
     used = terms[0, :mk[0]]
@@ -421,25 +430,21 @@ def price_grid(cells, fallback=False):
     """
     cells = list(cells)
     bs, put = ModelKind.BLACK_SCHOLES, OptionKind.PUT
-    values = [None] * len(cells)
     series = [k for k, (p, inp) in enumerate(cells)
               if p.kind is not bs and inp.strike > 0.0]
-    for positions, entries, *_ in _series_grid([cells[k] for k in series]):
-        for k, entry in zip(positions, entries):
-            values[series[k]] = entry
-        del _           # the block's arrays: freed before the next is summed
+    entries = dict(zip(series, _series_grid([cells[k] for k in series])[0]))
+    values = []
     for k, (params, inp) in enumerate(cells):
         value = (_attempt(bs_call, inp, params.sigma) if params.kind is bs
-                 else values[k])
+                 else entries.get(k))
         floor = put_from_parity
         if value is None or (fallback and
                              isinstance(value, SeriesDivergenceError)):
             value = _attempt(numerics.reference_price, params, inp)
             floor = _floor_put
         if inp.kind is put and not isinstance(value, Exception):
-            values[k] = _attempt(floor, value, inp)
-        else:
-            values[k] = value
+            value = _attempt(floor, value, inp)
+        values.append(value)
     return values
 
 

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from fracprice import cli
 from fracprice.cli import main
 from fracprice.model import ModelParams, mu_gamma_series
+from fracprice.numerics import NonConvergenceError
 from fracprice.pricing import PricingInputs, price
 
 
@@ -65,6 +67,17 @@ def test_price_bs_where_sigma_sqrt_tau_underflows(capsys):
                        "--spot", "100", "--strike", "90", "--tau", "1e-300")
     assert rc == 0 and err == ""
     assert out == "10\n"
+
+
+def test_price_bs_where_sigma_sqrt_tau_overflows(capsys):
+    """sigma sqrt(tau) overflows to inf: the infinite-spread limit S, not
+    nan (and, with --json, not the invalid JSON NaN)."""
+    argv = ["price", "--model", "bs", "--spot", "100", "--strike", "100",
+            "--rate", "0", "--sigma", "1e200", "--tau", "1e300"]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (0, "100\n", "")
+    rc, out, err = run(capsys, *argv, "--json")
+    assert (rc, out, err) == (0, '{"price": 100.0}\n', "")
 
 
 def test_price_validation_exit_code(capsys):
@@ -325,6 +338,20 @@ def test_figures_fig4_na_exactly_where_inadmissible(tmp_path, capsys):
                 continue
             params = ModelParams.double_fractional(a, g, 0.2)
             assert float(cell) == mu_gamma_series(params).mu
+
+
+def test_figures_fig1_refused_drift_is_na(tmp_path, capsys, monkeypatch):
+    """A drift the series refuses is NA in fig1, as a refused price is in
+    fig4, rather than the command's refusal."""
+    refused = NonConvergenceError("series_terms", "no convergence")
+    monkeypatch.setattr(cli, "mu_gamma_series_rows",
+                        lambda rows: [refused] * len(list(rows)))
+    rc, out, _ = run(capsys, "figures", "fig1", "--out", str(tmp_path))
+    assert rc == 0
+    header, *rows = [ln.split(",") for ln in
+                     Path(out.strip()).read_text(encoding="utf-8").split()]
+    assert len(rows) == 41 and header[0] == "gamma"
+    assert all(cell == "NA" for row in rows for cell in row[1:])
 
 
 def test_figures_fig6_is_the_fixture_smile(tmp_path, capsys):

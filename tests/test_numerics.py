@@ -116,6 +116,25 @@ def test_green_density_refuses_points_near_the_origin(x, sign):
     assert exc.value.code == "density_near_origin"
 
 
+def test_green_scale_refuses_a_negative_tau():
+    """tau^gamma is complex at tau < 0 and non-integer gamma: refused as a
+    scale outside (0, inf), where comparing it raised a bare TypeError; at
+    tau > 0 the scale is -mu tau^gamma to the bit."""
+    with pytest.raises(NumericsError) as exc:
+        green_scale(-0.1, -1.0, 0.9)
+    assert exc.value.code == "scale_float_range"
+    for t, g in ((1.3, 0.9), (0.02, 1.07), (3e5, 1.6)):
+        assert green_scale(-0.1, t, g) == 0.1 * t ** g
+
+
+def test_green_density_refuses_x_over_scale_overflow():
+    """|x| / ell overflows at x = 1e308 (ell = 0.17): refused, where the
+    density batch raised a bare ValueError from a NaN abscissa."""
+    with pytest.raises(NumericsError) as exc:
+        green_density(1.7, 0.9, -0.05, 1e308)
+    assert exc.value.code == "x_float_range"
+
+
 @pytest.mark.parametrize("ratio", [1.000001e-12, 2e-12, 1e-10, 1e-8])
 def test_green_density_near_the_origin_is_accurate(ratio):
     """Down to |x| = 1e-12 ell the Gaussian limit holds to 5e-10 (3.3e-10

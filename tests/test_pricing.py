@@ -122,6 +122,23 @@ def test_bs_price_where_sigma_sqrt_tau_underflows(strike, rate, kind, value):
     assert price(ModelParams.black_scholes(1e-300), inp) == value
 
 
+@pytest.mark.parametrize("rate, kind, value", [
+    (0.0, "call", 100.0), (0.0, "put", 100.0),
+    (1e-302, "put", 100.0 * math.exp(-1e-302 * 1e300))])
+def test_bs_price_where_sigma_sqrt_tau_overflows(rate, kind, value):
+    """sigma sqrt(tau) = 1e200 * 1e150 overflows to inf: the price is the
+    infinite-spread limit S (a put K e^{-r tau} by parity), not the NaN of
+    d- = inf - inf."""
+    inp = PricingInputs(100.0, 100.0, rate, 1e300, kind)
+    assert price(ModelParams.black_scholes(1e200), inp) == value
+
+
+def test_bs_call_rejects_infinite_sigma():
+    with pytest.raises(ValidationError) as exc:
+        bs_call(PricingInputs(100.0, 100.0, 0.0, 1.0), math.inf)
+    assert exc.value.code == "sigma_finite"
+
+
 def test_pricing_inputs_validation():
     with pytest.raises(ValidationError):
         PricingInputs(0.0, 100.0, 0.0, 1.0)
@@ -454,17 +471,43 @@ REFUSALS = [
      "uncertified", "noise ~2.7e-12, dropped n-tail ~5.1e-18"),
     (ModelParams.double_fractional(1.11, 1.11, 1.33), 140.1, 0.5, "band",
      "outside the arbitrage band"),
+    # unsettled as the quote at K 69.4 (A = -0.155), but at A = 2.07 > 0
+    (ModelParams.double_fractional(1.25, 0.42, 0.42), 93.2, 1.83,
+     "unsettled", "m_max=60"),
 ]
+
+# the full message of each REFUSALS quote, by (strike, tau)
+REFUSAL_MESSAGES = {
+    (100.0, 1.0): "series coefficients A^n/n! overflow at |A|=9.87e+09; the "
+                  "series is outside its validity domain",
+    (157.5, 0.05): "series slice magnitude 1.42e+57 at m=1 exceeds any "
+                   "arbitrage bound; the series is outside its validity "
+                   "domain",
+    (69.4, 0.16): "series slices did not settle within m_max=60",
+    (132.8, 0.18): "series slices grew for 5 consecutive m (last "
+                   "|slice|=4.02e+05); no convergence",
+    (129.3, 0.71): "series sum 0.00361154 is not certifiable to 1e-09 "
+                   "relative accuracy (cancellation noise ~1.2e-11, "
+                   "dropped n-tail ~0.019)",
+    (128.7, 0.09): "series sum 0.000379316 is not certifiable to 1e-09 "
+                   "relative accuracy (cancellation noise ~2.7e-12, "
+                   "dropped n-tail ~5.1e-18)",
+    (140.1, 0.5): "converged series value -58.5842 lies outside the "
+                  "arbitrage band [0, 67.3097]; the series is outside its "
+                  "validity domain",
+    (93.2, 1.83): "series slices did not settle within m_max=60",
+}
 
 
 @pytest.mark.parametrize("params, strike, tau, code, reason", REFUSALS)
 def test_series_refusal_codes(params, strike, tau, code, reason):
     """Every refusal of the series kernel carries its reason as a code, in
-    the chain entry as in the scalar price."""
+    the chain entry as in the scalar price, and its message in full."""
     inp = PricingInputs(100.0, strike, 0.01, tau)
     with pytest.raises(SeriesDivergenceError, match=reason) as exc:
         dfrac_call_series(params, inp)
     assert exc.value.code == code
+    assert str(exc.value) == REFUSAL_MESSAGES[strike, tau]
     entry, = price_grid([(params, inp)])
     assert _entry(entry) == _entry(exc.value)
 
@@ -486,8 +529,9 @@ def test_series_diagonal_factors_once_per_chain(monkeypatch):
     """The kernel evaluates 1/Gamma once per chain, on its m_max + n_max
     diagonals n - m (not per (m, n) term of each block), and each chain
     row's price and the partial sums of its block's row equal its chain of
-    one's."""
+    one's.  The fixture chain is one block, its rows in chain order."""
     chain = list(sampledata.fixture_chain().inputs)
+    assert len(chain) <= 16
     sizes = []
     real = pricing.reciprocal_gamma
 
@@ -503,12 +547,10 @@ def test_series_diagonal_factors_once_per_chain(monkeypatch):
         sizes.clear()
         values = price_grid([(params, inp) for inp in chain])
         assert sizes and max(sizes) <= bound
-        found = {}
-        for positions, entries, sums, terms, mk in pricing._series_grid(
-                [(params, inp) for inp in chain]):
-            for i, k in enumerate(positions):
-                found[k] = (entries[i], sums[i, :mk[i]], terms[i, :mk[i]])
-        rows = [found[k] for k in range(len(chain))]
+        entries, (sums, terms, mk) = pricing._series_grid(
+            [(params, inp) for inp in chain])
+        rows = [(entries[k], sums[k, :mk[k]], terms[k, :mk[k]])
+                for k in range(len(chain))]
         assert any(isinstance(e, float) for e, _, _ in rows)
         for value, (entry, sums, terms), inp in zip(values, rows, chain):
             if isinstance(entry, Exception):
