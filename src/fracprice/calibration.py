@@ -1,11 +1,14 @@
 """Fit model parameters to a quote chain by minimizing the aggregated
 absolute pricing error (Nelder-Mead over the kind's free parameters).
+The descent is the package's own, so a fit loads no scipy optimiser.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .model import ModelKind, ModelParams, ValidationError
 from .numerics import FracpriceError
@@ -60,7 +63,10 @@ class QuoteChain:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """The best fit over the seeds.  penalties counts the penalised quote
+    """The best fit over the seeds.  evaluations counts the objective
+    evaluations of every seed's descent; converged is True when the best
+    seed's descent met its xatol/fatol stopping test before maxiter, and
+    False when maxiter ended it.  penalties counts the penalised quote
     evaluations of the whole calibration (every objective evaluation and the
     final re-pricing), keyed "class:code" by the refusing exception;
     "non_finite" counts finite prices whose error against the market is not
@@ -136,13 +142,76 @@ def _vector_to_params(x, kind):
     return ModelParams(kind, alpha, gamma, sigma), v_alpha + v_gamma + v_sigma
 
 
+def _nelder_mead(f, x0, xatol, fatol, maxiter):
+    """Minimise f from x0 by unbounded Nelder-Mead (Nelder & Mead 1965):
+    reflection 1, expansion 2, contraction 0.5, shrink 0.5, and a first
+    simplex that scales each coordinate by 1.05 (0 becomes 0.00025).  The
+    numpy expressions and sorts are those of scipy's
+    minimize(method="Nelder-Mead") without bounds or adaptive coefficients,
+    so every iterate, the minimum and the evaluation count are bitwise the
+    same as there.  Stops when the sorted simplex lies within xatol of its
+    best vertex and its values within fatol of the best value, or after
+    maxiter iterations.  Returns (x, fun, nfev, converged); converged is
+    False only on the maxiter exit.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    nfev, iterations = n + 1, 1
+    while True:
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        if iterations >= maxiter or (
+                np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        # each step's coefficients are exact: (1 + 1) * xbar - 1 * worst
+        # is 2 * xbar - worst to the bit
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:      # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:                   # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            nfev += 1
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:                   # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+                nfev += n
+        iterations += 1
+    return sim[0], float(np.min(fsim)), nfev, iterations < maxiter
+
+
 def calibrate(chain, kind, seeds=None):
     """Nelder-Mead from each seed over the kind's free parameters; returns
     the best CalibrationResult across seeds.  Deterministic given seeds.
-    Folding keeps every trial point admissible, so the objective prices each
-    one and adds a penalty for how far the descent stepped outside the box.
+    The descent is the package's own _nelder_mead: scipy's Nelder-Mead steps
+    bit for bit, with no scipy optimiser imported.  converged is the best
+    seed's: its simplex met xatol = 1e-6 and fatol = 1e-10 before maxiter
+    (800 iterations per free parameter).  Folding keeps every trial point
+    admissible, so the objective prices each one and adds a penalty for how
+    far the descent stepped outside the box.
     """
-    from scipy.optimize import minimize  # deferred: slow to import
     if len(chain.quotes) < 3:
         raise CalibrationError("chain_size", f"calibration needs at least "
                                f"3 quotes, got {len(chain.quotes)}")
@@ -159,17 +228,12 @@ def calibrate(chain, kind, seeds=None):
         return (float(sum(_quote_errors(params, chain, penalties)))
                 + penalty * viol)
 
-    best = None
-    evaluations = 0
-    for seed in seeds:
-        x0 = [getattr(seed, name) for name in free]
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-6, "fatol": 1e-10,
-                                "maxiter": 400 * len(free) * 2})
-        evaluations += int(res.nfev)
-        if best is None or res.fun < best.fun:
-            best = res
-    params, viol = _vector_to_params(best.x, kind)
+    descents = [_nelder_mead(objective, [getattr(seed, name) for name in free],
+                             xatol=1e-6, fatol=1e-10,
+                             maxiter=400 * len(free) * 2)
+                for seed in seeds]
+    x, _, _, converged = min(descents, key=lambda res: res[1])
+    params, viol = _vector_to_params(x, kind)
     errs = _quote_errors(params, chain, penalties)
     ae = float(sum(errs))
     if viol > 0.0 or ae >= penalty:
@@ -178,8 +242,8 @@ def calibrate(chain, kind, seeds=None):
     return CalibrationResult(
         params=params,
         aggregated_error=ae,
-        evaluations=evaluations,
-        converged=bool(best.success),
+        evaluations=sum(res[2] for res in descents),
+        converged=converged,
         per_quote_errors=tuple(errs),
         penalties=dict(penalties),
     )

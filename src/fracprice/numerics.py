@@ -37,13 +37,14 @@ class NonConvergenceError(NumericsError):
 
 def green_scale(mu, tau, gamma):
     """B = -mu tau^gamma, the scale of the Green function at maturity tau
-    (its width is B^(1/alpha)); NumericsError unless 0 < B < inf."""
+    (its width is B^(1/alpha)); NumericsError unless tau > 0 and
+    0 < B < inf."""
     try:
-        scale = -mu * math.pow(tau, gamma)
+        # tau <= 0 is refused before the power, which is real and positive
+        # for a negative tau at an even integer gamma
+        scale = -mu * math.pow(tau, gamma) if tau > 0.0 else math.nan
     except OverflowError:
         scale = math.inf
-    except ValueError:      # tau < 0 to a non-integer power
-        scale = math.nan
     if not 0.0 < scale < math.inf:
         raise NumericsError("scale_float_range", "Green-function scale "
                             f"leaves the float range at tau={tau:.6g}")

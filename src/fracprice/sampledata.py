@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibration import QuoteChain
+from .calibration import QuoteChain, _nelder_mead
 from .numerics import FracpriceError
 from .pricing import PricingInputs, bs_call
 from .volatility import implied_vol
@@ -64,7 +64,6 @@ def fit_rate_tau():
     Returns (rate, tau, rms, max_abs) where the last two describe the
     residual between the recomputed and published vols at the optimum.
     """
-    from scipy.optimize import minimize  # deferred: slow to import
     vols = np.asarray(BS_VOLS, float)
 
     def recompute(r, t):
@@ -86,11 +85,10 @@ def fit_rate_tau():
             return 1e6
         return float(np.sum((iv - vols) ** 2))
 
-    best = min((minimize(sse, seed, method="Nelder-Mead",
-                         options={"xatol": 1e-10, "fatol": 1e-14,
-                                  "maxiter": 4000})
-                for seed in FIT_SEEDS), key=lambda res: res.fun)
-    r, t = (float(v) for v in best.x)
+    best = min((_nelder_mead(sse, seed, xatol=1e-10, fatol=1e-14,
+                             maxiter=4000)
+                for seed in FIT_SEEDS), key=lambda res: res[1])
+    r, t = (float(v) for v in best[0])
     iv = recompute(r, t)
     resid = iv - vols
     return r, t, float(np.sqrt(np.mean(resid ** 2))), float(np.abs(resid).max())

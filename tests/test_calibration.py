@@ -1,10 +1,12 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from fracprice.calibration import (CalibrationError, CalibrationResult,
-                                   QuoteChain, _quote_errors,
+                                   QuoteChain, _nelder_mead, _quote_errors,
                                    aggregated_error, calibrate)
 from fracprice.model import ModelKind, ModelParams, ValidationError
 from fracprice.pricing import OptionKind, PricingInputs, price
@@ -65,6 +67,58 @@ def test_aggregated_error_empty_chain():
     with pytest.raises(CalibrationError):
         aggregated_error(ModelParams.black_scholes(0.2),
                          QuoteChain(100.0, 0.0, 1.0, ()))
+
+
+def _rosenbrock(x):
+    return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+
+
+# (f, x0, xatol, fatol, maxiter): between them the descents reflect, expand,
+# contract outside and inside, and shrink; the rippled bowl shrinks after a
+# refused contraction of either kind, and the staircase's flat steps tie
+# values at every comparison and, with fatol 0, in the stopping test (where
+# < and <= part).  Rosenbrock at maxiter 30 is stopped by maxiter (57
+# evaluations), and the 1-D start at 0 takes the 0.00025 vertex
+NELDER_MEAD_CASES = {
+    "rosenbrock": (_rosenbrock, [-1.2, 1.0], 1e-8, 1e-12, 5000),
+    "rosenbrock_maxiter": (_rosenbrock, [-1.2, 1.0], 1e-8, 1e-12, 30),
+    "quadratic_from_zero": (lambda x: float((x[0] - 0.3) ** 2), [0.0],
+                            1e-10, 1e-14, 4000),
+    "nonsmooth_3d": (lambda x: float(np.sum(np.abs(x - [0.5, -1.0, 2.0])
+                                            * [1.0, 3.0, 0.5])),
+                     [1.0, 1.0, 1.0], 1e-6, 1e-10, 2400),
+    "rippled_bowl": (lambda x: float(np.sum(x ** 2)
+                                     + 0.3 * np.sum(np.cos(40.0 * x))),
+                     [1.0, 2.0], 1e-8, 1e-12, 4000),
+    "staircase_3d": (lambda x: float(np.sum(np.floor(2.0 * x) ** 2)),
+                     [1.0, 2.0, 3.0], 1e-8, 0.0, 4000),
+}
+
+
+@pytest.mark.parametrize("case", NELDER_MEAD_CASES)
+def test_nelder_mead_takes_scipys_steps(case):
+    """The package's descent evaluates the same points as scipy's
+    Nelder-Mead, in the same order, and ends with the same x, minimum,
+    evaluation count and success flag, all to the bit."""
+    f, x0, xatol, fatol, maxiter = NELDER_MEAD_CASES[case]
+    ours, theirs = [], []
+
+    def logged(log):
+        def g(x):
+            log.append(x.tolist())
+            return f(x)
+        return g
+
+    x, fun, nfev, converged = _nelder_mead(logged(ours), x0, xatol=xatol,
+                                           fatol=fatol, maxiter=maxiter)
+    ref = minimize(logged(theirs), x0, method="Nelder-Mead",
+                   options={"xatol": xatol, "fatol": fatol,
+                            "maxiter": maxiter})
+    assert ours == theirs
+    assert (x.tolist(), fun, nfev, converged) == (
+        ref.x.tolist(), ref.fun, ref.nfev, ref.success)
+    if case == "rosenbrock_maxiter":
+        assert (nfev, converged) == (57, False)
 
 
 def test_calibrate_needs_three_quotes():

@@ -404,7 +404,9 @@ def test_chain_file_without_market_data_exit_2(tmp_path, capsys, command,
 
 def test_import_leaves_out_scipy_subpackages():
     # scipy.special's import is about half of a one-quote CLI process; after
-    # each import the child prints which of the two subpackages it loaded
+    # each import the child prints which of the two subpackages it loaded.
+    # A fit runs the package's own Nelder-Mead, so scipy.optimize stays
+    # unloaded after a Black-Scholes fit too
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
@@ -413,10 +415,15 @@ def test_import_leaves_out_scipy_subpackages():
             "for m in ('fracprice', 'fracprice.cli'):\n"
             "    __import__(m)\n"
             "    print(m, sorted({'scipy.special', 'scipy.optimize'}\n"
-            "                    & set(sys.modules)))")
+            "                    & set(sys.modules)))\n"
+            "from fracprice.calibration import calibrate\n"
+            "from fracprice.sampledata import fixture_chain\n"
+            "calibrate(fixture_chain(), 'bs')\n"
+            "print('fit', 'scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["fracprice []", "fracprice.cli []"]
+    assert out.splitlines() == ["fracprice []", "fracprice.cli []",
+                                "fit False"]
 
 
 

@@ -117,12 +117,16 @@ def test_green_density_refuses_points_near_the_origin(x, sign):
 
 
 def test_green_scale_refuses_a_negative_tau():
-    """tau^gamma is complex at tau < 0 and non-integer gamma: refused as a
-    scale outside (0, inf), where comparing it raised a bare TypeError; at
-    tau > 0 the scale is -mu tau^gamma to the bit."""
-    with pytest.raises(NumericsError) as exc:
-        green_scale(-0.1, -1.0, 0.9)
-    assert exc.value.code == "scale_float_range"
+    """tau^gamma is complex at tau < 0 and non-integer gamma, and real and
+    positive at an even integer gamma: both refused as a scale outside
+    (0, inf), with one message; at tau > 0 the scale is -mu tau^gamma to
+    the bit."""
+    for g in (0.9, 2.0):
+        with pytest.raises(NumericsError) as exc:
+            green_scale(-0.1, -1.0, g)
+        assert exc.value.code == "scale_float_range"
+        assert str(exc.value) == ("Green-function scale leaves the float "
+                                  "range at tau=-1")
     for t, g in ((1.3, 0.9), (0.02, 1.07), (3e5, 1.6)):
         assert green_scale(-0.1, t, g) == 0.1 * t ** g
 
