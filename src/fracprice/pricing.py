@@ -1,6 +1,6 @@
-"""Series pricing engine: Black-Scholes closed form, the double-fractional
+"""Series pricing engine: the Black-Scholes closed form, the double-fractional
 residue series with its truncation and partial-sum diagnostics, and puts via
-parity.
+parity (an out-of-the-money Black-Scholes put via put-call symmetry).
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 import scipy  # subpackages load on first use: keep them off the import path
 
 from . import numerics
-from .model import ModelKind, ValidationError, mu_gamma_series_rows
+from .model import ValidationError, mu_gamma_series_rows
 from .numerics import FracpriceError, normal_cdf, reciprocal_gamma
 
 
@@ -410,9 +410,20 @@ def put_from_parity(call, inputs):
                       inputs)
 
 
+def _bs_put(inputs, sigma):
+    """An out-of-the-money Black-Scholes put by put-call symmetry: the call
+    on spot K e^{-r tau} struck at S, at rate 0.  Parity would take it as a
+    difference of numbers of order S and lose it to 0 deep out of the money;
+    this keeps its relative accuracy."""
+    return bs_call(PricingInputs(inputs.strike * inputs.discount, inputs.spot,
+                                 0.0, inputs.tau), sigma)
+
+
 def price_grid(cells, fallback=False):
     """Price (ModelParams, PricingInputs) cells, each with its own parameters
-    and contract: the closed form or the residue series by model kind.
+    and contract: the closed form where the law is Black-Scholes
+    (alpha = 2, gamma = 1, of any model kind), the residue series
+    elsewhere.
 
     Returns one entry per cell: its price, or the FracpriceError refusing
     it (any other exception propagates).  A cell the model refuses leaves
@@ -423,21 +434,29 @@ def price_grid(cells, fallback=False):
     factor once per (params, tau) group.  The quadrature takes mu from the
     model per cell.  Every entry is the price of its cell alone.
 
-    Puts are priced by parity, P = C - S + K e^{-r tau}, floored at 0.
-    The series needs K > 0: a cell at K = 0 is priced by the quadrature
-    reference pricer, and with fallback=True so is a cell the series
+    Puts are priced by parity, P = C - S + K e^{-r tau}, floored at 0,
+    except an out-of-the-money Black-Scholes put (log_fwd > 0), which is
+    priced by symmetry (_bs_put) where K e^{-r tau} / S does not underflow.
+    The series needs K > 0: a series cell at K = 0 is priced by the
+    quadrature reference pricer, and with fallback=True so is a cell the series
     refuses with SeriesDivergenceError; that pricer prices the put itself.
     """
     cells = list(cells)
-    bs, put = ModelKind.BLACK_SCHOLES, OptionKind.PUT
+    put = OptionKind.PUT
+    gauss = [p.alpha == 2.0 and p.gamma == 1.0 for p, _ in cells]
     series = [k for k, (p, inp) in enumerate(cells)
-              if p.kind is not bs and inp.strike > 0.0]
+              if not gauss[k] and inp.strike > 0.0]
     entries = dict(zip(series, _series_grid([cells[k] for k in series])[0]))
     values = []
     for k, (params, inp) in enumerate(cells):
-        value = (_attempt(bs_call, inp, params.sigma) if params.kind is bs
-                 else entries.get(k))
         floor = put_from_parity
+        if not gauss[k]:
+            value = entries.get(k)
+        elif (inp.kind is put and inp.log_fwd > 0.0
+              and inp.strike * inp.discount / inp.spot > 0.0):
+            value, floor = _attempt(_bs_put, inp, params.sigma), _floor_put
+        else:
+            value = _attempt(bs_call, inp, params.sigma)
         if value is None or (fallback and
                              isinstance(value, SeriesDivergenceError)):
             value = _attempt(numerics.reference_price, params, inp)

@@ -84,20 +84,24 @@ def test_fallback_near_the_money_at_tiny_scale(params):
     tail ran for a quote within one scale of the money, and a tail it could
     not resolve left the cancelled body standing.  Now each quote is a
     positive price, at (2, 1) within 1e-12 of S erf(sigma sqrt(tau) /
-    2 sqrt 2) (the Gaussian limit), or a coded NumericsError."""
+    2 sqrt 2) (the Gaussian limit), or a coded NumericsError.  price takes
+    the closed form at (2, 1), so there the quadrature is the oracle's."""
+    pricers = [lambda inp: price(params, inp, fallback=True)]
+    if params.alpha == 2.0:
+        pricers.append(lambda inp: numerics.reference_price(params, inp))
     for e in range(20, 301, 10):
         tau = 10.0 ** -e
-        try:
-            value = price(params, PricingInputs(100.0, 100.0, 0.0, tau),
-                          fallback=True)
-        except numerics.NumericsError as exc:
-            assert exc.code
-            continue
-        assert value > 0.0
-        if params.alpha == 2.0:
-            exact = 100.0 * math.erf(0.2 * math.sqrt(tau)
-                                     / (2.0 * math.sqrt(2.0)))
-            assert abs(value - exact) <= 1e-12 * exact
+        for pricer in pricers:
+            try:
+                value = pricer(PricingInputs(100.0, 100.0, 0.0, tau))
+            except numerics.NumericsError as exc:
+                assert exc.code
+                continue
+            assert value > 0.0
+            if params.alpha == 2.0:
+                exact = 100.0 * math.erf(0.2 * math.sqrt(tau)
+                                         / (2.0 * math.sqrt(2.0)))
+                assert abs(value - exact) <= 1e-12 * exact
 
 
 def test_bs_call_zero_strike():
@@ -261,6 +265,46 @@ def test_price_dispatches_bs():
     params = ModelParams.black_scholes(0.2)
     inp = PricingInputs(100.0, 100.0, 0.0, 1.0)
     assert price(params, inp) == bs_call(inp, 0.2)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams.double_fractional(2.0, 1.0, 0.2), ModelParams.fmls(2.0, 0.2)])
+def test_black_scholes_law_takes_the_closed_form(params):
+    """alpha = 2, gamma = 1 is the Black-Scholes law whatever the model
+    kind.  A tau = 0.02 chain whose wings the series refuses is priced
+    without the fallback: each quote positive and as the Black-Scholes kind
+    prices it, each call bitwise bs_call."""
+    with pytest.raises(SeriesDivergenceError) as exc:
+        dfrac_call_series(params, PricingInputs(100.0, 70.0, 0.01, 0.02))
+    assert exc.value.code == "blowup"
+    chain = [PricingInputs(100.0, strike, 0.01, 0.02, kind)
+             for strike in (70.0, 80.0, 90.0, 100.0, 110.0, 120.0, 130.0,
+                            140.0) for kind in OptionKind]
+    values = price_grid([(params, inp) for inp in chain])
+    bs = ModelParams.black_scholes(0.2)
+    for value, inp in zip(values, chain):
+        assert value > 0.0
+        assert value == price(bs, inp)
+        if inp.kind is OptionKind.CALL:
+            assert value == bs_call(inp, 0.2)
+
+
+@pytest.mark.parametrize("params, strike, tau, exact", [
+    (ModelParams.double_fractional(2.0, 1.0, 0.2), 60.0, 0.02,
+     3.463061293587930857701097e-74),
+    (ModelParams.double_fractional(2.0, 1.0, 0.199), 70.0, 0.0199,
+     4.591384566306055507675053e-38),
+    (ModelParams.black_scholes(0.2), 60.0, 0.02,
+     3.463061293587930857701097e-74)])
+def test_black_scholes_deep_put_keeps_relative_accuracy(params, strike, tau,
+                                                        exact):
+    """A deep out-of-the-money put at alpha = 2, gamma = 1 is the call of
+    the symmetric contract, within 1e-10 relative of its value in 60-digit
+    arithmetic at these float inputs (S 100, r 0.01).  Parity from the call
+    read the Black-Scholes kind's K = 60 put as 0.0; the quadrature
+    fallback read the first two as 4.15e-44 and 3.11e-38."""
+    inp = PricingInputs(100.0, strike, 0.01, tau, OptionKind.PUT)
+    assert abs(price(params, inp) - exact) <= 1e-10 * exact
 
 
 @settings(max_examples=40, deadline=None)
@@ -680,11 +724,19 @@ def test_price_chain_per_quote_routes():
                for v in price_grid([(bad, inp) for inp in inputs]))
 
 
+# gamma = 1 just off the Black-Scholes point: the series refuses these
+# short-maturity wings, which at (2, 1) itself take the closed form
+WINGS_1_99 = ModelParams.fmls(1.99, 0.199)
+
+
 def test_fallback_otm_put_is_integrated_directly():
     """A quadrature-fallback put out of the money keeps its relative
     accuracy: parity from the quadrature call cancelled it (1.2e-6 relative
-    off at K = 85, 0.0 at K = 80.016)."""
-    params = ModelParams.double_fractional(2.0, 1.0, 0.199)
+    off at K = 85, 0.0 at K = 80.016, under dfrac(2, 1, 0.199)).  The
+    fallback route is taken at alpha = 1.99; at (2, 1) the oracle's direct
+    put and the closed form's put by symmetry both hold the value."""
+    params = WINGS_1_99
+    gauss = ModelParams.double_fractional(2.0, 1.0, 0.199)
     for strike in (85.0, 80.016):
         inp = PricingInputs(100.0, strike, 0.01, 0.0199, OptionKind.PUT)
         with pytest.raises(SeriesDivergenceError):
@@ -694,13 +746,19 @@ def test_fallback_otm_put_is_integrated_directly():
                 == numerics.reference_price(params, inp))
     inp = PricingInputs(100.0, 85.0, 0.01, 0.0199, OptionKind.PUT)
     # the Black-Scholes put, evaluated in 50-digit arithmetic
-    assert price(params, inp, fallback=True) == pytest.approx(
-        1.43368872199e-09, rel=pricing.ACCURACY_FLOOR)
-    # an in-the-money fallback put keeps parity from the quadrature call
+    for value in (numerics.reference_price(gauss, inp), price(gauss, inp)):
+        assert value == pytest.approx(1.43368872199e-09,
+                                      rel=pricing.ACCURACY_FLOOR)
+    # an in-the-money fallback put keeps parity from the quadrature call;
+    # the oracle's own put there is that parity, and at (2, 1) price takes
+    # parity from bs_call
     itm = PricingInputs(100.0, 110.0, 0.01, 0.0199, OptionKind.PUT)
-    call = numerics.reference_price(params, PricingInputs(100.0, 110.0, 0.01,
-                                                          0.0199))
+    itm_call = PricingInputs(100.0, 110.0, 0.01, 0.0199)
+    call = numerics.reference_price(params, itm_call)
     assert price(params, itm, fallback=True) == put_from_parity(call, itm)
+    call = numerics.reference_price(gauss, itm_call)
+    assert numerics.reference_price(gauss, itm) == put_from_parity(call, itm)
+    assert price(gauss, itm) == put_from_parity(bs_call(itm_call, 0.199), itm)
 
 
 def test_fallback_otm_put_parity_value_off_gamma_1():
@@ -759,8 +817,7 @@ def test_fallback_forward_underflow_is_typed(params, tau, kind):
 
 @pytest.mark.parametrize("params, tau, strikes", [
     # gamma = 1: the series refuses these short-maturity wings
-    (ModelParams.double_fractional(2.0, 1.0, 0.199), 0.0199,
-     (0.0, 80.016, 85.0, 110.0, 120.0)),
+    (WINGS_1_99, 0.0199, (0.0, 80.016, 85.0, 110.0, 120.0)),
     (ModelParams.fmls(1.6, 0.25), 0.02, (0.0, 80.0, 125.0)),
     # gamma != 1, both sides of y* = 0 (y* = 0 near K = 100 here)
     (ModelParams.double_fractional(2.0, 0.8, 0.2), 0.02,
@@ -807,9 +864,12 @@ def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
     it is, so the put skips the call's deep-tail integral (its cutoff
     search takes tail probabilities one point at a time); elsewhere it
     does the call's work.
-    Either way the put is bitwise parity from reference_price's call."""
+    Either way the put is bitwise parity from reference_price's call.  At
+    (2, 1) price takes parity from bs_call, so there the put checked is
+    reference_price's own."""
     params = (ModelParams.fmls(alpha, sigma) if gamma == 1.0 and alpha < 2.0
               else ModelParams.double_fractional(alpha, gamma, sigma))
+    gauss = alpha == 2.0 and gamma == 1.0
     put = PricingInputs(100.0, strike, 0.01, tau, OptionKind.PUT)
     call = PricingInputs(100.0, strike, 0.01, tau)
     with pytest.raises(SeriesDivergenceError):
@@ -822,7 +882,8 @@ def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
         return tail_masses(Ys, *args)
 
     monkeypatch.setattr(numerics, "_tail_masses", spy)
-    value = price(params, put, fallback=True)
+    value = (numerics.reference_price(params, put) if gauss
+             else price(params, put, fallback=True))
     put_sizes, sizes[:] = sizes[:], []
     c = numerics.reference_price(params, call)
     assert c == pytest.approx(call_size, rel=0.05)
@@ -832,6 +893,9 @@ def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
     assert skipped == (c < math.ulp(100.0) / 4.0)
     assert skipped or put_sizes == sizes
     assert value == put_from_parity(c, put)
+    if gauss:
+        assert (price(params, put, fallback=True)
+                == put_from_parity(bs_call(call, sigma), put))
 
 
 SCALE_PARAMS = ModelParams.double_fractional(1.7, 1.5, 0.2)
