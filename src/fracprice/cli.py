@@ -325,7 +325,8 @@ def build_parser():
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--kind", choices=["call", "put"], default="call")
     p.add_argument("--fallback", action="store_true",
-                   help="use the quadrature pricer if the series diverges")
+                   help="if the series diverges, use the moment line "
+                   "(gamma = 1) or the quadrature pricer")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_price)
 

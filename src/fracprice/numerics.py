@@ -1,7 +1,8 @@
 """Special functions, the positive-term Gamma-ratio series behind mu and the
-Mittag-Leffler mean factor, composite Gauss-Legendre rules, and the
+Mittag-Leffler mean factor, composite Gauss-Legendre rules, the
 Green-function quadrature pricer used as the independent cross-check for the
-series engine.
+series engine, and the entry point of the gamma = 1 moment-line pricer (its
+code is the moment_line module, imported on first use).
 
 Everything here is a pure function of its arguments; no shared mutable state.
 The one object with state, a _GreenContext, is built by a reference_price or
@@ -29,6 +30,12 @@ class NumericsError(FracpriceError):
 
 class NonConvergenceError(NumericsError):
     """A quadrature refinement check failed to stabilize."""
+
+
+# A series or moment-line value that cannot be vouched for to this relative
+# accuracy is refused (extreme moneyness/short maturity corners where the
+# alternating terms, or the line's cancellation, dwarf the value).
+ACCURACY_FLOOR = 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -716,8 +723,10 @@ def reference_price(params, inputs):
     e^{-r tau} * E[(S e^{(r+mu) tau + y} - K)^+] for calls, under the model's
     drift correction mu = risk_neutral(params).mu, and for puts the
     package's parity P = C - S + K e^{-r tau}, not floored.
-    This is the oracle the series engine is checked against; it makes no use
-    of the residue series.
+    This is the oracle the series engine and the moment line are checked
+    against; it makes no use of either.  price_grid's fallback takes it at
+    gamma != 1, at K = 0, and at gamma = 1 where moment_line_price refuses
+    the quote.
 
     Only the out-of-the-money side, where the value is small, is integrated.
     With y* = -log_fwd - mu tau >= 0 that is the call C, and a put is
@@ -809,3 +818,40 @@ def reference_price(params, inputs):
         raise NumericsError("band", f"quadrature call {c:.6g} outside the "
                             f"arbitrage band [{lower:.6g}, {upper:.6g}]")
     return c if call else (c - S + K * disc if ystar >= 0.0 else put + shift)
+
+
+# ----------------------------------------------------------------------
+# moment-line pricer (gamma = 1)
+# ----------------------------------------------------------------------
+
+
+def moment_line_price(params, inputs):
+    """(price, error bound) of a quote under the gamma = 1, 1 < alpha < 2
+    law of any model kind, by the moment function's line integral; a coded
+    NumericsError where it cannot vouch for the price.
+
+    The out-of-the-money side is integrated: a call struck above the
+    forward S e^{r tau} on a line a > 1, a put at or below it on a line
+    0 < a < 1 as k + I (see the moment_line module), each line through the
+    least point of the integrand's modulus.  The other side is parity
+    (the mean factor is 1 at gamma = 1), not floored.  Along the line the
+    modulus falls monotonically from that point, so the part beyond a
+    length U is at most exp(psi(a)) rho(U) |a (a - 1)| / U, rho(U) =
+    |M(a + iU)| / M(a); U is the first probe where that envelope is below
+    1e-18 of the bump's scale.  The panels on [0, U] are sized so that the
+    integrand's logarithm turns at most 16 radians across one (2 |s - p|
+    wide near its poles and branch point p = 0 and 1), and hold GL24.
+
+    The bound adds the two node sets' disagreement (the panels, and the
+    panels halved), the envelope beyond U, and the rounding of the
+    exponent's terms and of the sums.  The price is returned where it is
+    >= 0 and the bound is within ACCURACY_FLOOR of it.  A call whose whole
+    envelope, |C| <= S e^{mu tau} exp(psi(a)) (2/pi) sqrt(a (a - 1)), is
+    below half the smallest double is 0.0.  Refusal codes: line_law
+    (gamma != 1 or alpha = 2), line_strike (K = 0), line_float_range (a
+    quantity of the line leaves the float range), line_length (more than
+    400 panels, or an envelope that does not fall within the probes) and
+    line_uncertified (the bound above ACCURACY_FLOOR of the price: near
+    the money at a tiny scale the put line, near a = 1/2, cancels)."""
+    from . import moment_line  # compiled on first use, off the import path
+    return moment_line.price(params, inputs)

@@ -13,7 +13,8 @@ import scipy  # subpackages load on first use: keep them off the import path
 
 from . import numerics
 from .model import ValidationError, mu_gamma_series_rows
-from .numerics import FracpriceError, normal_cdf, reciprocal_gamma
+from .numerics import (ACCURACY_FLOOR, FracpriceError, normal_cdf,
+                       reciprocal_gamma)
 
 
 class SeriesDivergenceError(FracpriceError):
@@ -84,10 +85,6 @@ SERIES_M_MAX = 60
 # The series stops after three consecutive m-slices each below this fraction
 # of the partial sum.
 SERIES_TOLERANCE = 1e-12
-# A series value that cannot be vouched for to this relative accuracy is
-# rejected as divergent (extreme moneyness/short maturity corners where the
-# alternating terms dwarf their sum).
-ACCURACY_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -419,6 +416,18 @@ def _bs_put(inputs, sigma):
                                  0.0, inputs.tau), sigma)
 
 
+def _fallback(params, inputs):
+    """A quote the series refused or cannot take (K = 0): on the moment line
+    at gamma = 1, by the quadrature where the line refuses it (at K = 0
+    too) or gamma != 1."""
+    if params.gamma == 1.0:
+        try:
+            return numerics.moment_line_price(params, inputs)[0]
+        except numerics.NumericsError:
+            pass
+    return numerics.reference_price(params, inputs)
+
+
 def price_grid(cells, fallback=False):
     """Price (ModelParams, PricingInputs) cells, each with its own parameters
     and contract: the closed form where the law is Black-Scholes
@@ -438,8 +447,12 @@ def price_grid(cells, fallback=False):
     except an out-of-the-money Black-Scholes put (log_fwd > 0), which is
     priced by symmetry (_bs_put) where K e^{-r tau} / S does not underflow.
     The series needs K > 0: a series cell at K = 0 is priced by the
-    quadrature reference pricer, and with fallback=True so is a cell the series
-    refuses with SeriesDivergenceError; that pricer prices the put itself.
+    quadrature reference pricer.  With fallback=True a cell the series
+    refuses with SeriesDivergenceError goes, at gamma = 1 (alpha < 2), to
+    the moment line (numerics.moment_line_price), and where the line
+    refuses it with a coded NumericsError (line_length, line_uncertified,
+    line_float_range), or at gamma != 1, to the quadrature; each of these
+    pricers prices the put itself, floored here (_fallback).
     """
     cells = list(cells)
     put = OptionKind.PUT
@@ -459,8 +472,7 @@ def price_grid(cells, fallback=False):
             value = _attempt(bs_call, inp, params.sigma)
         if value is None or (fallback and
                              isinstance(value, SeriesDivergenceError)):
-            value = _attempt(numerics.reference_price, params, inp)
-            floor = _floor_put
+            value, floor = _attempt(_fallback, params, inp), _floor_put
         if inp.kind is put and not isinstance(value, Exception):
             value = _attempt(floor, value, inp)
         values.append(value)

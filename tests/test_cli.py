@@ -43,6 +43,17 @@ def test_price_fallback_at_tiny_scale(capsys):
     assert out == "7.9788456e-125\n"
 
 
+def test_price_fallback_forward_underflow_at_gamma_1(capsys):
+    """The forward 100 e^-960.49 underflows, so the quadrature refuses this
+    fmls quote; the moment line works in logs and prices it: at B = 960
+    the call is S to rounding."""
+    rc, out, err = run(capsys, "price", "--model", "fmls", "--alpha", "1.7",
+                       "--sigma", "5", "--spot", "100", "--strike", "100",
+                       "--tau", "100", "--fallback", "--json")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["price"] == pytest.approx(100.0, rel=1e-12)
+
+
 def test_price_json_full_precision(capsys):
     rc, out, _ = run(capsys, "price", "--model", "dfrac", "--spot", "3800",
                      "--strike", "4000", "--rate", "0.01", "--sigma", "0.2",
@@ -464,10 +475,11 @@ BS_ATM = ("--spot", "100", "--strike", "100", "--rate", "0", "--tau", "1")
       "--spot", "118.0147182757466", "--strike", "68.53964351244062",
       "--rate", "0.02276989831963662", "--tau", "0.3158102075975164",
       "--kind", "put", "--fallback"), "below the parity bound 0"),
-    # the forward S e^{(r + mu) tau} underflows to 0 in the quadrature
-    (("--model", "fmls", "--alpha", "1.7", "--sigma", "5", "--spot", "100",
-      "--strike", "100", "--tau", "100", "--fallback"),
-     "forward S e^((r + mu) tau) = 100 e^-960.49 underflows"),
+    # the forward S e^{(r + mu) tau} underflows to 0 in the quadrature (at
+    # gamma = 1 the moment line prices such a quote without a forward)
+    (("--model", "dfrac", "--alpha", "1.7", "--gamma", "0.6", "--sigma", "1",
+      "--spot", "100", "--strike", "100", "--tau", "1000", "--fallback"),
+     "forward S e^((r + mu) tau) = 100 e^-1956.28 underflows"),
     # the quadrature's call payoff overflows on its nodes (it gave NaN)
     (("--model", "dfrac", "--alpha", "1.7", "--gamma", "0.6", "--sigma", "1",
       "--spot", "100", "--strike", "100", "--rate", "1.5", "--tau", "30",

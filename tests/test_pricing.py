@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from unittest.mock import patch
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from fracprice import numerics, pricing, sampledata
-from fracprice.model import ModelParams, ValidationError, risk_neutral
+from fracprice.model import (ModelKind, ModelParams, ValidationError,
+                             risk_neutral)
 from fracprice.pricing import (OptionKind, ParityError, PricingInputs,
                                SeriesDivergenceError, _band_bounds, bs_call,
                                dfrac_call_series, price, price_grid,
@@ -730,34 +732,39 @@ WINGS_1_99 = ModelParams.fmls(1.99, 0.199)
 
 
 def test_fallback_otm_put_is_integrated_directly():
-    """A quadrature-fallback put out of the money keeps its relative
-    accuracy: parity from the quadrature call cancelled it (1.2e-6 relative
-    off at K = 85, 0.0 at K = 80.016, under dfrac(2, 1, 0.199)).  The
-    fallback route is taken at alpha = 1.99; at (2, 1) the oracle's direct
-    put and the closed form's put by symmetry both hold the value."""
+    """A fallback put out of the money keeps its relative accuracy: parity
+    from the quadrature call cancelled it (1.2e-6 relative off at K = 85,
+    0.0 at K = 80.016, under dfrac(2, 1, 0.199)).  At alpha = 1.99 the
+    series refuses both puts; the quadrature's direct put holds them, and
+    the fallback now prices them on the moment line's put side, within
+    1e-10 of it.  At (2, 1) the oracle's direct put and the closed form's
+    put by symmetry both hold the value."""
     params = WINGS_1_99
     gauss = ModelParams.double_fractional(2.0, 1.0, 0.199)
     for strike in (85.0, 80.016):
         inp = PricingInputs(100.0, strike, 0.01, 0.0199, OptionKind.PUT)
         with pytest.raises(SeriesDivergenceError):
             price(params, inp)
-        # gamma = 1: the mean factor is 1, the value the direct integral
-        assert (price(params, inp, fallback=True)
-                == numerics.reference_price(params, inp))
+        line, err = numerics.moment_line_price(params, inp)
+        assert price(params, inp, fallback=True) == line
+        ref = numerics.reference_price(params, inp)
+        assert abs(line - ref) <= 1e-10 * ref
+        assert err <= pricing.ACCURACY_FLOOR * line
     inp = PricingInputs(100.0, 85.0, 0.01, 0.0199, OptionKind.PUT)
     # the Black-Scholes put, evaluated in 50-digit arithmetic
     for value in (numerics.reference_price(gauss, inp), price(gauss, inp)):
         assert value == pytest.approx(1.43368872199e-09,
                                       rel=pricing.ACCURACY_FLOOR)
-    # an in-the-money fallback put keeps parity from the quadrature call;
-    # the oracle's own put there is that parity, and at (2, 1) price takes
-    # parity from bs_call
+    # an in-the-money put keeps parity from the out-of-the-money call: the
+    # oracle's own put is parity from its call, the fallback's parity from
+    # the line's call, and at (2, 1) price takes parity from bs_call
     itm = PricingInputs(100.0, 110.0, 0.01, 0.0199, OptionKind.PUT)
     itm_call = PricingInputs(100.0, 110.0, 0.01, 0.0199)
-    call = numerics.reference_price(params, itm_call)
-    assert price(params, itm, fallback=True) == put_from_parity(call, itm)
-    call = numerics.reference_price(gauss, itm_call)
-    assert numerics.reference_price(gauss, itm) == put_from_parity(call, itm)
+    for p in (params, gauss):
+        call = numerics.reference_price(p, itm_call)
+        assert numerics.reference_price(p, itm) == put_from_parity(call, itm)
+    line, _ = numerics.moment_line_price(params, itm_call)
+    assert price(params, itm, fallback=True) == put_from_parity(line, itm)
     assert price(gauss, itm) == put_from_parity(bs_call(itm_call, 0.199), itm)
 
 
@@ -808,11 +815,22 @@ def test_fallback_payoff_overflow_is_typed(kind):
 ])
 @pytest.mark.parametrize("kind", ["call", "put"])
 def test_fallback_forward_underflow_is_typed(params, tau, kind):
-    """A forward S e^{(r + mu) tau} that underflows to 0 is refused, not
-    divided by."""
+    """A forward S e^{(r + mu) tau} that underflows to 0 is refused by the
+    quadrature, not divided by.  At gamma = 1 the fallback prices the quote
+    on the moment line first, which works in logs and needs no forward:
+    at B = 960 nearly all of the law's mass is far below the money, so
+    the call is S and the put K, both to rounding."""
     inp = PricingInputs(100.0, 100.0, 0.0, tau, kind)
     with pytest.raises(numerics.NumericsError, match="forward .* underflows"):
-        price(params, inp, fallback=True)
+        numerics.reference_price(params, inp)
+    if params.gamma != 1.0:
+        with pytest.raises(numerics.NumericsError,
+                           match="forward .* underflows"):
+            price(params, inp, fallback=True)
+    else:
+        value = price(params, inp, fallback=True)
+        assert value == numerics.moment_line_price(params, inp)[0]
+        assert value == pytest.approx(100.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("params, tau, strikes", [
@@ -833,14 +851,20 @@ def test_fallback_forward_underflow_is_typed(params, tau, kind):
 def test_fallback_put_is_the_floored_reference_put(params, tau, strikes):
     """A put the series refuses (or cannot take, at K = 0) is
     max(reference_price(put), 0.0), bitwise, or a ParityError where the
-    reference put is below -1e-8 S: one floor for both routes."""
+    reference put is below -1e-8 S: one floor for both routes.  At
+    gamma = 1 a refused put with K > 0 is the moment line's put, bitwise,
+    and within 1e-10 of the reference put."""
     for strike in strikes:
         inp = PricingInputs(100.0, strike, 0.01, tau, OptionKind.PUT)
         if strike > 0.0:
             with pytest.raises(SeriesDivergenceError):
                 price(params, inp)
         ref = numerics.reference_price(params, inp)
-        if ref < -1e-8 * inp.spot:
+        if params.gamma == 1.0 and strike > 0.0:
+            line, _ = numerics.moment_line_price(params, inp)
+            assert abs(line - ref) <= 1e-10 * ref
+            assert price(params, inp, fallback=True) == line
+        elif ref < -1e-8 * inp.spot:
             with pytest.raises(ParityError, match="below the parity bound 0"):
                 price(params, inp, fallback=True)
         else:
@@ -865,8 +889,9 @@ def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
     search takes tail probabilities one point at a time); elsewhere it
     does the call's work.
     Either way the put is bitwise parity from reference_price's call.  At
-    (2, 1) price takes parity from bs_call, so there the put checked is
-    reference_price's own."""
+    gamma = 1 price takes parity from bs_call at (2, 1) and from the moment
+    line's call (within 1e-10 of the quadrature's) below alpha 2, so there
+    the put checked is reference_price's own."""
     params = (ModelParams.fmls(alpha, sigma) if gamma == 1.0 and alpha < 2.0
               else ModelParams.double_fractional(alpha, gamma, sigma))
     gauss = alpha == 2.0 and gamma == 1.0
@@ -882,7 +907,7 @@ def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
         return tail_masses(Ys, *args)
 
     monkeypatch.setattr(numerics, "_tail_masses", spy)
-    value = (numerics.reference_price(params, put) if gauss
+    value = (numerics.reference_price(params, put) if gamma == 1.0
              else price(params, put, fallback=True))
     put_sizes, sizes[:] = sizes[:], []
     c = numerics.reference_price(params, call)
@@ -896,6 +921,166 @@ def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
     if gauss:
         assert (price(params, put, fallback=True)
                 == put_from_parity(bs_call(call, sigma), put))
+    elif gamma == 1.0:
+        line, _ = numerics.moment_line_price(params, call)
+        assert abs(line - c) <= 1e-10 * c
+        assert (price(params, put, fallback=True)
+                == put_from_parity(line, put))
+
+
+# gamma = 1 quotes (S = 100) and their values to 32 digits: the moment
+# line's integral in 45-digit arithmetic (mpmath, offline) at two abscissae,
+# the package's and one 7% further from the pole at s = 1, which agree to
+# 1e-43; mu is (sigma/sqrt 2)^alpha / cos(pi alpha / 2) at the float
+# inputs.  Deep out-of-the-money calls, out-of-the-money puts, in-the-money
+# calls and puts (parity from the other side's line).
+FMLS_WINGS = ModelParams.fmls(1.600381, 0.24914865858249546)
+LINE_VALUES = [
+    (ModelParams.fmls(1.6, 0.25), 125.0, 0.01, 0.02, "call",
+     "1.4477903884153203721081835359423e-70"),
+    (ModelParams.fmls(1.6, 0.25), 126.0, 0.01, 0.02, "call",
+     "3.8125465398608035365358631406351e-77"),
+    (ModelParams.fmls(1.6, 0.25), 127.0, 0.01, 0.02, "call",
+     "4.7356246715454745898242680164274e-84"),
+    (WINGS_1_99, 120.0, 0.01, 0.0199, "call",
+     "8.7998568788382714005714360108255e-12"),
+    (ModelParams.double_fractional(1.3, 1.0, 0.3), 115.0, 0.01, 0.05, "call",
+     "3.2473852047359428285045639941578e-19"),
+    (ModelParams.double_fractional(1.75, 1.0, 0.3), 140.0, 0.01, 0.02, "call",
+     "3.1069458220121156457146797839281e-46"),
+    (FMLS_WINGS, 129.91982022734524, 0.00921277931716658, 0.0502884287034284,
+     "call", "2.3946266482805422019510184658783e-25"),
+    (FMLS_WINGS, 84.93778708853202, 0.00921277931716658, 0.0502884287034284,
+     "put", "0.26412906577546303284341606572297"),
+    (ModelParams.fmls(1.3, 0.2), 70.0, 0.01, 0.1, "put",
+     "0.34526362493609650171147240207454"),
+    (ModelParams.double_fractional(1.8, 1.0, 0.3), 90.0, 0.01, 0.05, "put",
+     "0.37541317215772184716167704079838"),
+    (ModelParams.fmls(1.6, 0.25), 75.0, 0.01, 0.05, "call",
+     "25.174373863602703631745749509957"),
+    (ModelParams.double_fractional(1.5, 1.0, 0.2), 90.0, 0.01, 0.1, "call",
+     "10.795705817105889886355037978559"),
+    (ModelParams.fmls(1.6, 0.25), 125.0, 0.01, 0.02, "put",
+     "24.975002499833341665292718504543"),
+    (ModelParams.fmls(1.7, 0.2), 110.0, 0.01, 0.05, "put",
+     "9.9459360155497963814884250608203"),
+]
+
+
+def _line_error(params, strike, rate, tau, kind, literal):
+    """The moment line's value at the quote, its own error bound, and its
+    true error against the literal."""
+    value, err = numerics.moment_line_price(
+        params, PricingInputs(100.0, strike, rate, tau, kind))
+    return value, err, float(abs(Decimal(value) - Decimal(literal)))
+
+
+@pytest.mark.parametrize("params, strike, rate, tau, kind, literal",
+                         LINE_VALUES)
+def test_moment_line_certificate_is_honest(params, strike, rate, tau, kind,
+                                           literal):
+    """The line's value is within 1e-11 of the quote's 32-digit value, and
+    its true error is inside the line's own bound, which certifies it
+    (ACCURACY_FLOOR of the value)."""
+    value, err, true = _line_error(params, strike, rate, tau, kind, literal)
+    assert true <= 1e-11 * float(literal)
+    assert true <= err <= pricing.ACCURACY_FLOOR * value
+
+
+def test_moment_line_put_side_cancels_to_the_strike_rounding():
+    """A put is K e^{-r tau} + S e^{mu tau} I with I ~ -k, so a deep put
+    keeps ~ulp(K) absolute: at alpha 1.99, K 80.016 (put/K ~ 1e-5) it is
+    1.5e-11 relative off, inside its bound, which still certifies it."""
+    value, err, true = _line_error(
+        WINGS_1_99, 80.016, 0.01, 0.0199, "put",
+        "0.00099518422931100839775712147138254")
+    assert true <= 2.0 * math.ulp(80.016)
+    assert true <= err <= pricing.ACCURACY_FLOOR * value
+
+
+def test_moment_line_underflow_is_proved_by_its_envelope():
+    """The test_series_deep_otm_magnitude_guard quote: the call's whole
+    envelope on its line, S e^{mu tau} exp(psi(a)) (2/pi) sqrt(a (a - 1)),
+    is far below the smallest double, so the line returns 0.0 with a 0.0
+    bound (the call is 1.8306651941870424e-3925 in 45-digit arithmetic);
+    the price is 0.0 on every route."""
+    params = ModelParams.double_fractional(1.8, 1.0, 0.2)
+    call = PricingInputs(100.0, 10000.0, 0.0, 0.1)
+    assert numerics.moment_line_price(params, call) == (0.0, 0.0)
+    assert price(params, call, fallback=True) == 0.0
+    assert numerics.reference_price(params, call) == 0.0
+    put = PricingInputs(100.0, 10000.0, 0.0, 0.1, OptionKind.PUT)
+    assert price(params, put, fallback=True) == 9900.0
+
+
+def test_moment_line_refuses_near_the_money_at_tiny_scale():
+    """At K = S, r = 0 and tau 1e-250 the quote sits on the put side, whose
+    line near a = 1/2 cancels (k + I with I ~ -k and a put ~1e-147 S): a
+    coded refusal, and the fallback then takes reference_price's value,
+    bitwise."""
+    params = ModelParams.fmls(1.7, 0.2)
+    inp = PricingInputs(100.0, 100.0, 0.0, 1e-250)
+    with pytest.raises(numerics.NumericsError) as exc:
+        numerics.moment_line_price(params, inp)
+    assert exc.value.code == "line_uncertified"
+    assert (price(params, inp, fallback=True)
+            == numerics.reference_price(params, inp))
+
+
+def test_moment_line_refusal_codes():
+    """The line prices the gamma = 1, alpha < 2 law only, at K > 0; a line
+    too long for its panel budget is refused (a tiny scale far from the
+    money on the put side)."""
+    inp = PricingInputs(100.0, 100.0, 0.01, 0.1)
+    for params in (ModelParams.double_fractional(1.7, 0.9, 0.2),
+                   ModelParams.double_fractional(2.0, 1.0, 0.2)):
+        with pytest.raises(numerics.NumericsError) as exc:
+            numerics.moment_line_price(params, inp)
+        assert exc.value.code == "line_law"
+    with pytest.raises(numerics.NumericsError) as exc:
+        numerics.moment_line_price(ModelParams.fmls(1.7, 0.2),
+                                   PricingInputs(100.0, 0.0, 0.01, 0.1))
+    assert exc.value.code == "line_strike"
+    with pytest.raises(numerics.NumericsError) as exc:
+        numerics.moment_line_price(ModelParams.fmls(1.2, 0.1),
+                                   PricingInputs(100.0, 70.0, 0.01, 1e-6,
+                                                 OptionKind.PUT))
+    assert exc.value.code == "line_length"
+
+
+def test_moment_line_fallback_property():
+    """200 seeded gamma = 1 quotes that the series refuses (alpha
+    U(1.2, 1.98), sigma U(0.1, 0.5), tau log-uniform on [1e-9, 0.1],
+    K = 100 e^U(-0.4, 0.4), r 0.01, calls and puts, fmls and dfrac kinds):
+    where the line certifies a value, the fallback is that value, within
+    1e-10 relative of reference_price; where it refuses, the fallback is
+    reference_price's value, floored, bitwise, as before the line."""
+    rng = np.random.default_rng(30)
+    cells = []
+    while len(cells) < 200:
+        alpha = float(rng.uniform(1.2, 1.98))
+        sigma = float(rng.uniform(0.1, 0.5))
+        params = ModelParams(ModelKind.FMLS if rng.random() < 0.5
+                             else ModelKind.DOUBLE_FRACTIONAL,
+                             alpha, 1.0, sigma)
+        inp = PricingInputs(100.0, 100.0 * math.exp(rng.uniform(-0.4, 0.4)),
+                            0.01, float(10.0 ** rng.uniform(-9.0, -1.0)),
+                            "put" if rng.random() < 0.5 else "call")
+        if isinstance(price_grid([(params, inp)])[0], SeriesDivergenceError):
+            cells.append((params, inp))
+    refused = 0
+    for (params, inp), value in zip(cells, price_grid(cells, fallback=True)):
+        ref = numerics.reference_price(params, inp)
+        try:
+            line, _ = numerics.moment_line_price(params, inp)
+        except numerics.NumericsError as exc:
+            assert exc.code
+            refused += 1
+            assert value == max(ref, 0.0)
+            continue
+        assert value == line
+        assert abs(line - ref) <= 1e-10 * abs(ref)
+    assert 20 <= refused <= 100
 
 
 SCALE_PARAMS = ModelParams.double_fractional(1.7, 1.5, 0.2)
