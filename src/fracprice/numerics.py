@@ -726,7 +726,7 @@ def reference_price(params, inputs):
     This is the oracle the series engine and the moment line are checked
     against; it makes no use of either.  price_grid's fallback takes it at
     gamma != 1, at K = 0, and at gamma = 1 where moment_line_price refuses
-    the quote.
+    the quote (line_length, line_uncertified, line_float_range).
 
     Only the out-of-the-money side, where the value is small, is integrated.
     With y* = -log_fwd - mu tau >= 0 that is the call C, and a put is

@@ -930,10 +930,9 @@ def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
 
 # gamma = 1 quotes (S = 100) and their values to 32 digits: the moment
 # line's integral in 45-digit arithmetic (mpmath, offline) at two abscissae,
-# the package's and one 7% further from the pole at s = 1, which agree to
-# 1e-43; mu is (sigma/sqrt 2)^alpha / cos(pi alpha / 2) at the float
-# inputs.  Deep out-of-the-money calls, out-of-the-money puts, in-the-money
-# calls and puts (parity from the other side's line).
+# the package's and one moved by 7%, which agree to 1e-30 or better; mu is
+# (sigma/sqrt 2)^alpha / cos(pi alpha / 2) at the float inputs.  Deep out-of-the-money calls, out-of-the-money puts, in-the-money
+# calls and puts (parity from the other side's line), an underflow.
 FMLS_WINGS = ModelParams.fmls(1.600381, 0.24914865858249546)
 LINE_VALUES = [
     (ModelParams.fmls(1.6, 0.25), 125.0, 0.01, 0.02, "call",
@@ -964,6 +963,10 @@ LINE_VALUES = [
      "24.975002499833341665292718504543"),
     (ModelParams.fmls(1.7, 0.2), 110.0, 0.01, 0.05, "put",
      "9.9459360155497963814884250608203"),
+    # the test_series_deep_otm_magnitude_guard quote: its value underflows,
+    # the line returns 0.0 with a 0.0 bound, and the true error rounds to 0
+    (ModelParams.double_fractional(1.8, 1.0, 0.2), 10000.0, 0.0, 0.1, "call",
+     "1.8306651941870424014942465362307e-3925"),
 ]
 
 
