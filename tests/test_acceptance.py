@@ -14,13 +14,12 @@ from scipy.special import gammaln
 from fracprice.calibration import QuoteChain, calibrate
 from fracprice.model import (ModelKind, ModelParams, ValidationError, mu_levy,
                              mu_gamma_mb, mu_gamma_series, validate)
-from fracprice.numerics import (NumericsError, _density_batch,
-                                _gauss_panels, _GreenContext, _tail_masses,
-                                green_density, reciprocal_gamma,
-                                reference_price)
+from fracprice.numerics import (NumericsError, _gauss_panels, green_density,
+                                reciprocal_gamma, reference_price)
 from fracprice.pricing import (OptionKind, PricingInputs,
                                SeriesDivergenceError, bs_call,
                                dfrac_call_series, price, put_from_parity)
+from fracprice.quadrature import _density_batch, _GreenContext, _tail_masses
 from fracprice.sampledata import (BS_VOLS, FBS_VOLS, FITTED_RATE, FITTED_TAU,
                                   STRIKES, fit_rate_tau, fixture_chain)
 from fracprice.volatility import atm_bs_implied, atm_fbs_implied, implied_vol

@@ -413,15 +413,21 @@ def test_chain_file_without_market_data_exit_2(tmp_path, capsys, command,
                    "chain file\n")
 
 
+def _fresh_process(code):
+    """Standard output of a fresh interpreter running code on the package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_import_leaves_out_scipy_subpackages():
     # scipy.special's import is about half of a one-quote CLI process; after
     # each import the child prints which of the two subpackages it loaded.
     # A fit runs the package's own Nelder-Mead, so scipy.optimize stays
     # unloaded after a Black-Scholes fit too
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys\n"
             "for m in ('fracprice', 'fracprice.cli'):\n"
             "    __import__(m)\n"
@@ -431,10 +437,43 @@ def test_import_leaves_out_scipy_subpackages():
             "from fracprice.sampledata import fixture_chain\n"
             "calibrate(fixture_chain(), 'bs')\n"
             "print('fit', 'scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["fracprice []", "fracprice.cli []",
-                                "fit False"]
+    assert _fresh_process(code).splitlines() == [
+        "fracprice []", "fracprice.cli []", "fit False"]
+
+
+def test_import_leaves_out_the_quadrature():
+    # the Green-density quadrature is compiled only when a quote needs it:
+    # the imports, a fixture smile, a Black-Scholes fit and a refused fmls
+    # quote that the moment line prices leave it unloaded, and the first
+    # reference_price call loads it; after each step the child prints
+    # whether it is loaded
+    code = ("import sys\n"
+            "def loaded(step):\n"
+            "    print(step, 'fracprice.quadrature' in sys.modules)\n"
+            "for m in ('fracprice', 'fracprice.cli'):\n"
+            "    __import__(m)\n"
+            "    loaded(m)\n"
+            "from fracprice import (ModelParams, PricingInputs,\n"
+            "                       SeriesDivergenceError, build_smile,\n"
+            "                       calibrate, price, reference_price)\n"
+            "from fracprice.sampledata import fixture_chain\n"
+            "build_smile(fixture_chain(), (0.8, 0.9, 1.1))\n"
+            "loaded('smile')\n"
+            "calibrate(fixture_chain(), 'bs')\n"
+            "loaded('fit')\n"
+            "deep = (ModelParams.fmls(1.6, 0.25),\n"
+            "        PricingInputs(100.0, 126.0, 0.01, 0.02))\n"
+            "try:\n"
+            "    price(*deep)\n"
+            "except SeriesDivergenceError:\n"
+            "    print('line', price(*deep, fallback=True) > 0.0,\n"
+            "          'fracprice.moment_line' in sys.modules)\n"
+            "loaded('line')\n"
+            "reference_price(*deep)\n"
+            "loaded('reference_price')")
+    assert _fresh_process(code).splitlines() == [
+        "fracprice False", "fracprice.cli False", "smile False",
+        "fit False", "line True True", "line False", "reference_price True"]
 
 
 

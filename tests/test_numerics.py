@@ -6,21 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, gammaln
 
-from fracprice import model, numerics
-from fracprice.numerics import (_GL24, NonConvergenceError,
-                                NumericsError, _analytic_strip,
-                                _density_batch, _gauss_panels,
-                                _GreenContext, _line_set,
-                                _line_sums, _mellin_log_ratio,
-                                _mellin_log_slope,
-                                _payoff_upper_cutoff, _run_end,
-                                _saddle_scans, _tail_masses,
-                                green_density, green_scale, log_gamma_series,
+from fracprice import model, numerics, quadrature
+from fracprice.numerics import (_GL24, NonConvergenceError, NumericsError,
+                                _gauss_panels, _run_end, green_density,
+                                green_scale, log_gamma_series,
                                 log_mean_factor, log_mittag_leffler,
-                                normal_cdf,
-                                reciprocal_gamma, reference_price)
+                                normal_cdf, reciprocal_gamma, reference_price)
+from fracprice.quadrature import (_analytic_strip, _density_batch,
+                                  _GreenContext, _line_set, _line_sums,
+                                  _mellin_log_ratio, _mellin_log_slope,
+                                  _payoff_upper_cutoff, _saddle_scans,
+                                  _tail_masses)
 from fracprice.model import ModelParams, RiskNeutralParam, risk_neutral
-from fracprice.pricing import PricingInputs, OptionKind, bs_call
+from fracprice.pricing import PricingInputs, OptionKind, bs_call, price_grid
 
 _GL32 = np.polynomial.legendre.leggauss(32)
 
@@ -276,6 +274,23 @@ def test_in_the_money_call_mean_factor_overflow(monkeypatch):
         reference_price(params, inputs)
 
 
+def test_tilted_tail_that_rises_is_typed():
+    """At mu tau = -528 the call's y* = 526 is 15 scales out, but the thin
+    tail falls slower than e^-y up to y ~ 3000: the tilted tail integrand
+    e^y P[y' > y] rises from y* by ~e^1800, and its fine rule overflowed
+    with a RuntimeWarning.  The mean factor is beyond the float range too,
+    so the quote is refused with that code, also as a fallback entry."""
+    params = ModelParams.double_fractional(
+        1.4228651307780038, 0.594792461728685, 2.1207875403860674)
+    inputs = PricingInputs(18.55856168028587, 0.00715234694251475,
+                           -0.26646206264592764, 21.70401036298845)
+    with pytest.raises(NumericsError) as exc:
+        reference_price(params, inputs)
+    assert exc.value.code == "mean_factor_overflow"
+    entry, = price_grid([(params, inputs)], fallback=True)
+    assert entry.code == "mean_factor_overflow"
+
+
 WINGS_1 = ModelParams.double_fractional(1.797601, 1.153399,
                                         0.20003798352608604)
 
@@ -324,7 +339,7 @@ def test_reference_price_work(monkeypatch, params, inputs, lines, nodes):
     21,891 nodes; 17 and 10,786).  The other three quotes take density
     batches: with lines spaced by the Gamma ratio's curvature they summed
     7, 37 and 42 lines and evaluated 4,106, 19,709 and 24,888 nodes."""
-    ratio, sums = numerics._mellin_log_ratio, numerics._line_sums
+    ratio, sums = quadrature._mellin_log_ratio, quadrature._line_sums
     seen = {"lines": 0, "nodes": 0}
 
     def spy_ratio(t, *args):
@@ -335,8 +350,8 @@ def test_reference_price_work(monkeypatch, params, inputs, lines, nodes):
         seen["lines"] += 1
         return sums(*args)
 
-    monkeypatch.setattr(numerics, "_mellin_log_ratio", spy_ratio)
-    monkeypatch.setattr(numerics, "_line_sums", spy_sums)
+    monkeypatch.setattr(quadrature, "_mellin_log_ratio", spy_ratio)
+    monkeypatch.setattr(quadrature, "_line_sums", spy_sums)
     reference_price(params, inputs)
     assert seen["lines"] <= lines and seen["nodes"] <= nodes
 
@@ -354,13 +369,13 @@ def test_reference_price_density_points(monkeypatch, params, inputs,
     passes to density batches, for the three density-batch quotes of
     test_reference_price_work.  On 1.18-graded GL32 payoff panels they
     passed 1,280, 448 and 512."""
-    batch, seen = numerics._density_batch, []
+    batch, seen = quadrature._density_batch, []
 
     def spy_batch(xs, *args):
         seen.append(np.size(xs))
         return batch(xs, *args)
 
-    monkeypatch.setattr(numerics, "_density_batch", spy_batch)
+    monkeypatch.setattr(quadrature, "_density_batch", spy_batch)
     reference_price(params, inputs)
     assert sum(seen) <= points
 
@@ -400,7 +415,7 @@ def test_reference_price_scans_each_window_once(monkeypatch, params, inputs):
     """The call's saddle scans (the payoff cutoff's, each density batch's,
     each tail-mass batch's) share one Gamma-ratio evaluation per scan
     window: no window is evaluated twice, and scans did run."""
-    ratio, windows = numerics._mellin_log_ratio, []
+    ratio, windows = quadrature._mellin_log_ratio, []
 
     def spy(t, *args):
         t = np.asarray(t)
@@ -408,7 +423,7 @@ def test_reference_price_scans_each_window_once(monkeypatch, params, inputs):
             windows.append((t.real.tobytes(), args))
         return ratio(t, *args)
 
-    monkeypatch.setattr(numerics, "_mellin_log_ratio", spy)
+    monkeypatch.setattr(quadrature, "_mellin_log_ratio", spy)
     reference_price(params, inputs)
     assert windows and len(set(windows)) == len(windows)
 
@@ -669,7 +684,8 @@ def test_tilted_tail_matches_fine_rule(monkeypatch, params, inputs,
     31 tail probabilities besides the cutoff search's single probes (a
     Chebyshev set of 33 less its two ends, which the search has); the rest
     take the rule's 176."""
-    tilted, tail_masses = numerics._tilted_tail_call, numerics._tail_masses
+    tilted = quadrature._tilted_tail_call
+    tail_masses = quadrature._tail_masses
     seen, sizes = [], []
 
     def spy_call(*args):
@@ -680,8 +696,8 @@ def test_tilted_tail_matches_fine_rule(monkeypatch, params, inputs,
         sizes.append(len(Ys))
         return tail_masses(Ys, *args)
 
-    monkeypatch.setattr(numerics, "_tilted_tail_call", spy_call)
-    monkeypatch.setattr(numerics, "_tail_masses", spy_masses)
+    monkeypatch.setattr(quadrature, "_tilted_tail_call", spy_call)
+    monkeypatch.setattr(quadrature, "_tail_masses", spy_masses)
     c = reference_price(params, inputs)
     (args, value), = seen
     assert c == value > 0.0
@@ -745,8 +761,8 @@ def test_density_batch_is_zero_below_floor(monkeypatch, alpha, gamma, xs,
     for i, v in pins.items():
         assert margin[i] >= 0.0
         assert abs(g[i] - v) <= 1e-13 * v + 1e-30 * g.max()
-    line_set = numerics._line_set
-    monkeypatch.setattr(numerics, "_line_set",
+    line_set = quadrature._line_set
+    monkeypatch.setattr(quadrature, "_line_set",
                         lambda *args: [_finer(l) for l in line_set(*args)])
     ref = _density_batch(xs, _GreenContext(alpha, gamma), 0.1)
     assert np.all(np.abs(g - ref) <= 1e-13 * ref + 1e-30 * g.max())
@@ -782,13 +798,13 @@ def test_density_lines_share_within_the_envelope_budget(monkeypatch):
     curvature, 102 on a fixed 0.25 grid)."""
     alpha, gamma, ell = 1.701235, 0.852767, 0.0673502
     xs = np.geomspace(0.3431, 0.9271, 224)
-    sums, lines = numerics._line_sums, []
+    sums, lines = quadrature._line_sums, []
 
     def spy(logX, t, v, panels):
         lines.append((t.real[0], logX))
         return sums(logX, t, v, panels)
 
-    monkeypatch.setattr(numerics, "_line_sums", spy)
+    monkeypatch.setattr(quadrature, "_line_sums", spy)
     _density_batch(xs, _GreenContext(alpha, gamma), ell)
     assert len(lines) <= 2
     cs = np.linspace(-40.0, 0.6, 8001)

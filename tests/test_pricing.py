@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal
 from unittest.mock import patch
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from fracprice import numerics, pricing, sampledata
+from fracprice import numerics, pricing, quadrature, sampledata
 from fracprice.model import (ModelKind, ModelParams, ValidationError,
                              risk_neutral)
 from fracprice.pricing import (OptionKind, ParityError, PricingInputs,
@@ -18,6 +19,8 @@ from fracprice.pricing import (OptionKind, ParityError, PricingInputs,
 
 FIG3_INPUTS = PricingInputs(3800.0, 4000.0, 0.01, 1.0)
 FIG3_PARAMS = ModelParams.double_fractional(1.7, 0.9, 0.2)
+# seeded draws of test_price_grid_contract_fuzz: ~2 s on a 2-core Xeon
+FUZZ_DRAWS = 800
 
 
 def test_bs_call_atm_frozen():
@@ -900,13 +903,13 @@ def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
     with pytest.raises(SeriesDivergenceError):
         dfrac_call_series(params, call)
     sizes = []
-    tail_masses = numerics._tail_masses
+    tail_masses = quadrature._tail_masses
 
     def spy(Ys, *args):
         sizes.append(len(Ys))
         return tail_masses(Ys, *args)
 
-    monkeypatch.setattr(numerics, "_tail_masses", spy)
+    monkeypatch.setattr(quadrature, "_tail_masses", spy)
     value = (numerics.reference_price(params, put) if gamma == 1.0
              else price(params, put, fallback=True))
     put_sizes, sizes[:] = sizes[:], []
@@ -1174,6 +1177,51 @@ def test_price_grid_is_per_cell_pricing():
             codes = {v.code for v in grid if isinstance(v, Exception)}
     assert {code for *_, code, _ in REFUSALS} | {
         "series_terms", "scale_float_range"} <= codes
+
+
+def test_price_grid_contract_fuzz():
+    """The package's contract, a finite price >= 0 or a typed refusal, over
+    seeded draws from the whole admissible box: alpha U(1, 2), a tenth at
+    2; gamma U(0.05, alpha), 30% at 1 (fmls or dfrac kind); sigma, tau and
+    S log-uniform on [1e-4, 31], [1e-12, 1e3] and [1e-3, 1e5]; K = S e^U(-8,
+    8), 2% at K = 0; r U(-0.5, 0.5); calls and puts.  Draws ModelParams
+    refuses (the gamma condition) are skipped.  With and without the
+    fallback, and with every warning raised as an error, each entry of
+    price_grid is a finite float >= 0 or a FracpriceError (a larger draw
+    found test_numerics.test_tilted_tail_that_rises_is_typed)."""
+    rng = np.random.default_rng(15)
+    cells = []
+    for _ in range(FUZZ_DRAWS):
+        alpha = 2.0 if rng.random() < 0.1 else float(rng.uniform(1.0, 2.0))
+        gamma = 1.0 if rng.random() < 0.3 else float(rng.uniform(0.05, alpha))
+        kind = (ModelKind.FMLS if gamma == 1.0 and rng.random() < 0.5
+                else ModelKind.DOUBLE_FRACTIONAL)
+        sigma = float(10.0 ** rng.uniform(-4.0, math.log10(31.0)))
+        tau = float(10.0 ** rng.uniform(-12.0, 3.0))
+        spot = float(10.0 ** rng.uniform(-3.0, 5.0))
+        strike = (0.0 if rng.random() < 0.02
+                  else spot * math.exp(rng.uniform(-8.0, 8.0)))
+        rate = float(rng.uniform(-0.5, 0.5))
+        kind_of_option = "put" if rng.random() < 0.5 else "call"
+        try:
+            params = ModelParams(kind, alpha, gamma, sigma)
+        except ValidationError as exc:
+            assert exc.code == "gamma_condition"
+            continue
+        cells.append((params, PricingInputs(spot, strike, rate, tau,
+                                            kind_of_option)))
+    priced = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fallback in (False, True):
+            grid = price_grid(cells, fallback)
+            assert len(grid) == len(cells)
+            for value in grid:
+                assert (isinstance(value, numerics.FracpriceError)
+                        or (isinstance(value, float) and math.isfinite(value)
+                            and value >= 0.0)), value
+            priced.append(sum(isinstance(v, float) for v in grid))
+    assert 0 < priced[0] < priced[1]
 
 
 @pytest.mark.parametrize("params", [
