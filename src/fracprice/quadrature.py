@@ -1,14 +1,18 @@
 """The Green-density quadrature behind numerics.reference_price and
 numerics.green_density: the density of the log-price at maturity as an
 inverse Mellin transform on lines through its saddles, and the discounted
-payoff integrated against it.  Only those two functions import this module,
-on their first call: a process that never prices by quadrature does not
-compile it.
+payoff integrated against it.  Only numerics' entry points import this
+module, on their first call: a process that never prices by quadrature
+does not compile it.
 
 It is the package's oracle: the series engine and the moment line are
 checked against it, and it makes no use of either.  price_grid prices a
 series cell at K = 0 with it, and its fallback takes a quote the series
 refuses at gamma != 1, or one the moment line refuses at gamma = 1.
+
+It calls green_scale, log_mean_factor and its own density batch through
+the numerics module (numerics._density_batch forwards to _density_batch),
+so that a profiler wrapping numerics' names sees each of those calls.
 
 Everything here is a pure function of its arguments; no shared mutable state.
 The one object with state, a _GreenContext, is built by a reference_price or
@@ -21,9 +25,9 @@ import math
 import numpy as np
 import scipy.special
 
-from . import model
+from . import model, numerics
 from .numerics import (_GL16, _GL24, NonConvergenceError, NumericsError,
-                       _gauss_panels, green_scale, log_mean_factor)
+                       _gauss_panels)
 
 # ----------------------------------------------------------------------
 # Green-function density of the log-price at maturity
@@ -347,7 +351,7 @@ def green_density(alpha, gamma, mu, x, tau=1.0):
     if x == 0.0:
         raise NumericsError("density_origin",
                             "density evaluation requires x != 0")
-    ell = green_scale(mu, tau, gamma) ** (1.0 / alpha)
+    ell = numerics.green_scale(mu, tau, gamma) ** (1.0 / alpha)
     if abs(x) < 1e-12 * ell:
         raise NumericsError(
             "density_near_origin",
@@ -356,8 +360,8 @@ def green_density(alpha, gamma, mu, x, tau=1.0):
     if abs(x) / ell == math.inf:
         raise NumericsError("x_float_range", f"|x| = {abs(x):.6g} over the "
                             f"scale {ell:.6g} overflows")
-    return float(_density_batch(np.array([x]), _GreenContext(alpha, gamma),
-                                ell)[0])
+    return float(numerics._density_batch(
+        np.array([x]), _GreenContext(alpha, gamma), ell)[0])
 
 
 def _tail_masses(Ys, ctx, ell, heavy):
@@ -467,15 +471,15 @@ def _tilted_tail_call(ystar, ctx, ell, scale, negligible):
     int_{ystar}^inf e^y P[y' > y] dy, a product of positive factors in which
     each tail probability is evaluated on a contour through its own saddle,
     in log space, so relative accuracy survives even when the result is
-    dozens of orders of magnitude below the forward.  The integrand falls
-    from its maximum at ystar; a search steps a cutoff ycut out until the
-    integrand there is below e^-40 times that maximum.  The integral up to
-    the cutoff is at most the maximum times the cutoff's distance; when
-    twice this bound, times scale, is below `negligible`, 0.0 is returned
-    without further work.  A cutoff step that lands where the tail
-    probability is 0 is bisected back in log y to an end where the
-    integrand is between e^-80 and e^-40 times its maximum, so that no
-    panel is spent on zeros.
+    dozens of orders of magnitude below the forward.  A search steps a
+    cutoff ycut out from ystar until the integrand there is below e^-40
+    times its value at ystar.  The integral up to the cutoff is taken to
+    be at most the largest value the search has seen, at ystar or at a
+    probe, times the cutoff's distance; when twice this bound, times
+    scale, is below `negligible`, 0.0 is returned without further work.
+    A cutoff step that lands where the tail probability is 0 is bisected
+    back in log y to an end where the integrand is between e^-80 and
+    e^-40 times its value at ystar, so that no panel is spent on zeros.
 
     The integral is a fixed rule, 12 geometric panels of GL16 (176 nodes)
     on [ystar, ycut].  The log-integrand is analytic there, so the rule is
@@ -505,13 +509,17 @@ def _tilted_tail_call(ystar, ctx, ell, scale, negligible):
     top = log_integrand([ystar])[0]
     if top == -math.inf:
         return None
-    ycut = ystar
+    ycut, peak = ystar, top
     for _ in range(400):
         ylo, ycut = ycut, ycut * 1.25 + 0.25 * ell
         fcut = log_integrand([ycut])[0]
+        peak = max(peak, fcut)
         if fcut < top - 40.0:
             break
-    if 2.0 * scale * math.exp(top) * (ycut - ystar) < negligible:
+    # the peak, not the value at ystar, bounds an integrand that rises
+    # (the docstring's end); a peak past e^700 (exp overflows) skips this
+    if (peak < 700.0
+            and 2.0 * scale * math.exp(peak) * (ycut - ystar) < negligible):
         return 0.0
     if fcut == -math.inf:
         # bisect in log y between the last probe at or above top - 40 and
@@ -587,7 +595,7 @@ def reference_price(params, inputs):
     alpha, gamma = params.alpha, params.gamma
     ctx = _GreenContext(alpha, gamma)
     S, K, r, tau = inputs.spot, inputs.strike, inputs.rate, inputs.tau
-    ell = green_scale(mu, tau, gamma) ** (1.0 / alpha)
+    ell = numerics.green_scale(mu, tau, gamma) ** (1.0 / alpha)
     try:
         fwd = S * math.exp((r + mu) * tau)
     except OverflowError:
@@ -606,7 +614,7 @@ def reference_price(params, inputs):
         yhi = _payoff_upper_cutoff(ystar, ctx, ell, log_tol)
         if yhi > ystar:
             ys, ws = _geometric_panels(ystar, yhi, ell)
-            g = _density_batch(ys, ctx, ell)
+            g = numerics._density_batch(ys, ctx, ell)
             with np.errstate(over="ignore", invalid="ignore"):
                 c = disc * float((K * np.expm1(ys - ystar) * g) @ ws)
             if not math.isfinite(c):
@@ -633,7 +641,7 @@ def reference_price(params, inputs):
             # a put's rounding
             c = 0.0 if tail is None else tail
 
-    log_x, = log_mean_factor([mu], [tau], [gamma])
+    log_x, = numerics.log_mean_factor([mu], [tau], [gamma])
     with np.errstate(over="ignore"):
         shift = S * float(np.expm1(log_x))          # S (X - 1)
     if not math.isfinite(shift):
@@ -646,7 +654,7 @@ def reference_price(params, inputs):
         if K > 0.0:
             ylo = 60.0 + abs(ystar)
             ys, ws = _geometric_panels(-ylo, ystar, ell)
-            g = _density_batch(ys, ctx, ell)
+            g = numerics._density_batch(ys, ctx, ell)
             body = float((-K * np.expm1(ys - ystar) * g) @ ws)
             put = disc * (body + K * float(
                 _tail_masses([ylo], ctx, ell, True)[0]))

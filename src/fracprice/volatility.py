@@ -32,7 +32,8 @@ class ImpliedVolResult:
     residual: float
 
 
-@dataclass(frozen=True)
+# slots: a smile keeps one point per strike, with no __dict__ each
+@dataclass(frozen=True, slots=True)
 class SmilePoint:
     """One strike of a smile; vols are None when the quote is not invertible."""
     strike: float

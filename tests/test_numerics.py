@@ -291,6 +291,26 @@ def test_tilted_tail_that_rises_is_typed():
     assert entry.code == "mean_factor_overflow"
 
 
+def test_tilted_tail_that_rises_is_not_negligible():
+    """The same quote's tilted tail, asked whether it is below 1.0.  At y*
+    the integrand is e^489, and twice that times the search's distance,
+    times scale (7e-229), is far below 1.0; but the integrand rises by
+    ~e^1800 past y*, so the bound takes the largest value the cutoff
+    search probed, and the rule runs (to inf) where the tail used to be
+    dropped as 0.0."""
+    params = ModelParams.double_fractional(
+        1.4228651307780038, 0.594792461728685, 2.1207875403860674)
+    inputs = PricingInputs(18.55856168028587, 0.00715234694251475,
+                           -0.26646206264592764, 21.70401036298845)
+    mu, tau = risk_neutral(params).mu, inputs.tau
+    ell = green_scale(mu, tau, params.gamma) ** (1.0 / params.alpha)
+    scale = inputs.discount * inputs.spot * math.exp((inputs.rate + mu) * tau)
+    tail = quadrature._tilted_tail_call(
+        -inputs.log_fwd - mu * tau, _GreenContext(params.alpha, params.gamma),
+        ell, scale, 1.0)
+    assert tail == math.inf
+
+
 WINGS_1 = ModelParams.double_fractional(1.797601, 1.153399,
                                         0.20003798352608604)
 
@@ -378,6 +398,25 @@ def test_reference_price_density_points(monkeypatch, params, inputs,
     monkeypatch.setattr(quadrature, "_density_batch", spy_batch)
     reference_price(params, inputs)
     assert sum(seen) <= points
+
+
+def test_quadrature_calls_through_numerics_names(monkeypatch):
+    """The quadrature looks up its density batch, green_scale and
+    log_mean_factor on the numerics module at each call: the attributes
+    that bench/tracing.py wraps to count density points and numerics
+    calls, which would otherwise read fewer calls than are made."""
+    seen = []
+    for name in ("_density_batch", "green_scale", "log_mean_factor"):
+        def spy(*args, _fn=getattr(numerics, name), _name=name):
+            seen.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(numerics, name, spy)
+    reference_price(ModelParams.fmls(1.6, 0.25),
+                    PricingInputs(100.0, 102.0, 0.01, 0.05))
+    assert set(seen) == {"_density_batch", "green_scale", "log_mean_factor"}
+    seen.clear()
+    green_density(1.7, 0.9, -0.05, 0.1)
+    assert sorted(seen) == ["_density_batch", "green_scale"]
 
 
 def test_density_batch_and_tail_masses_pins():
