@@ -326,7 +326,8 @@ def build_parser():
     p.add_argument("--kind", choices=["call", "put"], default="call")
     p.add_argument("--fallback", action="store_true",
                    help="if the series diverges, use the moment line "
-                   "(gamma = 1) or the quadrature pricer")
+                   "(gamma = 1, or the thin side at alpha < 2 gamma) or "
+                   "the quadrature pricer")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_price)
 

@@ -1,18 +1,26 @@
-"""The moment-line pricer of numerics.moment_line_price, the gamma = 1 law's
-quotes priced from its closed moment function.  Only that function imports
+"""The moment-line pricer of numerics.moment_line_price: a quote priced from
+the law's moment function on a vertical line.  Only that function imports
 this module, on its first call: a process that never prices on the line
 does not compile it.
 
-At gamma = 1 the Green function is the finite-moment log-stable law, whose
-moment function is closed: E[e^{s y}] = exp(B s^alpha), B = -mu tau, for
-Re s >= 0 (it does not exist left of 0).  With k = K / (S e^{(r + mu) tau})
-and y* = log k, the payoff's transform (Lewis 2001; Lord & Kahl 2007) gives
+The Green function's moment function is E[e^{s y}] = E_gamma(B s^alpha),
+B = -mu tau^gamma, for Re s >= 0 (Mainardi, Luchko & Pagnini 2001).  With
+k = K / (S e^{(r + mu) tau}) and y* = log k, the payoff's transform (Lewis
+2001; Lord & Kahl 2007) gives, at gamma = 1, where E_1 = exp,
 
   E[(e^y - k)^+] = (1/2 pi i) int_{a - i inf}^{a + i inf}
                        exp(B s^alpha) k^{1-s} / (s (s - 1)) ds,   a > 1,
 
 and on a line 0 < a < 1 the same integral I is E[(e^y - k)^+] - 1 (the
 pole at s = 1 is crossed), so that E[(k - e^y)^+] = k + I.
+
+At gamma != 1, with alpha' = alpha / gamma and B' = B^{1/gamma},
+E_gamma(B s^alpha) - (1/gamma) exp(B' s^alpha') is analytic for Re s > 0
+and O(|s|^-alpha) there where alpha < 2 gamma (Podlubny 1999, Thm 1.3).
+On the thin side, y* > 0, k^{1-s} decays to the right, so that part's share
+of the call integral closes to zero, and the call is the gamma = 1 line at
+(alpha', B') times 1/gamma.  The put-side line does not carry over: its
+pole crossing at s = 1 holds only for the closed moment function.
 """
 from __future__ import annotations
 
@@ -59,29 +67,39 @@ def _abscissa(alpha, B, ystar, call):
 
 def price(params, inputs):
     """numerics.moment_line_price, which documents it."""
-    alpha = params.alpha
-    if not (params.gamma == 1.0 and alpha < 2.0):
-        raise NumericsError("line_law", "the moment line prices the gamma = 1,"
-                            " alpha < 2 law only")
+    alpha, gamma = params.alpha, params.gamma
+    # gamma = alpha (alpha' = 1) puts the line's decay, cos(pi alpha' / 2),
+    # at 0
+    if not (alpha < 2.0 * gamma and gamma != alpha):
+        raise NumericsError("line_law", "the moment line prices a law with "
+                            "alpha < 2 gamma and gamma != alpha only")
     S, K, tau = inputs.spot, inputs.strike, inputs.tau
     if not K > 0.0:
         raise NumericsError("line_strike", "the moment line needs K > 0")
     mu = risk_neutral(params).mu
-    B = green_scale(mu, tau, 1.0)
+    B = green_scale(mu, tau, gamma)
     ystar = -inputs.log_fwd - mu * tau
     call = inputs.log_fwd < 0.0                     # K above the forward
+    if gamma != 1.0:
+        if not ystar > 0.0:
+            raise NumericsError("line_side", "at gamma != 1 the moment line "
+                                f"prices the thin side y* > 0 only, not "
+                                f"y* = {ystar:.6g}")
+        call = True
     fwd_k = K * inputs.discount
     try:
         with np.errstate(all="ignore"):
-            value, err = _integral(alpha, B, ystar, call, S, mu * tau, fwd_k)
+            # the law's line at (alpha', B') carries a factor 1/gamma
+            value, err = _integral(alpha / gamma, B ** (1.0 / gamma), ystar,
+                                   call, S, mu * tau - math.log(gamma), fwd_k)
     except (OverflowError, ZeroDivisionError):
         value = err = math.nan
     if not (math.isfinite(value) and math.isfinite(err)):
         raise NumericsError(
             "line_float_range", "the moment line leaves the float range at "
             f"y* = {ystar:.6g}, B = {B:.6g}")
-    if call != (inputs.kind.value == "call"):       # parity, X = 1
-        # in reference_price's order of operations
+    if call != (inputs.kind.value == "call"):
+        # the package's parity, in reference_price's order of operations
         value = value - S + fwd_k if call else value + (S - fwd_k)
         err += 2.0 * _EPS * (S + fwd_k)
     if not (value >= 0.0 and err <= ACCURACY_FLOOR * value):
@@ -92,13 +110,14 @@ def price(params, inputs):
     return value, err
 
 
-def _integral(alpha, B, ystar, call, S, mu_tau, fwd_k):
+def _integral(alpha, B, ystar, call, S, log_c, fwd_k):
     """(value, bound) of the out-of-the-money side: the call
-    S e^{mu tau} E[(e^y - k)^+] or the put fwd_k + S e^{mu tau} I."""
+    S e^{log_c} E[(e^y - k)^+] or the put fwd_k + S e^{log_c} I, log_c the
+    log of the integral's factor (mu tau, less log gamma)."""
     a, d = _abscissa(alpha, B, ystar, call)
     ad = a * abs(d)
     psi = B * a ** alpha - d * ystar - math.log(a) - math.log(abs(d))
-    lead = mu_tau + psi
+    lead = log_c + psi
     if call and (math.log(S) + lead
                  + math.log(2.0 / math.pi * math.sqrt(ad)) < -745.2):
         return 0.0, 0.0              # the envelope rounds to 0.0

@@ -2,8 +2,8 @@
 Mittag-Leffler mean factor, composite Gauss-Legendre rules, the refusal
 types, and the entry points of the two pricers that are compiled only when
 a quote needs them: the Green-density quadrature (reference_price and
-green_density, whose code is the quadrature module) and the gamma = 1
-moment line (moment_line_price, whose code is the moment_line module).
+green_density, whose code is the quadrature module) and the moment line
+(moment_line_price, whose code is the moment_line module).
 Each module is imported at its entry point's first call.
 
 Everything here is a pure function of its arguments; no shared mutable state.
@@ -177,8 +177,33 @@ def log_mean_factor(mu, tau, gamma):
 # composite Gauss-Legendre rules
 # ----------------------------------------------------------------------
 
-_GL16 = np.polynomial.legendre.leggauss(16)
-_GL24 = np.polynomial.legendre.leggauss(24)
+def _symmetric_rule(nodes, weights):
+    """(nodes, weights) on [-1, 1] of the Gauss-Legendre rule whose positive
+    nodes, ascending, and their weights are given."""
+    x, w = np.array(nodes), np.array(weights)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
+# numpy.polynomial.legendre.leggauss(16) and (24), bit for bit
+# (test_numerics pins them): leggauss solves an eigenproblem in LAPACK,
+# and the library pages that touches stay resident, ~0.6 MB of a process
+# that prices no quadrature (2-core Xeon, numpy 2.4 with OpenBLAS).
+_GL16 = _symmetric_rule(
+    nodes=(0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+           0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+           0.9445750230732326, 0.9894009349916499),
+    weights=(0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+             0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+             0.062253523938647456, 0.027152459411754176))
+_GL24 = _symmetric_rule(
+    nodes=(0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+           0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+           0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+           0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
+    weights=(0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+             0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+             0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+             0.04427743881741941, 0.02853138862893356, 0.01234122979998869))
 
 
 def _gauss_panels(edges, rule):
@@ -219,20 +244,24 @@ def _density_batch(xs, ctx, ell):
 
 
 # ----------------------------------------------------------------------
-# moment-line pricer (gamma = 1)
+# moment-line pricer
 # ----------------------------------------------------------------------
 
 
 def moment_line_price(params, inputs):
-    """(price, error bound) of a quote under the gamma = 1, 1 < alpha < 2
-    law of any model kind, by the moment function's line integral; a coded
-    NumericsError where it cannot vouch for the price.
+    """(price, error bound) of a quote under a law with alpha < 2 gamma and
+    gamma != alpha, of any model kind, by the moment function's line
+    integral; a coded NumericsError where it cannot vouch for the price.
 
-    The out-of-the-money side is integrated: a call struck above the
-    forward S e^{r tau} on a line a > 1, a put at or below it on a line
-    0 < a < 1 as k + I (see the moment_line module), each line through the
-    least point of the integrand's modulus.  The other side is parity
-    (the mean factor is 1 at gamma = 1), not floored.  Along the line the
+    At gamma = 1 the out-of-the-money side is integrated: a call struck
+    above the forward S e^{r tau} on a line a > 1, a put at or below it on
+    a line 0 < a < 1 as k + I (see the moment_line module).  At gamma != 1
+    only the thin side y* = log k > 0 is priced, always as the call on a
+    line a > 1 at (alpha / gamma, B^{1/gamma}), times 1/gamma.  Each line
+    passes through the least point of the integrand's modulus.  The other
+    side is the package's parity, P = C - S + K e^{-r tau} (the mean
+    factor is 1 at gamma = 1), in reference_price's order of operations,
+    not floored.  Along the line the
     modulus falls monotonically from that point, so the part beyond a
     length U is at most exp(psi(a)) rho(U) |a (a - 1)| / U, rho(U) =
     |M(a + iU)| / M(a); U is the first probe where that envelope is below
@@ -244,12 +273,14 @@ def moment_line_price(params, inputs):
     panels halved), the envelope beyond U, and the rounding of the
     exponent's terms and of the sums.  The price is returned where it is
     >= 0 and the bound is within ACCURACY_FLOOR of it.  A call whose whole
-    envelope, |C| <= S e^{mu tau} exp(psi(a)) (2/pi) sqrt(a (a - 1)), is
-    below half the smallest double is 0.0.  Refusal codes: line_law
-    (gamma != 1 or alpha = 2), line_strike (K = 0), line_float_range (a
-    quantity of the line leaves the float range), line_length (more than
-    400 panels, or an envelope that does not fall within the probes) and
-    line_uncertified (the bound above ACCURACY_FLOOR of the price: near
-    the money at a tiny scale the put line, near a = 1/2, cancels)."""
+    envelope, |C| <= (S e^{mu tau} / gamma) exp(psi(a)) (2/pi)
+    sqrt(a (a - 1)), is below half the smallest double is 0.0.  Refusal
+    codes: line_law (alpha >= 2 gamma, or gamma = alpha, where the line's
+    modulus does not decay), line_side (the heavy side y* <= 0 at
+    gamma != 1), line_strike (K = 0), line_float_range (a quantity of the
+    line leaves the float range), line_length (more than 400 panels, or an
+    envelope that does not fall within the probes) and line_uncertified
+    (the bound above ACCURACY_FLOOR of the price: near the money at a tiny
+    scale the put line, near a = 1/2, cancels)."""
     from . import moment_line  # compiled on first use, off the import path
     return moment_line.price(params, inputs)

@@ -418,13 +418,13 @@ def _bs_put(inputs, sigma):
 
 def _fallback(params, inputs):
     """A quote the series refused or cannot take (K = 0): on the moment line
-    at gamma = 1, by the quadrature where the line refuses it (at K = 0
-    too) or gamma != 1."""
-    if params.gamma == 1.0:
-        try:
-            return numerics.moment_line_price(params, inputs)[0]
-        except numerics.NumericsError:
-            pass
+    (at gamma = 1 both sides, at gamma != 1 the thin side, alpha < 2 gamma
+    and gamma != alpha), by the quadrature where the line refuses it with a
+    coded NumericsError (at K = 0, off the line's law or side, too)."""
+    try:
+        return numerics.moment_line_price(params, inputs)[0]
+    except numerics.NumericsError:
+        pass
     return numerics.reference_price(params, inputs)
 
 
@@ -448,11 +448,13 @@ def price_grid(cells, fallback=False):
     priced by symmetry (_bs_put) where K e^{-r tau} / S does not underflow.
     The series needs K > 0: a series cell at K = 0 is priced by the
     quadrature reference pricer.  With fallback=True a cell the series
-    refuses with SeriesDivergenceError goes, at gamma = 1 (alpha < 2), to
-    the moment line (numerics.moment_line_price), and where the line
-    refuses it with a coded NumericsError (line_length, line_uncertified,
-    line_float_range), or at gamma != 1, to the quadrature; each of these
-    pricers prices the put itself, floored here (_fallback).
+    refuses with SeriesDivergenceError goes to the moment line
+    (numerics.moment_line_price): at gamma = 1 and alpha < 2 either side
+    of the money, at gamma != 1 the thin side y* > 0 where alpha < 2 gamma
+    and gamma != alpha.  Where the line refuses it with a coded
+    NumericsError (line_law, line_side, line_length, line_uncertified,
+    line_float_range) it goes to the quadrature; each of these pricers
+    prices the put itself, floored here (_fallback).
     """
     cells = list(cells)
     put = OptionKind.PUT

@@ -573,9 +573,12 @@ def reference_price(params, inputs):
     drift correction mu = risk_neutral(params).mu, and for puts the
     package's parity P = C - S + K e^{-r tau}, not floored.
     This is the oracle the series engine and the moment line are checked
-    against; it makes no use of either.  price_grid's fallback takes it at
-    gamma != 1, at K = 0, and at gamma = 1 where moment_line_price refuses
-    the quote (line_length, line_uncertified, line_float_range).
+    against; it makes no use of either.  price_grid's fallback takes it
+    where moment_line_price refuses the quote: at K = 0 (line_strike), on
+    the heavy side at gamma != 1 (line_side), for a law with
+    alpha >= 2 gamma or gamma = alpha (line_law), and where the line
+    cannot certify its value (line_length, line_uncertified,
+    line_float_range).
 
     Only the out-of-the-money side, where the value is small, is integrated.
     With y* = -log_fwd - mu tau >= 0 that is the call C, and a put is

@@ -443,8 +443,9 @@ def test_import_leaves_out_scipy_subpackages():
 
 def test_import_leaves_out_the_quadrature():
     # the Green-density quadrature is compiled only when a quote needs it:
-    # the imports, a fixture smile, a Black-Scholes fit and a refused fmls
-    # quote that the moment line prices leave it unloaded, and the first
+    # the imports, a fixture smile, a Black-Scholes fit, a refused fmls
+    # quote and a refused gamma != 1 thin-side quote (the seed-1 wings call)
+    # that the moment line prices leave it unloaded, and the first
     # reference_price call loads it; after each step the child prints
     # whether it is loaded
     code = ("import sys\n"
@@ -469,13 +470,34 @@ def test_import_leaves_out_the_quadrature():
             "    print('line', price(*deep, fallback=True) > 0.0,\n"
             "          'fracprice.moment_line' in sys.modules)\n"
             "loaded('line')\n"
+            "wings = (ModelParams.double_fractional(1.797601, 1.153399,\n"
+            "                                       0.20003798352608604),\n"
+            "         PricingInputs(100.0, 129.91982022734524,\n"
+            "                       0.011012120830808712,\n"
+            "                       0.05001088888446653))\n"
+            "try:\n"
+            "    price(*wings)\n"
+            "except SeriesDivergenceError:\n"
+            "    print('thin', price(*wings, fallback=True) > 0.0)\n"
+            "loaded('thin')\n"
             "reference_price(*deep)\n"
             "loaded('reference_price')")
     assert _fresh_process(code).splitlines() == [
         "fracprice False", "fracprice.cli False", "smile False",
-        "fit False", "line True True", "line False", "reference_price True"]
+        "fit False", "line True True", "line False", "thin True",
+        "thin False", "reference_price True"]
 
 
+def test_import_solves_no_eigenproblem():
+    # the Gauss-Legendre rules are written out: numpy's leggauss would run a
+    # LAPACK eigensolver at import, whose library pages stay resident
+    code = ("import numpy as np\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('an eigensolver ran at import')\n"
+            "np.linalg.eigvalsh = refuse\n"
+            "import fracprice, fracprice.cli\n"
+            "print(fracprice.numerics._GL24[0].size)")
+    assert _fresh_process(code) == "24\n"
 
 BS_ATM = ("--spot", "100", "--strike", "100", "--rate", "0", "--tau", "1")
 

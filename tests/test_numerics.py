@@ -23,6 +23,16 @@ from fracprice.pricing import PricingInputs, OptionKind, bs_call, price_grid
 _GL32 = np.polynomial.legendre.leggauss(32)
 
 
+@pytest.mark.parametrize("n", [16, 24])
+def test_gauss_legendre_rules_are_leggauss(n):
+    # the written-out rules are numpy's, bit for bit: every value priced
+    # with them stays where it was
+    nodes, weights = getattr(numerics, f"_GL{n}")
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
+
+
 def test_reciprocal_gamma_total():
     assert reciprocal_gamma(4.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
     # exact zeros at the poles, no exception

@@ -891,10 +891,11 @@ def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
     it is, so the put skips the call's deep-tail integral (its cutoff
     search takes tail probabilities one point at a time); elsewhere it
     does the call's work.
-    Either way the put is bitwise parity from reference_price's call.  At
-    gamma = 1 price takes parity from bs_call at (2, 1) and from the moment
-    line's call (within 1e-10 of the quadrature's) below alpha 2, so there
-    the put checked is reference_price's own."""
+    Either way the put is bitwise parity from reference_price's call.
+    price takes parity from bs_call at (2, 1) and elsewhere from the moment
+    line's call (within 1e-10 of the quadrature's, at gamma 1.15 too), so
+    the put checked is reference_price's own, and price's put is within
+    1e-10 of it."""
     params = (ModelParams.fmls(alpha, sigma) if gamma == 1.0 and alpha < 2.0
               else ModelParams.double_fractional(alpha, gamma, sigma))
     gauss = alpha == 2.0 and gamma == 1.0
@@ -910,8 +911,7 @@ def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
         return tail_masses(Ys, *args)
 
     monkeypatch.setattr(quadrature, "_tail_masses", spy)
-    value = (numerics.reference_price(params, put) if gamma == 1.0
-             else price(params, put, fallback=True))
+    value = numerics.reference_price(params, put)
     put_sizes, sizes[:] = sizes[:], []
     c = numerics.reference_price(params, call)
     assert c == pytest.approx(call_size, rel=0.05)
@@ -924,11 +924,12 @@ def test_fallback_itm_put_skips_only_invisible_tail(monkeypatch, alpha, gamma,
     if gauss:
         assert (price(params, put, fallback=True)
                 == put_from_parity(bs_call(call, sigma), put))
-    elif gamma == 1.0:
+    else:
         line, _ = numerics.moment_line_price(params, call)
         assert abs(line - c) <= 1e-10 * c
-        assert (price(params, put, fallback=True)
-                == put_from_parity(line, put))
+        fallback = price(params, put, fallback=True)
+        assert fallback == put_from_parity(line, put)
+        assert abs(fallback - value) <= 1e-10 * value
 
 
 # gamma = 1 quotes (S = 100) and their values to 32 digits: the moment
@@ -973,11 +974,11 @@ LINE_VALUES = [
 ]
 
 
-def _line_error(params, strike, rate, tau, kind, literal):
+def _line_error(params, strike, rate, tau, kind, literal, spot=100.0):
     """The moment line's value at the quote, its own error bound, and its
     true error against the literal."""
     value, err = numerics.moment_line_price(
-        params, PricingInputs(100.0, strike, rate, tau, kind))
+        params, PricingInputs(spot, strike, rate, tau, kind))
     return value, err, float(abs(Decimal(value) - Decimal(literal)))
 
 
@@ -1034,15 +1035,26 @@ def test_moment_line_refuses_near_the_money_at_tiny_scale():
 
 
 def test_moment_line_refusal_codes():
-    """The line prices the gamma = 1, alpha < 2 law only, at K > 0; a line
-    too long for its panel budget is refused (a tiny scale far from the
-    money on the put side)."""
+    """The line prices a law with alpha < 2 gamma and gamma != alpha only
+    (gamma = alpha puts its decay, cos(pi alpha' / 2), at 0: refused before
+    any arithmetic), at gamma != 1 the thin side y* > 0 only, at K > 0; a
+    line too long for its panel budget is refused (a tiny scale far from
+    the money on the put side)."""
     inp = PricingInputs(100.0, 100.0, 0.01, 0.1)
-    for params in (ModelParams.double_fractional(1.7, 0.9, 0.2),
-                   ModelParams.double_fractional(2.0, 1.0, 0.2)):
+    for params in (ModelParams.double_fractional(1.7, 0.8, 0.2),
+                   ModelParams.double_fractional(2.0, 1.0, 0.2),
+                   ModelParams.double_fractional(1.1, 1.1, 0.2),
+                   ModelParams.double_fractional(1.5, 1.5, 0.2)):
         with pytest.raises(numerics.NumericsError) as exc:
             numerics.moment_line_price(params, inp)
         assert exc.value.code == "line_law"
+    # the heavy side, K below S e^{(r + mu) tau}, a put or a call
+    for kind in OptionKind:
+        with pytest.raises(numerics.NumericsError) as exc:
+            numerics.moment_line_price(
+                ModelParams.double_fractional(1.7, 0.9, 0.2),
+                PricingInputs(100.0, 95.0, 0.01, 0.1, kind))
+        assert exc.value.code == "line_side"
     with pytest.raises(numerics.NumericsError) as exc:
         numerics.moment_line_price(ModelParams.fmls(1.7, 0.2),
                                    PricingInputs(100.0, 0.0, 0.01, 0.1))
@@ -1087,6 +1099,146 @@ def test_moment_line_fallback_property():
         assert value == line
         assert abs(line - ref) <= 1e-10 * abs(ref)
     assert 20 <= refused <= 100
+
+
+def test_moment_line_thin_side_property():
+    """240 seeded gamma != 1 quotes on the thin side that the series
+    refuses, a third each at gamma U(alpha/2, 1), at gamma U(1, alpha) and
+    at alpha = 2 with gamma U(1.02, 1.9) (alpha U(1.2, 2), sigma
+    U(0.1, 0.5), tau log-uniform on [1e-6, 0.3], K = 100 e^U(0, 0.5),
+    r 0.01, calls and puts): where the line certifies a value, the fallback
+    is that value, within 1e-10 relative plus 1e-15 S of reference_price
+    (deep out of the money the quadrature is the less accurate side);
+    where it refuses, the fallback is reference_price's value, floored,
+    bitwise, as before the line."""
+    rng = np.random.default_rng(32)
+    cells = []
+    while len(cells) < 240:
+        third = len(cells) % 3
+        if third == 2:
+            alpha, gamma = 2.0, float(rng.uniform(1.02, 1.9))
+        else:
+            alpha = float(rng.uniform(1.2, 2.0))
+            gamma = float(rng.uniform(*((0.5 * alpha, 1.0) if third == 0
+                                        else (1.0, alpha))))
+        params = ModelParams.double_fractional(alpha, gamma,
+                                               float(rng.uniform(0.1, 0.5)))
+        inp = PricingInputs(100.0, 100.0 * math.exp(rng.uniform(0.0, 0.5)),
+                            0.01, float(10.0 ** rng.uniform(-6.0, -0.5)),
+                            "put" if rng.random() < 0.5 else "call")
+        if isinstance(price_grid([(params, inp)])[0], SeriesDivergenceError):
+            cells.append((params, inp))
+    refused = 0
+    for (params, inp), value in zip(cells, price_grid(cells, fallback=True)):
+        ref = numerics.reference_price(params, inp)
+        try:
+            line, _ = numerics.moment_line_price(params, inp)
+        except numerics.NumericsError as exc:
+            assert exc.code in ("line_length", "line_float_range")
+            refused += 1
+            assert value == max(ref, 0.0)
+            continue
+        assert value == line
+        assert abs(line - ref) <= 1e-10 * abs(ref) + 1e-15 * inp.spot
+    assert refused <= 24
+
+
+# gamma != 1 thin-side quotes and their values to 32 digits: the moment
+# line's contour, (S e^{mu tau} / gamma) (1/pi) int_0^inf
+# Re[exp(B' s^alpha' - (s - 1) y*) / (s (s - 1))] du on s = a + iu, with
+# alpha' = alpha/gamma, B' = (-mu tau^gamma)^(1/gamma) and
+# y* = log(K/S) - (r + mu) tau, in 45-digit arithmetic (mpmath, offline)
+# at the package's abscissa and one with a - 1 moved by 7%, which agree to
+# 1e-40 or better.  mu is the package's float drift (risk_neutral), taken as
+# exact (the line's bound is for the line, not for mu's own error);
+# every other input is the float given.  An in-the-money put is the call's
+# value by the package's parity, C - S + K e^{-r tau}.
+WINGS_DFRAC = ModelParams.double_fractional(1.797601, 1.153399,
+                                            0.20003798352608604)
+FIXTURE_DFRAC = ModelParams.double_fractional(1.5198, 1.0692, 0.5924)
+THIN_LINE_VALUES = [
+    # the seed-1 wings call that CI pins (the series refuses it: blowup)
+    (WINGS_DFRAC, 100.0, 129.91982022734524, 0.011012120830808712,
+     0.05001088888446653, "call",
+     "1.6619170053846403915427694480506e-118"),
+    (WINGS_DFRAC, 100.0, 115.04, 0.011012120830808712, 0.05001088888446653,
+     "call", "3.2978349139771528116542033172323e-23"),
+    # 1.36e-9 relative (5e-16 absolute) off reference_price
+    (ModelParams.double_fractional(1.232, 0.74, 0.5698), 100.0, 166.7, 0.01,
+     0.01415, "call", "3.9233797486744904115932114793452e-7"),
+    # reference_price refuses it (envelope_decay): gamma is within 1e-3 of
+    # alpha, so the line decays slowly
+    (ModelParams.double_fractional(1.3, 1.299, 0.2), 3800.0, 4000.0, 0.01,
+     1.0, "call", "114.47510417561972819062992143785"),
+    (ModelParams.double_fractional(1.701235, 0.852767, 0.251), 100.0,
+     140.03, 0.01, 0.1008, "call", "6.1512287528805909998208802835076e-4"),
+    (ModelParams.double_fractional(1.701235, 0.852767, 0.251), 100.0,
+     110.0, 0.01, 0.1008, "put", "10.83326595199432457717250775723"),
+    (ModelParams.double_fractional(1.496913, 0.895816, 0.201), 100.0,
+     135.06, 0.01, 0.2518, "call", "2.5788834126316468473697980279371e-3"),
+    # the fixture's dfrac fit at its spot
+    (FIXTURE_DFRAC, 966.3, 1200.0, 0.01, 0.162146, "call",
+     "2.7454567229939064932336994259077"),
+    (FIXTURE_DFRAC, 966.3, 1020.0, 0.01, 0.162146, "put",
+     "94.150166977459386518934511845568"),
+    (ModelParams.double_fractional(1.9, 1.5, 0.2), 100.0, 130.0, 0.01, 0.5,
+     "call", "9.2020448619884422333461264446883e-118"),
+    (ModelParams.double_fractional(1.3, 0.9, 0.3), 100.0, 150.0, 0.01, 1.0,
+     "call", "3.6942058329365446917508650832702"),
+    (ModelParams.double_fractional(2.0, 1.2, 0.2), 100.0, 115.0, 0.01, 0.3,
+     "call", "0.063511815349818007187545742252802"),
+    (ModelParams.double_fractional(2.0, 1.05, 0.25), 100.0, 125.0, 0.01,
+     0.02, "put", "24.9750024998333419441679550832"),
+    (ModelParams.double_fractional(2.0, 1.6, 0.2), 100.0, 112.0, 0.01, 0.25,
+     "call", "2.5360276611177993553907971577283e-89"),
+    (ModelParams.double_fractional(1.6, 0.85, 0.3), 100.0, 140.0, 0.01, 0.05,
+     "call", "2.6458968944339641688051553737142e-6"),
+]
+
+
+@pytest.mark.parametrize("params, spot, strike, rate, tau, kind, literal",
+                         THIN_LINE_VALUES)
+def test_moment_line_thin_side_certificate_is_honest(params, spot, strike,
+                                                     rate, tau, kind,
+                                                     literal):
+    """At gamma != 1 the thin-side line is within 1e-11 of the quote's
+    32-digit value on the same contour, and its true error is inside its
+    own bound, which certifies it."""
+    value, err, true = _line_error(params, strike, rate, tau, kind, literal,
+                                   spot)
+    assert true <= 1e-11 * float(literal)
+    assert true <= err <= pricing.ACCURACY_FLOOR * value
+
+
+def test_moment_line_prices_a_quote_the_quadrature_refuses():
+    """dfrac(1.3, 1.299, 0.2) at S 3800, K 4000: the quadrature's contour
+    envelope does not decay within its cap (envelope_decay); the thin-side
+    line prices the call."""
+    params, spot, strike, rate, tau, kind, literal = THIN_LINE_VALUES[3]
+    inp = PricingInputs(spot, strike, rate, tau, kind)
+    with pytest.raises(numerics.NumericsError) as exc:
+        numerics.reference_price(params, inp)
+    assert exc.value.code == "envelope_decay"
+    line, _ = numerics.moment_line_price(params, inp)
+    assert line == pytest.approx(float(literal), rel=1e-11)
+
+
+def test_moment_line_thin_side_underflow_is_proved_by_its_envelope():
+    """At gamma != 1 the underflow shortcut carries the 1/gamma factor:
+    dfrac(2, 1.6, 0.2) at K 108, tau 0.02 (y* is 24.5 scales out, and the
+    series refuses the call) has a whole envelope on its line,
+    (S e^{mu tau} / gamma) exp(psi(a)) (2/pi) sqrt(a (a - 1)), of about
+    1e-313948, so the line returns 0.0 with a 0.0 bound, and the
+    fallback's call is 0.0, its put K e^{-r tau} - S."""
+    params = ModelParams.double_fractional(2.0, 1.6, 0.2)
+    call = PricingInputs(100.0, 108.0, 0.01, 0.02)
+    with pytest.raises(SeriesDivergenceError):
+        price(params, call)
+    assert numerics.moment_line_price(params, call) == (0.0, 0.0)
+    assert price(params, call, fallback=True) == 0.0
+    put = PricingInputs(100.0, 108.0, 0.01, 0.02, OptionKind.PUT)
+    assert (price(params, put, fallback=True)
+            == 0.0 - 100.0 + 108.0 * put.discount)
 
 
 SCALE_PARAMS = ModelParams.double_fractional(1.7, 1.5, 0.2)
