@@ -224,11 +224,13 @@ def _series_grid(cells):
         except FracpriceError as exc:
             for k in group:
                 entries[k] = exc.with_traceback(None)
+    if not live:                # no cells, or every group refused
+        return entries, last
 
+    n = np.arange(SERIES_N_MAX + 1)
+    coef_n = (-1.0) ** n * np.exp(-scipy.special.gammaln(n + 1.0))
+    d = np.arange(-SERIES_M_MAX, SERIES_N_MAX)          # the diagonals n - m
     for g0 in range(0, len(live), 16):
-        n = np.arange(SERIES_N_MAX + 1)
-        coef_n = (-1.0) ** n * np.exp(-scipy.special.gammaln(n + 1.0))
-        d = np.arange(-SERIES_M_MAX, SERIES_N_MAX)      # the diagonals n - m
         a, g, mu, tau, log_B, chunk = zip(*live[g0:g0 + 16])
         band = _band_bounds(mu, tau, g)
         rows = [(k, j, cells[k][1]) for j, group in enumerate(chunk)
@@ -240,7 +242,7 @@ def _series_grid(cells):
         for r0 in range(0, len(rows), 16):
             last = None     # freed before the next block is summed
             last = _series_block(rows[r0:r0 + 16], entries, a, mu, band,
-                                 coef_n, rg, bp)
+                                 n, coef_n, rg, bp)
     return entries, last
 
 
@@ -256,14 +258,14 @@ def _diagonals(table):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _series_block(rows, entries, alpha, mu, band, coef_n, rg, bp):
+def _series_block(rows, entries, alpha, mu, band, n, coef_n, rg, bp):
     """The series of up to 16 cells, rows of (k, j, inputs) of cells k in
     groups j with their alpha[j], mu[j], band[j] (see _band_bounds) and
-    Gamma and B-power factors rg[j] and bp[j] (_diagonals views); coef_n
-    holds (-1)^n / n!.  Sets entries[k] to the cell's price or the
-    SeriesDivergenceError refusing it, and returns (sums, terms, mk): the
-    block's (row, m, n) terms and their partial sums over m, and per row
-    the count mk of m-slices its sum took.
+    Gamma and B-power factors rg[j] and bp[j] (_diagonals views); n is
+    0..SERIES_N_MAX and coef_n holds (-1)^n / n!.  Sets entries[k] to the
+    cell's price or the SeriesDivergenceError refusing it, and returns
+    (sums, terms, mk): the block's (row, m, n) terms and their partial sums
+    over m, and per row the count mk of m-slices its sum took.
 
     The terms are (row, m, n) arrays of the first m-slices, m being the
     monotone direction.  They double from 16 slices up to
@@ -282,7 +284,6 @@ def _series_block(rows, entries, alpha, mu, band, coef_n, rg, bp):
     group = (rows[0][1] if rows[0][1] == rows[-1][1]
              else np.array([row[1] for row in rows]))
     size, m_max = min(16, SERIES_M_MAX), SERIES_M_MAX
-    n = np.arange(SERIES_N_MAX + 1)
     # (-1)^n A^n / n!, 0^0 := 1; the sign flips are exact
     coef = np.where(n == 0, 1.0, A[:, None] ** n) * coef_n
     pc = (pref[:, None] * coef)[:, None, :]

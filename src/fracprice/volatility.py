@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import scipy  # subpackages load on first use: keep them off the import path
 
-from .model import ModelParams, mu_gamma_approx
+from .model import ModelParams, ValidationError, mu_levy
 from .numerics import FracpriceError, green_scale, reciprocal_gamma
 from .pricing import (OptionKind, SeriesDivergenceError, bs_call,
                       put_from_parity)
@@ -189,32 +189,57 @@ _INV_FACT = np.array([1.0, 1.0, 0.5, 0.16666666666666669,
                       0.041666666666666664])
 
 
-def _fbs_call(inputs, gamma, sigma):
-    """The f-BS smile's call: pricing._series_block's terms at alpha = 2 under
-    the first-order drift mu_gamma_approx, summed over n in each slice of
-    the fixed block, then over the slices.  Not certified; its one refusal,
-    a slice not finite or beyond 1e4 (S + K), raises SeriesDivergenceError
-    so that implied_vol pulls its bracket endpoint in."""
-    mu = mu_gamma_approx(ModelParams.double_fractional(2.0, gamma, sigma))
-    tau = inputs.tau
-    A = -inputs.log_fwd - mu * tau
-    with np.errstate(over="ignore", invalid="ignore"):
+def _fbs_pricer(inputs, gamma):
+    """The f-BS smile's call as a function of sigma: pricing._series_block's
+    terms at alpha = 2 under the first-order drift mu_gamma_approx, summed
+    over n in each slice of the fixed block, then over the slices.  Not
+    certified; its one refusal, a slice not finite or beyond 1e4 (S + K),
+    raises SeriesDivergenceError so that implied_vol pulls its bracket
+    endpoint in.
+
+    What depends on gamma or on the quote alone (the law's admissibility,
+    the drift's Gamma ratio, the 1/Gamma table, the B-power exponents, the
+    prefactor and the cap) is computed here, once; a call does the sigma
+    work only, in the order of operations of the sum written out."""
+    # gamma's admissibility at alpha = 2; mu_levy refuses a sigma per call
+    ModelParams.double_fractional(2.0, gamma, 1.0)
+    # mu_gamma_approx's Gamma(1 + alpha) / Gamma(1 + gamma alpha), alpha = 2
+    ratio = math.exp(scipy.special.gammaln(3.0)
+                     - scipy.special.gammaln(1.0 + gamma * 2.0))
+    rg = reciprocal_gamma(1.0 - gamma * (_N - _M) / 2.0)
+    exponents = (_M - _N) / 2.0
+    tau, log_fwd = inputs.tau, inputs.log_fwd
+    pref = inputs.strike * inputs.discount / 2.0
+    cap = 1e4 * (inputs.spot + inputs.strike)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def call(sigma):
+        mu = ratio * mu_levy(2.0, sigma)
+        A = -log_fwd - mu * tau
         coef = _SIGN * np.where(_N == 0, 1.0, A ** _N) * _INV_FACT  # 0^0 := 1
-        slices = (inputs.strike * inputs.discount / 2.0 * coef
-                  * reciprocal_gamma(1.0 - gamma * (_N - _M) / 2.0)
-                  * np.exp(((_M - _N) / 2.0)
-                           * math.log(green_scale(mu, tau, gamma)))
-                  ).sum(axis=1)
-    if not (np.abs(slices) <= 1e4 * (inputs.spot + inputs.strike)).all():
-        raise SeriesDivergenceError(
-            "blowup", "f-BS series slice beyond any arbitrage bound")
-    return float(np.cumsum(slices)[-1])
+        slices = (pref * coef * rg * np.exp(
+            exponents * math.log(green_scale(mu, tau, gamma)))).sum(axis=1)
+        if not (np.abs(slices) <= cap).all():
+            raise SeriesDivergenceError(
+                "blowup", "f-BS series slice beyond any arbitrage bound")
+        return float(np.cumsum(slices)[-1])
+    return call
 
 
-def _vol_or_none(inputs, call, market, guess):
-    """implied_vol of the quote from call(sigma), a put's price by parity;
-    None where the inversion fails."""
+def _fbs_call(inputs, gamma, sigma):
+    """One f-BS smile call: _fbs_pricer's pricer called once."""
+    return _fbs_pricer(inputs, gamma)(sigma)
+
+
+def _vol_or_none(inputs, make_call, market, guess):
+    """implied_vol of the quote from the call pricer make_call() builds, a
+    put's price by parity; None where the pricer or the inversion is
+    refused."""
     put = inputs.kind is OptionKind.PUT
+    try:
+        call = make_call()
+    except ValidationError:                     # a law outside the model
+        return None
 
     def pricer(sigma):
         value = call(sigma)
@@ -227,7 +252,9 @@ def _vol_or_none(inputs, call, market, guess):
 
 def build_smile(chain, gammas):
     """Invert every quote of the chain under Black-Scholes and under the
-    alpha=2 fractional model for each requested gamma (_fbs_call).
+    alpha=2 fractional model for each requested gamma, on one _fbs_pricer
+    per quote and gamma.  The Newton start is the quote's ATM Black-Scholes
+    vol, or none where atm_bs_implied refuses it.
 
     Per-point inversion failures are recorded as None vols, never raised.
     """
@@ -235,11 +262,13 @@ def build_smile(chain, gammas):
     for (_, strike, market), inputs in zip(chain.quotes, chain.inputs):
         anchor = market if inputs.kind is OptionKind.CALL else (
             market + chain.spot - strike * inputs.discount)
-        guess = (atm_bs_implied(anchor, chain.spot, chain.tau)
-                 if 0.0 < anchor < chain.spot else None)
-        sigma_bs = _vol_or_none(inputs, partial(bs_call, inputs), market,
-                                guess)
-        sigma_fbs = {g: _vol_or_none(inputs, partial(_fbs_call, inputs, g),
+        try:
+            guess = atm_bs_implied(anchor, chain.spot, chain.tau)
+        except InversionError:
+            guess = None
+        sigma_bs = _vol_or_none(inputs, lambda: partial(bs_call, inputs),
+                                market, guess)
+        sigma_fbs = {g: _vol_or_none(inputs, partial(_fbs_pricer, inputs, g),
                                      market, guess) for g in gammas}
         points.append(SmilePoint(strike, market, sigma_bs, sigma_fbs))
     return points

@@ -149,6 +149,16 @@ def test_smile_fixture_header_and_rows(capsys):
     assert float(cells[1]) == 118.9   # shortest round-trip cell survives
 
 
+def test_smile_fixture_subnormal_tau(capsys):
+    """At a subnormal tau the smile has no ATM start: every vol is NA, and
+    the command exits 0 (it exited 2 on the start's refusal)."""
+    rc, out, err = run(capsys, "smile", "--fixture", "--tau", "1e-320")
+    assert (rc, err) == (0, "")
+    lines = out.strip().split("\n")
+    assert len(lines) == 11
+    assert all(line.split(",")[2:] == ["NA"] * 4 for line in lines[1:])
+
+
 def test_smile_chain_csv(tmp_path, capsys):
     f = tmp_path / "chain.csv"
     f.write_text("kind,strike,price\ncall,100.0,8.0\nput,95.0,3.1\n",

@@ -12,8 +12,9 @@ from fracprice.numerics import reciprocal_gamma
 from fracprice.pricing import (OptionKind, ParityError, PricingInputs,
                                SeriesDivergenceError, bs_call, price,
                                put_from_parity)
+from fracprice.calibration import QuoteChain
 from fracprice.volatility import (ImpliedVolResult, InversionError,
-                                  _fbs_call, atm_bs_implied,
+                                  _fbs_pricer, atm_bs_implied,
                                   atm_fbs_implied, build_smile, implied_vol)
 
 
@@ -213,7 +214,6 @@ def test_build_smile_bad_quote_gives_none():
     chain = sampledata.fixture_chain()
     quotes = list(chain.quotes)
     quotes[0] = ("call", quotes[0][1], 2000.0)   # impossible price
-    from fracprice.calibration import QuoteChain
     bad = QuoteChain(chain.spot, chain.rate, chain.tau, tuple(quotes))
     pts = build_smile(bad, (0.9,))
     assert pts[0].sigma_bs is None
@@ -237,7 +237,7 @@ def test_implied_vol_roundtrip_dfrac(sigma):
 
 def _fbs_loop(inputs, gamma, sigma):
     """The f-BS smile's call one (m, n) term at a time: the reference for
-    the block evaluation in volatility._fbs_call."""
+    the block evaluation in volatility._fbs_pricer."""
     params = ModelParams.double_fractional(2.0, gamma, sigma)
     mu = mu_gamma_approx(params)
     tau = inputs.tau
@@ -262,11 +262,11 @@ def _fbs_loop(inputs, gamma, sigma):
     return float(total)
 
 
-def _fbs_outcome(call, inputs, gamma, sigma):
-    """The quote's f-BS price from call, a put's by parity, or the class and
-    code of the exception refusing it."""
+def _fbs_outcome(inputs, call):
+    """The quote's f-BS price from the call price call() gives, a put's by
+    parity, or the class and code of the exception refusing it."""
     try:
-        value = call(inputs, gamma, sigma)
+        value = call()
         if inputs.kind is OptionKind.PUT:
             return put_from_parity(value, inputs)
         return value
@@ -277,17 +277,22 @@ def _fbs_outcome(call, inputs, gamma, sigma):
 def test_fbs_call_matches_term_loop():
     """The smile's fixed 4x4 block sum reproduces the term-by-term loop
     bitwise, refusals included, over gamma, sigma across the bracket,
-    strikes and both kinds."""
+    strikes and both kinds.  Each quote and gamma has one pricer, called
+    over the sigma grid in shuffled order: no state carries from one call
+    to the next."""
+    rng = np.random.default_rng(33)
     refused = priced = 0
     for g in (0.8, 0.9, 1.0, 1.1):
-        for sigma in np.geomspace(1e-4, 5.0, 12):
-            for k in (70.0, 85.0, 100.0, 115.0, 130.0, 160.0):
-                for kind in ("call", "put"):
-                    for tau, rate in ((0.05, 0.0), (0.5, 0.02), (2.0, 0.05)):
-                        inp = PricingInputs(100.0, k, rate, tau, kind)
-                        ref = _fbs_outcome(_fbs_loop, inp, g, float(sigma))
-                        got = _fbs_outcome(_fbs_call, inp, g, float(sigma))
-                        assert got == ref
+        for k in (70.0, 85.0, 100.0, 115.0, 130.0, 160.0):
+            for kind in ("call", "put"):
+                for tau, rate in ((0.05, 0.0), (0.5, 0.02), (2.0, 0.05)):
+                    inp = PricingInputs(100.0, k, rate, tau, kind)
+                    pricer = _fbs_pricer(inp, g)
+                    for sigma in rng.permutation(np.geomspace(1e-4, 5.0, 12)):
+                        sigma = float(sigma)
+                        ref = _fbs_outcome(
+                            inp, lambda: _fbs_loop(inp, g, sigma))
+                        assert _fbs_outcome(inp, lambda: pricer(sigma)) == ref
                         refused += ref == (SeriesDivergenceError, "blowup")
                         priced += isinstance(ref, float)
     assert refused > 100 and priced > 500
@@ -326,5 +331,30 @@ def test_build_smile_fixture_fbs_vols_pinned():
     pts = build_smile(sampledata.fixture_chain(), gammas)
     assert [p.strike for p in pts] == list(FIXTURE_FBS_VOLS)
     for p in pts:
-        assert [p.sigma_fbs[g] for g in gammas] == pytest.approx(
-            FIXTURE_FBS_VOLS[p.strike], rel=1e-13)
+        assert tuple(p.sigma_fbs[g] for g in gammas) == FIXTURE_FBS_VOLS[
+            p.strike]
+
+
+def test_build_smile_refused_gamma_columns_are_none():
+    """A gamma outside the model at alpha = 2 (gamma <= 1/2, or above
+    alpha) gives a column of None vols, not an exception, and leaves the
+    admissible column between them as it is alone."""
+    pts = build_smile(sampledata.fixture_chain(), (0.3, 0.9, 2.5))
+    for p in pts:
+        assert p.sigma_fbs[0.3] is None and p.sigma_fbs[2.5] is None
+        assert p.sigma_fbs[0.9] == FIXTURE_FBS_VOLS[p.strike][1]
+
+
+def test_build_smile_subnormal_maturity_never_raises():
+    """At a subnormal tau, 2 pi / tau overflows and atm_bs_implied refuses
+    the Newton start: the smile starts with no guess, and its vols are
+    finite or None."""
+    chain = QuoteChain(100.0, 0.0, 1e-320, (
+        ("call", 90.0, 12.0), ("call", 110.0, 2.0), ("put", 95.0, 3.0)))
+    with pytest.raises(InversionError, match="float range"):
+        atm_bs_implied(12.0 - 10.0, 100.0, 1e-320)
+    pts = build_smile(chain, (0.8, 1.1))
+    assert [p.strike for p in pts] == [90.0, 110.0, 95.0]
+    for p in pts:
+        for vol in [p.sigma_bs, *p.sigma_fbs.values()]:
+            assert vol is None or math.isfinite(vol)
